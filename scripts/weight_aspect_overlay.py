@@ -8,13 +8,12 @@ shrink as K doubles.
 """
 
 import argparse
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from murmur import arith, cli, densities, frame, petersson, specfn
+from murmur import cli, densities, frame, petersson, specfn
 
 
 @dataclass
@@ -31,11 +30,8 @@ class Config:
 def run(cfg: Config) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     phi = specfn.bump(cfg.phi_a, cfg.phi_b)
-    limit = int(4 * math.pi * math.sqrt(cfg.y_max) * (max(cfg.weights) - 1)) + 64
-    tables = arith.sieve(max(4096, limit))
     for K in cfg.weights:
-        X = (K - 1.0) ** 2
-        primes = [int(q) for q in tables.primes if cfg.y_min * X <= q <= cfg.y_max * X]
+        primes, tables = petersson.prime_grid(K, cfg.y_min, cfg.y_max)
         series = petersson.harmonic_series(K, primes, phi, cfg.sign, tables=tables)
         ref = np.array(
             [densities.harmonic_murmuration_density(float(y), phi, cfg.sign, tables) for y in series.y]

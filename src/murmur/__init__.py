@@ -66,7 +66,6 @@ from .specfn import (
     bessel_j,
     bump,
     indicator,
-    log_gamma,
     petersson_prefactor,
     petersson_prefactor_log,
     quadrature,

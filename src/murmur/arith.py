@@ -268,15 +268,9 @@ def kloosterman_fast(m: int, n: int, c: int, tables: ArithTables) -> float:
     return value
 
 
-def kloosterman_many(m: int, n: int, moduli, tables: ArithTables, map_fn=None) -> np.ndarray:
-    """Fast-path S(m, n; c) over an iterable of moduli.
-
-    ``map_fn`` is the caller-provided parallel map (defaults to the
-    builtin); evaluations are independent and results keep input order.
-    """
-    mapper = map if map_fn is None else map_fn
-    values = mapper(lambda c: kloosterman_fast(m, n, c, tables), moduli)
-    return np.fromiter(values, dtype=np.float64)
+def kloosterman_many(m: int, n: int, moduli, tables: ArithTables) -> np.ndarray:
+    """Fast-path S(m, n; c) over an iterable of moduli, in input order."""
+    return np.fromiter((kloosterman_fast(m, n, c, tables) for c in moduli), dtype=np.float64)
 
 
 def weil_bound(m: int, n: int, c: int, tables: ArithTables) -> float:

@@ -7,7 +7,6 @@ byte-identical CSV.
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -163,41 +162,6 @@ def _parse_sign(text):
     raise _UsageError(f"sign must be +1, -1 or both, got {text!r}")
 
 
-def _workers() -> int:
-    env = os.environ.get("MURMUR_WORKERS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageError(f"MURMUR_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
-class _worker_pool:
-    """Context manager yielding an order-preserving parallel map (or None).
-
-    Engines recombine mapped results in fixed order, so output is
-    byte-identical for any worker count.
-    """
-
-    def __init__(self):
-        self.pool = None
-
-    def __enter__(self):
-        n = _workers()
-        if n > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.pool = ThreadPoolExecutor(max_workers=n)
-            return self.pool.map
-        return None
-
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.shutdown(wait=False)
-        return False
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="murmur", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -308,12 +272,6 @@ def _cmd_dirichlet(args) -> int:
     return 0
 
 
-def _harmonic_primes(args, tables):
-    X = (args_k(args) - 1.0) ** 2
-    lo, hi = args.y_min * X, args.y_max * X
-    return [int(q) for q in tables.primes if lo <= q <= hi]
-
-
 def args_k(args) -> float:
     if getattr(args, "k", None) is not None:
         return args.k
@@ -328,18 +286,15 @@ def _cmd_petersson(args) -> int:
     K = args_k(args)
     span = tuple(args.k_window) if args.k_window else None
     policy = specfn.TruncationPolicy(tail_bound=args.tail_tol)
-    limit = max(2048, int(4 * math.pi * math.sqrt(args.y_max) * (K - 1)) + 64)
-    tables = arith.sieve(limit)
-    primes = _harmonic_primes(args, tables)
+    primes, tables = petersson.prime_grid(K, args.y_min, args.y_max)
     signs = (1, -1) if sign == "both" else (sign,)
     outputs = []
-    with _worker_pool() as mapper:
-        for s in signs:
-            ser = petersson.harmonic_series(
-                K, primes, phi, s, span=span, policy=policy, tables=tables,
-                density_normalized=not args.raw, map_fn=mapper,
-            )
-            outputs.append((s, ser))
+    for s in signs:
+        ser = petersson.harmonic_series(
+            K, primes, phi, s, span=span, policy=policy, tables=tables,
+            density_normalized=not args.raw,
+        )
+        outputs.append((s, ser))
     ref = None
     if not args.raw:
         ref = np.array(
@@ -365,8 +320,7 @@ def _cmd_symsq(args) -> int:
     policy = specfn.TruncationPolicy(tail_bound=args.tail_tol)
     tables = arith.sieve(max(2048, 8 * args.p_max))
     primes = [int(q) for q in tables.primes if q <= args.p_max]
-    with _worker_pool() as mapper:
-        ser = petersson.symsq_series(args.k, primes, phi, policy=policy, tables=tables, map_fn=mapper)
+    ser = petersson.symsq_series(args.k, primes, phi, policy=policy, tables=tables)
     emit_csv(f"{args.out}.csv", _series_rows(ser), "y,value,count")
     if args.svg:
         emit_svg(

@@ -23,10 +23,10 @@ Orthogonal-symmetry kernels carry their delta atoms as explicit
 bookkeeping entries, never as narrow approximations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -94,13 +94,6 @@ def harmonic_murmuration_density(
         if w != 0.0:
             total += w / (c * c * euler_phi(c, tables))
     return sign * 4.0 * math.pi * total
-
-
-def harmonic_density_support(phi: WeightFunction, c_max: int) -> tuple[float, float]:
-    """y-interval covered by the c = 1 .. c_max terms of the density."""
-    a, b = phi.support
-    scale = 16.0 * math.pi**2
-    return (a / scale, b * c_max**2 / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,7 @@ def ingest(path) -> IngestedFamily:
     i += 1  # blank separator
 
     coeffs = {}
+    line_of = {}
     primes_by_label = {label: set() for label in order}
     while i < len(lines):
         line = lines[i].strip()
@@ -285,25 +286,31 @@ def ingest(path) -> IngestedFamily:
             p = int(parts[1].strip())
         except ValueError:
             raise DataError(f"line {i + 1}: cannot parse prime from {parts[1].strip()!r}") from None
-        if p < 2:
-            raise DataError(f"line {i + 1}: prime must be >= 2, got {p}")
+        if not 2 <= p < 2**31:
+            raise DataError(f"line {i + 1}: prime must be in [2, 2^31), got {p}")
         ap = _parse_number(parts[2].strip(), i + 1, "coefficient")
         if (label, p) in coeffs:
             raise DataError(f"line {i + 1}: duplicate coefficient for ({label!r}, {p})")
         coeffs[(label, p)] = ap
+        line_of.setdefault(p, i + 1)
         primes_by_label[label].add(p)
         i += 1
 
+    # One sieve serves the coverage scan (up to the largest prime every
+    # record has) and the primality check; a p beyond it only needs the
+    # sieve to reach sqrt(p), so one stray large p cannot size it.
+    common = set.intersection(*primes_by_label.values()) if order else set()
+    tables = sieve(max(2, max(common, default=2), math.isqrt(max(line_of, default=2))))
+    composite = [(line, p) for p, line in line_of.items() if not _is_prime(p, tables)]
+    if composite:
+        line, p = min(composite)
+        raise DataError(f"line {line}: coefficient at composite p={p}")
+
     coverage = 0
-    if order:
-        all_present = set.intersection(*primes_by_label.values()) if primes_by_label else set()
-        if all_present:
-            top = max(all_present)
-            for q in sorted(_small_primes(top)):
-                if all(q in s for s in primes_by_label.values()):
-                    coverage = q
-                else:
-                    break
+    for q in tables.primes.tolist():
+        if q not in common:
+            break
+        coverage = q
 
     family = IngestedFamily(
         records=(), source_digest=digest, prime_coverage=coverage, _coefficients=coeffs
@@ -324,8 +331,12 @@ def ingest(path) -> IngestedFamily:
     return family
 
 
-def _small_primes(limit: int) -> list[int]:
-    return [int(p) for p in sieve(max(2, limit)).primes]
+def _is_prime(p: int, tables: ArithTables) -> bool:
+    """Table lookup up to the sieve limit, trial division by every sieved
+    prime beyond it (valid while the limit is at least sqrt(p))."""
+    if p <= tables.limit:
+        return bool(tables.smallest_prime_factor[p] == p)
+    return bool(np.all(p % tables.primes))
 
 
 def _ap_accessor(family: IngestedFamily, label: str):
@@ -354,16 +365,11 @@ def write_family(family: IngestedFamily, path) -> None:
     for rec in family.records:
         lines.append(f"{rec.label},{_format_number(rec.conductor)},{rec.root_number}")
     lines.append("")
-    for (label, p) in sorted(family._coefficients, key=lambda key: (_label_index(family, key[0]), key[1])):
+    index = {rec.label: i for i, rec in enumerate(family.records)}
+    for (label, p) in sorted(family._coefficients, key=lambda key: (index.get(key[0], len(index)), key[1])):
         ap = family._coefficients[(label, p)]
         lines.append(f"{label},{p},{_format_number(ap)}")
     text = "\n".join(lines) + "\n"
     with open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))
 
-
-def _label_index(family: IngestedFamily, label: str) -> int:
-    for i, rec in enumerate(family.records):
-        if rec.label == label:
-            return i
-    return len(family.records)

@@ -124,7 +124,6 @@ def murmuration_series(
     phi: WeightFunction,
     primes: Sequence[int],
     normalization: str = "analytic",
-    map_fn=None,
 ) -> MurmurationSeries:
     """Expectation of the prime coefficient at every prime of the grid."""
     if len(primes) == 0:
@@ -150,8 +149,7 @@ def murmuration_series(
         )
         return num / den
 
-    mapper = map if map_fn is None else map_fn
-    values = np.fromiter(mapper(value_at, primes), dtype=np.float64, count=len(primes))
+    values = np.fromiter(map(value_at, primes), dtype=np.float64, count=len(primes))
     ys = np.asarray(primes, dtype=np.float64) / X
     counts = np.full(len(primes), count, dtype=np.int64)
     return MurmurationSeries(

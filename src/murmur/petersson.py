@@ -36,7 +36,6 @@ the special-value proportionality) cancel in ratios and are recorded in
 series metadata, never folded in.
 """
 
-from dataclasses import dataclass
 import math
 from typing import NamedTuple, Optional, Sequence
 
@@ -124,7 +123,6 @@ def petersson_delta(
     n: int,
     policy: Optional[TruncationPolicy] = None,
     tables: Optional[ArithTables] = None,
-    map_fn=None,
 ) -> PeterssonValue:
     """Kloosterman--Bessel side of the trace-formula average, truncated
     with a certified tail bound.
@@ -132,8 +130,26 @@ def petersson_delta(
     Returns (value, tail_bound, cutoff).  Increasing the cutoff can
     never move the value by more than the reported tail_bound.
     """
-    if k % 2 != 0 or k < 4:
-        raise DomainError(f"weight k must be even and >= 4, got {k}")
+    return _delta_window([k], m, n, policy, tables)[0]
+
+
+def _delta_window(
+    ks: Sequence[int],
+    m: int,
+    n: int,
+    policy: Optional[TruncationPolicy],
+    tables: Optional[ArithTables],
+) -> list[PeterssonValue]:
+    """``petersson_delta`` at every weight of ``ks`` in one batch.
+
+    S(m,n;c)/c and the Bessel argument 4 pi sqrt(mn)/c do not depend on
+    the weight, so they are computed once up to the largest cutoff; row
+    k of the (weight x modulus) Bessel grid is summed up to its own
+    certified cutoff C_k.
+    """
+    for k in ks:
+        if k % 2 != 0 or k < 4:
+            raise DomainError(f"weight k must be even and >= 4, got {k}")
     if m < 1 or n < 1:
         raise DomainError("m, n must be positive integers")
     policy = policy or TruncationPolicy()
@@ -141,17 +157,25 @@ def petersson_delta(
     g0 = math.gcd(m, n)
     if policy.mode == "fixed_cutoff":
         C = policy.cutoff
-        tail = math.exp(min(700.0, _log_tail_bound(k, A, g0, C)))
+        cuts = [(C, math.exp(min(700.0, _log_tail_bound(k, A, g0, C)))) for k in ks]
     else:
-        C, tail = _choose_cutoff(k, A, g0, policy.tail_bound)
-    if tables is None or tables.limit < C:
-        tables = _shared_tables(C)
-    moduli = range(1, C + 1)
-    s_values = kloosterman_many(m, n, moduli, tables, map_fn=map_fn)
-    nu = k - 1
-    terms = [s_values[c - 1] / c * bessel_j(nu, A / c) for c in moduli]
-    value = (1.0 if m == n else 0.0) + 2.0 * math.pi * _phase(k) * math.fsum(terms)
-    return PeterssonValue(value=value, tail_bound=tail, cutoff=C)
+        cuts = [_choose_cutoff(k, A, g0, policy.tail_bound) for k in ks]
+    c_max = max(C for C, _ in cuts)
+    if tables is None or tables.limit < c_max:
+        tables = _shared_tables(c_max)
+    moduli = np.arange(1, c_max + 1)
+    s_over_c = kloosterman_many(m, n, range(1, c_max + 1), tables) / moduli
+    nus = np.asarray(ks, dtype=np.float64)[:, None] - 1.0
+    grid = bessel_j(nus, A / moduli) * s_over_c
+    diagonal = 1.0 if m == n else 0.0
+    return [
+        PeterssonValue(
+            value=diagonal + 2.0 * math.pi * _phase(k) * math.fsum(row[:C]),
+            tail_bound=tail,
+            cutoff=C,
+        )
+        for k, row, (C, tail) in zip(ks, grid, cuts)
+    ]
 
 
 _TABLE_CACHE: dict = {}
@@ -197,6 +221,20 @@ def weight_window(K: float, phi: WeightFunction, sign: Optional[int], span=None)
     return ks
 
 
+def prime_grid(K: float, y_min: float, y_max: float) -> tuple[list[int], ArithTables]:
+    """Primes p with y_min <= p / (K-1)^2 <= y_max, and the sieve tables
+    that cover them (at least 2048, so small windows share one table).
+
+    Raises WindowError when no prime falls in the range.
+    """
+    X = (K - 1.0) ** 2
+    tables = sieve(max(2048, math.floor(y_max * X) + 1))
+    primes = [int(q) for q in tables.primes if y_min * X <= q <= y_max * X]
+    if not primes:
+        raise WindowError(f"no primes with p/X in [{y_min}, {y_max}] at K={K:g}")
+    return primes, tables
+
+
 def _aggregate(
     K: float,
     ks: Sequence[int],
@@ -204,17 +242,15 @@ def _aggregate(
     phi: WeightFunction,
     policy: Optional[TruncationPolicy],
     tables: Optional[ArithTables],
-    map_fn=None,
 ) -> float:
+    """sum_k Phi((k-1)^2/X) (k-1) Delta_k(1, n) over the window weights."""
     X = (K - 1.0) ** 2
-    total = 0.0
-    for k in ks:
-        w = float(phi((k - 1.0) ** 2 / X))
-        if w == 0.0:
-            continue
-        delta = petersson_delta(k, 1, n, policy=policy, tables=tables, map_fn=map_fn)
-        total += w * (k - 1.0) * delta.value
-    return total
+    weights = [float(phi((k - 1.0) ** 2 / X)) for k in ks]
+    weighted = [(w, k) for w, k in zip(weights, ks) if w != 0.0]
+    if not weighted:
+        return 0.0
+    deltas = _delta_window([k for _, k in weighted], 1, n, policy, tables)
+    return sum(w * (k - 1.0) * delta.value for (w, k), delta in zip(weighted, deltas))
 
 
 def harmonic_murmuration(
@@ -225,24 +261,9 @@ def harmonic_murmuration(
     span=None,
     policy: Optional[TruncationPolicy] = None,
     tables: Optional[ArithTables] = None,
-    map_fn=None,
 ) -> float:
-    """Harmonically weighted murmuration average at prime p.
-
-    Aggregates (k-1)-weighted trace-formula averages of lambda(p)
-    sqrt(p) over one root-number class of weights and divides by the
-    matching aggregation at n = 1.
-    """
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +-1, got {sign}")
-    ks = weight_window(K, phi, sign, span=span)
-    if not ks:
-        raise WindowError(f"no weights of sign class {sign:+d} in window at K={K}")
-    num = _aggregate(K, ks, p, phi, policy, tables, map_fn=map_fn) * math.sqrt(p)
-    den = _aggregate(K, ks, 1, phi, policy, tables, map_fn=map_fn)
-    if den == 0.0:
-        raise WindowError(f"window normalization vanished at K={K}")
-    return num / den
+    """Raw window ratio of ``harmonic_series`` at the single prime p."""
+    return float(harmonic_series(K, [p], phi, sign, span, policy, tables, density_normalized=False).value[0])
 
 
 def symsq_murmuration(
@@ -252,22 +273,9 @@ def symsq_murmuration(
     span=None,
     policy: Optional[TruncationPolicy] = None,
     tables: Optional[ArithTables] = None,
-    map_fn=None,
 ) -> float:
-    """Symmetric-square murmuration average at prime p.
-
-    Identical pipeline with n = p^2 and no root-number split (the
-    lifted family is all root number +1); no sqrt(p) boost, matching
-    the plain coefficient ratio at a single weight.
-    """
-    ks = weight_window(K, phi, None, span=span)
-    if not ks:
-        raise WindowError(f"no weights in window at K={K}")
-    num = _aggregate(K, ks, p * p, phi, policy, tables, map_fn=map_fn)
-    den = _aggregate(K, ks, 1, phi, policy, tables, map_fn=map_fn)
-    if den == 0.0:
-        raise WindowError(f"window normalization vanished at K={K}")
-    return num / den
+    """Window ratio of ``symsq_series`` at the single prime p."""
+    return float(symsq_series(K, [p], phi, span, policy, tables).value[0])
 
 
 def weight_mass(phi: WeightFunction) -> float:
@@ -298,26 +306,29 @@ def harmonic_series(
     policy: Optional[TruncationPolicy] = None,
     tables: Optional[ArithTables] = None,
     density_normalized: bool = True,
-    map_fn=None,
 ) -> MurmurationSeries:
     """Harmonic murmuration sampled over a prime grid, y = p / (K-1)^2.
 
-    With ``density_normalized`` each sample carries the exact bridge
-    factor mass(Phi)/(4 pi y), putting the series on the closed-form
-    density's normalization; without it samples are the raw window
-    ratios of ``harmonic_murmuration``.
+    Each sample aggregates (k-1)-weighted trace-formula averages of
+    lambda(p) sqrt(p) over one root-number class of weights (sign +1 or
+    -1) and divides by the matching aggregation at n = 1.  With
+    ``density_normalized`` each sample carries the exact bridge factor
+    mass(Phi)/(4 pi y), putting the series on the closed-form density's
+    normalization; without it samples are the raw window ratios.
     """
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be +-1, got {sign}")
     ks = weight_window(K, phi, sign, span=span)
     if not ks:
         raise WindowError(f"no weights of sign class {sign:+d} in window at K={K}")
-    den = _aggregate(K, ks, 1, phi, policy, tables, map_fn=map_fn)
+    den = _aggregate(K, ks, 1, phi, policy, tables)
     if den == 0.0:
         raise WindowError(f"window normalization vanished at K={K}")
     X = (K - 1.0) ** 2
     mass = weight_mass(phi) if density_normalized else None
 
     def value_at(p):
-        raw = _aggregate(K, ks, p, phi, policy, tables, map_fn=map_fn) * math.sqrt(p) / den
+        raw = _aggregate(K, ks, p, phi, policy, tables) * math.sqrt(p) / den
         if mass is None:
             return raw
         return raw * mass / (4.0 * math.pi * p / X)
@@ -336,22 +347,24 @@ def symsq_series(
     span=None,
     policy: Optional[TruncationPolicy] = None,
     tables: Optional[ArithTables] = None,
-    map_fn=None,
 ) -> MurmurationSeries:
     """Symmetric-square murmuration sampled over a prime grid.
 
-    Raw window ratios; no reference density is defined for this mode,
-    so no normalization bridge is applied.
+    The harmonic pipeline with n = p^2 and no root-number split (the
+    lifted family is all root number +1), and no sqrt(p) boost, matching
+    the plain coefficient ratio at a single weight.  Raw window ratios:
+    no reference density is defined for this mode, so no normalization
+    bridge is applied.
     """
     ks = weight_window(K, phi, None, span=span)
     if not ks:
         raise WindowError(f"no weights in window at K={K}")
-    den = _aggregate(K, ks, 1, phi, policy, tables, map_fn=map_fn)
+    den = _aggregate(K, ks, 1, phi, policy, tables)
     if den == 0.0:
         raise WindowError(f"window normalization vanished at K={K}")
 
     def value_at(p):
-        return _aggregate(K, ks, p * p, phi, policy, tables, map_fn=map_fn) / den
+        return _aggregate(K, ks, p * p, phi, policy, tables) / den
 
     meta = dict(_AGGREGATION_META, weights=tuple(ks), sign=None, _count=len(ks))
     return _series(value_at, K, primes, "analytic", meta)

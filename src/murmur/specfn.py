@@ -1,17 +1,10 @@
-"""Floating-point special functions: integer-order Bessel J, log-Gamma
-prefactors, smooth cutoff weights, and adaptive quadrature.
+"""Floating-point special functions: integer-order Bessel J over arrays,
+log-Gamma prefactors, smooth cutoff weights, and adaptive quadrature.
 
-Bessel evaluation picks a regime per call:
-
-* ascending power series for x < max(8, nu/4), with the leading factor
-  (x/2)^nu / nu! taken in log space;
-* Hankel's large-argument expansion for x > max(30, 2*nu), but only
-  when its terms certifiably decrease below tolerance before diverging
-  (near x ~ 2*nu with large nu the expansion is useless and the call
-  falls through);
-* Miller's normalized backward recurrence everywhere else, which is
-  stable through the transition region x ~ nu where the Petersson
-  kernel lives.
+``bessel_j`` guards the supported range (order <= 500, argument
+<= 1e5) and evaluates ``scipy.special.jv`` on whole (order x argument)
+grids, so the trace-formula engine gets every weight of a window from
+one call.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +13,7 @@ import warnings
 
 import numpy as np
 import scipy.integrate
+import scipy.special
 
 from .errors import AccuracyError, DomainError
 
@@ -152,111 +146,27 @@ class TruncationPolicy:
 # Bessel J of integer order
 
 
-def _bessel_series(nu: int, x: float) -> float:
-    # leading coefficient in log space; nu up to 500 would overflow naively
-    log_lead = nu * math.log(x / 2.0) - math.lgamma(nu + 1)
-    if log_lead < -745.0:  # below smallest subnormal exponent
-        return 0.0
-    lead = math.exp(log_lead)
-    u = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    for j in range(1, 400):
-        term *= -u / (j * (nu + j))
-        total += term
-        if abs(term) <= 1e-18 * abs(total) + 1e-300:
-            break
-    return lead * total
+def bessel_j(order, x):
+    """J_order(x) for integer order >= 0 and real x >= 0, broadcast over arrays.
 
-
-def _bessel_asymptotic(nu: int, x: float):
-    """Hankel expansion; returns None when it cannot certify convergence."""
-    mu = 4.0 * nu * nu
-    p_sum, q_sum = 1.0, 0.0
-    term = 1.0
-    prev = abs(term)
-    converged = False
-    for k in range(1, 40):
-        term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        mag = abs(term)
-        if mag >= prev and mag > 1e-17:
-            return None  # diverging before reaching tolerance
-        if k % 2 == 0:
-            p_sum += term if k % 4 == 0 else -term
-        else:
-            q_sum += term if k % 4 == 1 else -term
-        if mag < 1e-17:
-            converged = True
-            break
-        prev = mag
-    if not converged:
-        return None
-    omega = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p_sum * math.cos(omega) - q_sum * math.sin(omega))
-
-
-def _bessel_miller(nu: int, x: float) -> float:
-    # start far enough above both the order and the turning point that
-    # the seed value is negligible relative to J_nu
-    top = max(nu, int(math.ceil(x)))
-    start = top + int(15.0 * max(1.0, x) ** (1.0 / 3.0)) + 25
-    if start % 2 == 1:
-        start += 1
-    f_hi = 0.0  # J_{start+1} surrogate
-    f_lo = 1e-280  # J_{start} seed
-    norm = 0.0  # accumulates J_0 + 2*sum J_{2j}
-    result = 0.0
-    two_over_x = 2.0 / x
-    for k in range(start, 0, -1):
-        f_prev = k * two_over_x * f_lo - f_hi
-        f_hi = f_lo
-        f_lo = f_prev
-        if k % 2 == 1:
-            norm += 2.0 * f_lo  # f_lo is now J_{k-1}, k-1 even
-        if k - 1 == nu:
-            result = f_lo
-        if abs(f_lo) > 1e250:
-            f_lo *= 1e-250
-            f_hi *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
-    norm -= f_lo  # J_0 was added twice by the loop
-    return result / norm
-
-
-def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for integer order >= 0 and real x >= 0.
-
-    Supported range: order <= 500, x <= 1e5.  Regime switching is
-    internal; values are continuous across the switch points.
+    Supported range: order <= 500, x <= 1e5.  Values come from
+    ``scipy.special.jv``; scalar arguments return a float, array
+    arguments an ndarray of the broadcast shape.
     """
-    if order != int(order) or order < 0:
+    order_arr = np.asarray(order)
+    x_arr = np.asarray(x, dtype=np.float64)
+    if np.any(order_arr != np.floor(order_arr)) or np.any(order_arr < 0):
         raise DomainError(f"order must be a nonnegative integer, got {order}")
-    order = int(order)
-    if order > _BESSEL_MAX_ORDER:
-        raise DomainError(f"order {order} exceeds supported maximum {_BESSEL_MAX_ORDER}")
-    if not 0.0 <= x <= _BESSEL_MAX_X:
+    if np.any(order_arr > _BESSEL_MAX_ORDER):
+        raise DomainError(f"order {np.max(order_arr)} exceeds supported maximum {_BESSEL_MAX_ORDER}")
+    if not np.all((x_arr >= 0.0) & (x_arr <= _BESSEL_MAX_X)):
         raise DomainError(f"argument {x} outside supported range [0, {_BESSEL_MAX_X:g}]")
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if x < max(8.0, order / 4.0):
-        return _bessel_series(order, x)
-    if x > max(30.0, 2.0 * order):
-        value = _bessel_asymptotic(order, x)
-        if value is not None:
-            return value
-    return _bessel_miller(order, x)
+    value = scipy.special.jv(order_arr.astype(np.float64), x_arr)
+    return value if value.ndim else float(value)
 
 
 # ---------------------------------------------------------------------------
 # Gamma bookkeeping
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def petersson_prefactor_log(k: int, m: int, n: int) -> float:

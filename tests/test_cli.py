@@ -106,6 +106,24 @@ def test_petersson_negative_sign_peak(tmp_path):
     assert values[np.argmax(np.abs(values))] < 0.0
 
 
+def test_petersson_prime_grid_covers_requested_range(tmp_path):
+    # K = 320 needs primes up to 0.055 * 319^2 ~ 5597, past the 2048 sieve floor
+    code = run_cli([
+        "petersson", "--k", "320", "--phi", "bump", "1", "2", "--sign", "+1", "--out", str(tmp_path / "pet"),
+    ])
+    assert code == 0
+    rows = (tmp_path / "pet.csv").read_text().splitlines()[1:]
+    assert len(rows) == 659
+    assert float(rows[-1].split(",")[0]) >= 0.054
+
+
+def test_petersson_empty_prime_grid_is_window_error(tmp_path):
+    code = run_cli([
+        "petersson", "--k", "40", "--y-min", "0.0001", "--y-max", "0.0002", "--out", str(tmp_path / "pet"),
+    ])
+    assert code == 4
+
+
 def test_symsq_runs(tmp_path):
     out = tmp_path / "sym"
     code = run_cli(["symsq", "--k", "24", "--p-max", "13", "--phi", "bump", "1", "2", "--out", str(out)])
@@ -192,16 +210,3 @@ def test_module_entrypoint_smoke(tmp_path):
     assert result.returncode == 0
     assert "old-kernel:" in result.stdout
 
-
-def test_worker_env_override_is_deterministic(tmp_path, monkeypatch):
-    args = [
-        "petersson", "--k", "30", "--phi", "bump", "1", "2", "--sign", "+1",
-        "--y-min", "0.006", "--y-max", "0.013",
-    ]
-    monkeypatch.setenv("MURMUR_WORKERS", "1")
-    assert run_cli(args + ["--out", str(tmp_path / "w1")]) == 0
-    monkeypatch.setenv("MURMUR_WORKERS", "4")
-    assert run_cli(args + ["--out", str(tmp_path / "w4")]) == 0
-    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w4.csv").read_bytes()
-    monkeypatch.setenv("MURMUR_WORKERS", "soon")
-    assert run_cli(args + ["--out", str(tmp_path / "bad")]) == 1

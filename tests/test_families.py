@@ -209,6 +209,20 @@ def test_ingest_rejects_duplicates_and_garbage(tmp_path):
         families.ingest(write(tmp_path, bad_row))
 
 
+def test_ingest_rejects_composite_prime(tmp_path):
+    # the composite row sits on line 13, after a valid larger prime
+    text = GOOD + "37a,7,-1\n11a,4,1\n"
+    with pytest.raises(DataError, match="line 13:"):
+        families.ingest(write(tmp_path, text))
+    # p beyond the coverage sieve: 1000003 is prime, 1000001 = 101 * 9901
+    fam = families.ingest(write(tmp_path, GOOD + "11a,1000003,0\n"))
+    assert fam.prime_coverage == 5
+    with pytest.raises(DataError, match="line 12:"):
+        families.ingest(write(tmp_path, GOOD + "11a,1000001,0\n"))
+    with pytest.raises(DataError, match="line 12:"):
+        families.ingest(write(tmp_path, GOOD + f"11a,{2**31},0\n"))
+
+
 def test_missing_coefficient_is_loud(tmp_path):
     fam = families.ingest(write(tmp_path, GOOD))
     rec = fam.records[0]

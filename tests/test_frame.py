@@ -123,15 +123,6 @@ def test_series_validation():
         frame.MurmurationSeries(y=np.array([1.0]), value=np.zeros(1), count=np.zeros(1), window_scale=1.0)
 
 
-def test_series_parallel_map_determinism():
-    fam = make_family([10.0, 14.0], [{p: 0.1 * p for p in (2, 3, 5, 7)}] * 2)
-    seq = frame.murmuration_series(fam, 10.0, PHI, [2, 3, 5, 7])
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(4) as pool:
-        par = frame.murmuration_series(fam, 10.0, PHI, [2, 3, 5, 7], map_fn=pool.map)
-    assert np.array_equal(seq.value, par.value)
-
-
 def test_bin_series_weighted_means():
     ser = frame.MurmurationSeries(
         y=np.array([0.1, 0.2, 0.6, 0.7]),

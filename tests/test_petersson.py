@@ -86,13 +86,20 @@ def test_delta_validation():
         petersson.petersson_delta(12, 0, 1)
 
 
-def test_parallel_csum_deterministic(tables):
-    from concurrent.futures import ThreadPoolExecutor
-
-    seq = petersson.petersson_delta(12, 1, 5, tables=tables)
-    with ThreadPoolExecutor(4) as pool:
-        par = petersson.petersson_delta(12, 1, 5, tables=tables, map_fn=pool.map)
-    assert seq.value == par.value
+def test_delta_window_matches_scalar_terms(tables):
+    # every row keeps its own certified cutoff; the reference sums the
+    # same terms one modulus and one weight at a time
+    ks = [12, 14, 16, 20, 30]
+    batch = petersson._delta_window(ks, 1, 7, None, tables)
+    assert len({v.cutoff for v in batch}) > 1
+    A = 4.0 * math.pi * math.sqrt(7)
+    for k, v in zip(ks, batch):
+        assert v == petersson.petersson_delta(k, 1, 7, tables=tables)
+        terms = [
+            arith.kloosterman_fast(1, 7, c, tables) / c * specfn.bessel_j(k - 1, A / c)
+            for c in range(1, v.cutoff + 1)
+        ]
+        assert v.value == 2.0 * math.pi * petersson._phase(k) * math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +194,24 @@ def test_harmonic_series_bridge_and_meta(tables_big):
         assert abs(raw.value[i] - petersson.harmonic_murmuration(K, p, BUMP, 1, tables=tables_big)) < 1e-12
     assert bridged.meta["bridge"] == "mass(Phi)/(4*pi*y)"
     assert "omitted_constants" in bridged.meta
+
+
+def test_harmonic_series_requires_a_sign_class(tables):
+    with pytest.raises(DomainError):
+        petersson.harmonic_series(60.0, [2, 3], BUMP, None, tables=tables)
+    with pytest.raises(DomainError):
+        petersson.harmonic_series(6.0, [2], specfn.indicator(50.0, 60.0), None)
+
+
+def test_prime_grid_bounds(tables):
+    primes, tabs = petersson.prime_grid(320.0, 0.004, 0.055)
+    X = 319.0**2
+    assert len(primes) == 659
+    assert primes == [int(q) for q in tabs.primes if 0.004 * X <= q <= 0.055 * X]
+    assert tabs.limit >= 0.055 * X
+    assert petersson.prime_grid(100.0, 0.004, 0.055)[1].limit == 2048
+    with pytest.raises(WindowError):
+        petersson.prime_grid(40.0, 0.0001, 0.0002)
 
 
 def test_window_errors():

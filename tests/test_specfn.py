@@ -88,13 +88,6 @@ def test_bessel_domain_errors():
 # gamma prefactor
 
 
-def test_log_gamma():
-    assert specfn.log_gamma(1.0) == 0.0
-    assert abs(specfn.log_gamma(10.0) - math.log(362880.0)) < 1e-12
-    with pytest.raises(DomainError):
-        specfn.log_gamma(0.0)
-
-
 def test_petersson_prefactor_values():
     assert abs(specfn.petersson_prefactor(4, 1, 1) - 2.0 / (4 * math.pi) ** 3) < 1e-18
     import mpmath
