@@ -240,6 +240,8 @@ def _summarize_series(name, series, ref=None):
         sup = ref != 0
         if np.any(sup) and np.linalg.norm(series.value[sup]) > 0:
             msg += f" residual-vs-reference={frame.shape_residual(series.value[sup], ref[sup]):.4g}"
+    if "tail_bound" in series.meta:
+        msg += f" tail-bound={float(np.max(series.meta['tail_bound'], initial=0.0)):.3g}"
     print(msg)
 
 
@@ -295,11 +297,13 @@ def _cmd_petersson(args) -> int:
             density_normalized=not args.raw,
         )
         outputs.append((s, ser))
-    ref = None
+    # the density is odd in the sign, so one evaluation serves both classes
+    refs = [None] * len(signs)
     if not args.raw:
         ref = np.array(
-            [densities.harmonic_murmuration_density(y, phi, signs[0], tables) for y in outputs[0][1].y]
+            [densities.harmonic_murmuration_density(y, phi, 1, tables) for y in outputs[0][1].y]
         )
+        refs = [s * ref for s in signs]
     for i, (s, ser) in enumerate(outputs):
         path = f"{args.out}.csv" if i == 0 else f"{args.out}-minus.csv"
         emit_csv(path, _series_rows(ser), "y,value,count")
@@ -308,10 +312,12 @@ def _cmd_petersson(args) -> int:
             (f"sign {s:+d}", list(map(float, ser.y)), list(map(float, ser.value)))
             for s, ser in outputs
         ]
-        if ref is not None:
-            overlays.append(("reference density", list(map(float, outputs[0][1].y)), list(map(float, ref))))
+        for s, ref in zip(signs, refs):
+            if ref is not None:
+                overlays.append((f"reference density {s:+d}", list(map(float, outputs[0][1].y)), list(map(float, ref))))
         emit_svg(f"{args.out}.svg", overlays, title=f"weight aspect, K={K:g}")
-    _summarize_series("petersson", outputs[0][1], ref)
+    for i, ((s, ser), ref) in enumerate(zip(outputs, refs)):
+        _summarize_series("petersson" if i == 0 else "petersson-minus", ser, ref)
     return 0
 
 

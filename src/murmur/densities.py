@@ -15,16 +15,18 @@ Two murmuration densities are provided:
 
       prefactor * mu(q)^2 / (phi(q)^2 sigma(q)) * (q/a)^3
 
-  at (q/a)^2 for coprime a, q, masses halved at interval endpoints.
-  The zeta-type prefactor is a free parameter (default 1); all
-  structural statements about the atoms are prefactor-free.
+  at (q/a)^2 for coprime a, q.  An atom sits at an endpoint e of the
+  interval when the correctly rounded quotient q^2/a^2 is within
+  _ENDPOINT_SNAP * max(1, |e|) of e, and its mass is halved.  One numpy
+  pass per squarefree q, so the cost is linear in the number of (q, a)
+  candidates.  The zeta-type prefactor is a free parameter (default 1);
+  all structural statements about the atoms are prefactor-free.
 
 Orthogonal-symmetry kernels carry their delta atoms as explicit
 bookkeeping entries, never as narrow approximations.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 from typing import Callable
 
@@ -100,23 +102,16 @@ def harmonic_murmuration_density(
 # atomic prime-window density
 
 
-def _endpoint_kind(q: int, a: int, endpoint: float) -> bool:
-    """True when (q/a)^2 equals the endpoint, exactly for rational endpoints."""
-    ratio = Fraction(q * q, a * a)
-    exact = Fraction(endpoint).limit_denominator(10**12)
-    if float(exact) == endpoint and exact == ratio:
-        return True
-    return abs(float(ratio) - endpoint) <= _ENDPOINT_SNAP * max(1.0, abs(endpoint))
-
-
 def window_murmuration_density(
     E, q_max: int, prefactor: float, tables: ArithTables, tail_tol: float = None
 ) -> tuple[DistributionValue, float]:
     """Atomic murmuration density on the window E, plus a certified tail bound.
 
     Enumerates coprime pairs (a, q) with q <= q_max squarefree and
-    (q/a)^2 in E; masses at exact endpoints of E are halved.  The tail
-    bound covers all omitted q > q_max using
+    (q/a)^2 in E, one numpy pass over the candidate a of each q.  An atom
+    sits at an endpoint e of E when the correctly rounded quotient
+    q^2/a^2 lies within _ENDPOINT_SNAP * max(1, |e|) of e; its mass is
+    halved.  The tail bound covers all omitted q > q_max using
     phi(q) >= sqrt(q/2) and phi(q)*sigma(q) >= q^2 * 6/pi^2 (valid for
     squarefree q), so each omitted term is at most
     (max E)^(3/2) * (q * L + 1) * (pi^2 sqrt(2) / 6) / q^(5/2)
@@ -127,28 +122,27 @@ def window_murmuration_density(
         raise DomainError(f"E must be a compact subinterval of (0, inf), got [{lo}, {hi}]")
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
-    atoms = {}
+    locs, masses = [], []
     sqrt_lo, sqrt_hi = math.sqrt(lo), math.sqrt(hi)
     for q in range(1, q_max + 1):
         if not is_squarefree(q, tables):
             continue
         base = prefactor * 1.0 / (euler_phi(q, tables) ** 2 * divisor_sigma(q, tables))
-        a_lo = max(1, math.floor(q / sqrt_hi))
-        a_hi = math.ceil(q / sqrt_lo) + 1
-        for a in range(a_lo, a_hi + 1):
-            if math.gcd(a, q) != 1:
-                continue
-            loc = (q / a) ** 2
-            if loc < lo - _ENDPOINT_SNAP or loc > hi + _ENDPOINT_SNAP:
-                continue
-            at_end = _endpoint_kind(q, a, lo) or _endpoint_kind(q, a, hi)
-            if not at_end and not (lo < loc < hi):
-                continue
-            mass = base * (q / a) ** 3
-            if at_end:
-                mass *= 0.5
-            key = Fraction(q, a)
-            atoms[key] = (loc, mass)
+        a = np.arange(max(1, math.floor(q / sqrt_hi)), math.ceil(q / sqrt_lo) + 2)
+        a = a[np.gcd(a, q) == 1]
+        # float_power calls libm pow, as Python's ** does: r * r can differ in the last ulp
+        r = q / a
+        loc = np.float_power(r, 2)
+        ratio = (q * q) / (a * a)
+        at_end = (np.abs(ratio - lo) <= _ENDPOINT_SNAP * max(1.0, abs(lo))) | (
+            np.abs(ratio - hi) <= _ENDPOINT_SNAP * max(1.0, abs(hi))
+        )
+        keep = (loc >= lo - _ENDPOINT_SNAP) & (loc <= hi + _ENDPOINT_SNAP)
+        keep &= at_end | ((lo < loc) & (loc < hi))
+        mass = base * np.float_power(r[keep], 3)
+        mass[at_end[keep]] *= 0.5
+        locs.append(loc[keep])
+        masses.append(mass)
     # tail over q > q_max
     length = 1.0 / sqrt_lo - 1.0 / sqrt_hi
     const = hi**1.5 * abs(prefactor) * math.pi**2 * math.sqrt(2.0) / 6.0
@@ -159,7 +153,9 @@ def window_murmuration_density(
             best=None,
             estimate=tail,
         )
-    ordered = tuple(sorted(atoms.values(), key=lambda lm: lm[0]))
+    locs, masses = np.concatenate(locs), np.concatenate(masses)
+    order = np.argsort(locs, kind="stable")
+    ordered = tuple(zip(locs[order].tolist(), masses[order].tolist()))
     dist = DistributionValue(atoms=ordered, continuous=lambda x: 0.0)
     return dist, tail
 

@@ -296,11 +296,15 @@ def ingest(path) -> IngestedFamily:
         primes_by_label[label].add(p)
         i += 1
 
-    # One sieve serves the coverage scan (up to the largest prime every
-    # record has) and the primality check; a p beyond it only needs the
-    # sieve to reach sqrt(p), so one stray large p cannot size it.
+    # One sieve serves the coverage scan and the primality check.  The scan
+    # stops at the first prime missing from `common`, at most the
+    # (|common|+1)-th prime, which Rosser's bound n(ln n + ln ln n), n >= 6,
+    # caps; the primality check trial-divides a p beyond the sieve, so it
+    # only needs sqrt(p).  No single large p can size the sieve.
     common = set.intersection(*primes_by_label.values()) if order else set()
-    tables = sieve(max(2, max(common, default=2), math.isqrt(max(line_of, default=2))))
+    n = max(6, len(common) + 1)
+    scan_limit = min(max(common, default=2), math.ceil(n * (math.log(n) + math.log(math.log(n)))))
+    tables = sieve(max(2, scan_limit, math.isqrt(max(line_of, default=2))))
     composite = [(line, p) for p, line in line_of.items() if not _is_prime(p, tables)]
     if composite:
         line, p = min(composite)

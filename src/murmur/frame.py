@@ -163,7 +163,8 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
     Per-prime murmuration values are noisy; binning trades resolution
     for variance.  ``stderr`` in the result is the sample standard
     deviation of the per-prime values in the bin over sqrt(#samples)
-    (NaN for single-sample bins).  Empty bins are dropped.
+    (NaN for single-sample bins).  Empty bins are dropped.  A per-sample
+    certified ``meta["tail_bound"]`` is binned like the values.
     """
     if bins < 1:
         raise DomainError("bins must be >= 1")
@@ -176,7 +177,8 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
     edges = np.linspace(lo, hi, bins + 1)
     idx = np.clip(np.searchsorted(edges, series.y, side="right") - 1, 0, bins - 1)
     in_range = (series.y >= lo) & (series.y <= hi)
-    ys, vals, cnts, errs = [], [], [], []
+    bound = series.meta.get("tail_bound")
+    ys, vals, cnts, errs, bounds = [], [], [], [], []
     for b in range(bins):
         sel = in_range & (idx == b)
         if not np.any(sel):
@@ -187,8 +189,13 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
         vals.append(float(np.sum(v * c) / np.sum(c)))
         cnts.append(int(np.sum(series.count[sel])))
         errs.append(float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else math.nan)
+        if bound is not None:
+            bounds.append(float(np.sum(bound[sel] * c) / np.sum(c)))
     if not ys:
         raise WindowError("binning left no occupied bins")
+    meta = dict(series.meta, bins=bins, bin_range=(lo, hi))
+    if bound is not None:
+        meta["tail_bound"] = np.array(bounds)
     return MurmurationSeries(
         y=np.array(ys),
         value=np.array(vals),
@@ -196,7 +203,7 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
         window_scale=series.window_scale,
         normalization=series.normalization,
         stderr=np.array(errs),
-        meta=dict(series.meta, bins=bins, bin_range=(lo, hi)),
+        meta=meta,
     )
 
 

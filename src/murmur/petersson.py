@@ -242,15 +242,26 @@ def _aggregate(
     phi: WeightFunction,
     policy: Optional[TruncationPolicy],
     tables: Optional[ArithTables],
-) -> float:
-    """sum_k Phi((k-1)^2/X) (k-1) Delta_k(1, n) over the window weights."""
+) -> tuple[float, float]:
+    """sum_k Phi((k-1)^2/X) (k-1) Delta_k(1, n) over the window weights, and
+    its certified truncation bound sum_k |Phi((k-1)^2/X)| (k-1) tail_k."""
     X = (K - 1.0) ** 2
     weights = [float(phi((k - 1.0) ** 2 / X)) for k in ks]
     weighted = [(w, k) for w, k in zip(weights, ks) if w != 0.0]
     if not weighted:
-        return 0.0
+        return 0.0, 0.0
     deltas = _delta_window([k for _, k in weighted], 1, n, policy, tables)
-    return sum(w * (k - 1.0) * delta.value for (w, k), delta in zip(weighted, deltas))
+    value = sum(w * (k - 1.0) * delta.value for (w, k), delta in zip(weighted, deltas))
+    bound = sum(abs(w) * (k - 1.0) * delta.tail_bound for (w, k), delta in zip(weighted, deltas))
+    return value, bound
+
+
+def _ratio_bound(num: float, num_bound: float, den: float, den_bound: float) -> float:
+    """Certified bound on |num/den - N/D| given |num - N| <= num_bound and
+    |den - D| <= den_bound; infinite unless den_bound < |den|."""
+    if not den_bound < abs(den):
+        return math.inf
+    return (num_bound + abs(num / den) * den_bound) / (abs(den) - den_bound)
 
 
 def harmonic_murmuration(
@@ -283,10 +294,14 @@ def weight_mass(phi: WeightFunction) -> float:
     return quadrature(lambda u: float(phi(u)), phi.support, tol=1e-12).value
 
 
-def _series(values_fn, K: float, primes: Sequence[int], normalization: str, meta: dict) -> MurmurationSeries:
+def _series(sample_fn, K: float, primes: Sequence[int], normalization: str, meta: dict) -> MurmurationSeries:
+    """Series of ``sample_fn(p) -> (value, certified bound)`` over the primes;
+    the bounds go to ``meta["tail_bound"]``."""
     X = (K - 1.0) ** 2
     primes = list(primes)
-    values = np.fromiter((values_fn(p) for p in primes), dtype=np.float64, count=len(primes))
+    samples = [sample_fn(p) for p in primes]
+    values = np.array([v for v, _ in samples], dtype=np.float64)
+    meta["tail_bound"] = np.array([b for _, b in samples], dtype=np.float64)
     return MurmurationSeries(
         y=np.asarray(primes, dtype=np.float64) / X,
         value=values,
@@ -315,29 +330,33 @@ def harmonic_series(
     ``density_normalized`` each sample carries the exact bridge factor
     mass(Phi)/(4 pi y), putting the series on the closed-form density's
     normalization; without it samples are the raw window ratios.
+    ``meta["tail_bound"]`` holds each sample's certified truncation bound,
+    scaled like the sample.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +-1, got {sign}")
     ks = weight_window(K, phi, sign, span=span)
     if not ks:
         raise WindowError(f"no weights of sign class {sign:+d} in window at K={K}")
-    den = _aggregate(K, ks, 1, phi, policy, tables)
+    den, den_bound = _aggregate(K, ks, 1, phi, policy, tables)
     if den == 0.0:
         raise WindowError(f"window normalization vanished at K={K}")
     X = (K - 1.0) ** 2
     mass = weight_mass(phi) if density_normalized else None
 
-    def value_at(p):
-        raw = _aggregate(K, ks, p, phi, policy, tables) * math.sqrt(p) / den
+    def sample_at(p):
+        num, num_bound = _aggregate(K, ks, p, phi, policy, tables)
+        raw = num * math.sqrt(p) / den
+        bound = _ratio_bound(num, num_bound, den, den_bound) * math.sqrt(p)
         if mass is None:
-            return raw
-        return raw * mass / (4.0 * math.pi * p / X)
+            return raw, bound
+        return raw * mass / (4.0 * math.pi * p / X), bound * mass / (4.0 * math.pi * p / X)
 
     meta = dict(_AGGREGATION_META, weights=tuple(ks), sign=sign, _count=len(ks))
     if density_normalized:
         meta["bridge"] = "mass(Phi)/(4*pi*y)"
         meta["phi_mass"] = mass
-    return _series(value_at, K, primes, "raw_sqrtp", meta)
+    return _series(sample_at, K, primes, "raw_sqrtp", meta)
 
 
 def symsq_series(
@@ -354,17 +373,19 @@ def symsq_series(
     lifted family is all root number +1), and no sqrt(p) boost, matching
     the plain coefficient ratio at a single weight.  Raw window ratios:
     no reference density is defined for this mode, so no normalization
-    bridge is applied.
+    bridge is applied.  ``meta["tail_bound"]`` holds each sample's
+    certified truncation bound.
     """
     ks = weight_window(K, phi, None, span=span)
     if not ks:
         raise WindowError(f"no weights in window at K={K}")
-    den = _aggregate(K, ks, 1, phi, policy, tables)
+    den, den_bound = _aggregate(K, ks, 1, phi, policy, tables)
     if den == 0.0:
         raise WindowError(f"window normalization vanished at K={K}")
 
-    def value_at(p):
-        return _aggregate(K, ks, p * p, phi, policy, tables) / den
+    def sample_at(p):
+        num, num_bound = _aggregate(K, ks, p * p, phi, policy, tables)
+        return num / den, _ratio_bound(num, num_bound, den, den_bound)
 
     meta = dict(_AGGREGATION_META, weights=tuple(ks), sign=None, _count=len(ks))
-    return _series(value_at, K, primes, "analytic", meta)
+    return _series(sample_at, K, primes, "analytic", meta)

@@ -8,6 +8,7 @@ with the library paths it checks.
 """
 
 import cmath
+from fractions import Fraction
 import math
 
 import mpmath
@@ -161,3 +162,45 @@ def is_fundamental_naive(d):
     if d % 4 == 0 and (d // 4) % 4 in (2, 3):
         return squarefree(d // 4)
     return False
+
+
+def window_density_oracle(E, q_max, prefactor):
+    """Sorted (location, mass) atoms of the atomic prime-window density.
+
+    One coprime pair (a, q) at a time, q squarefree by trial division,
+    phi and sigma by direct enumeration, endpoints decided on exact
+    rationals (Fraction) before the snap tolerance, and every ratio keyed
+    by its reduced Fraction.
+    """
+    snap = 1e-12
+    lo, hi = float(E[0]), float(E[1])
+
+    def at_endpoint(q, a, endpoint):
+        ratio = Fraction(q * q, a * a)
+        exact = Fraction(endpoint).limit_denominator(10**12)
+        if float(exact) == endpoint and exact == ratio:
+            return True
+        return abs(float(ratio) - endpoint) <= snap * max(1.0, abs(endpoint))
+
+    atoms = {}
+    for q in range(1, q_max + 1):
+        if any(q % (k * k) == 0 for k in range(2, math.isqrt(q) + 1)):
+            continue
+        sigma = sum(divisors(q))
+        base = prefactor * 1.0 / (phi_naive(q) ** 2 * sigma)
+        a_lo = max(1, math.floor(q / math.sqrt(hi)))
+        a_hi = math.ceil(q / math.sqrt(lo)) + 1
+        for a in range(a_lo, a_hi + 1):
+            if math.gcd(a, q) != 1:
+                continue
+            loc = (q / a) ** 2
+            if loc < lo - snap or loc > hi + snap:
+                continue
+            at_end = at_endpoint(q, a, lo) or at_endpoint(q, a, hi)
+            if not at_end and not (lo < loc < hi):
+                continue
+            mass = base * (q / a) ** 3
+            if at_end:
+                mass *= 0.5
+            atoms[Fraction(q, a)] = (loc, mass)
+    return tuple(sorted(atoms.values(), key=lambda lm: lm[0]))

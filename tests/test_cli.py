@@ -106,6 +106,21 @@ def test_petersson_negative_sign_peak(tmp_path):
     assert values[np.argmax(np.abs(values))] < 0.0
 
 
+def test_petersson_both_signs_report_residuals(tmp_path, capsys):
+    out = tmp_path / "pet"
+    code = run_cli(["petersson", "--k", "100", "--phi", "bump", "1", "2", "--sign", "both", "--svg", "--out", str(out)])
+    assert code == 0
+    residuals = [
+        float(word.split("=")[1])
+        for line in capsys.readouterr().out.splitlines()
+        for word in line.split()
+        if word.startswith("residual-vs-reference=")
+    ]
+    assert len(residuals) == 2
+    assert all(r < 0.2 for r in residuals)
+    assert (tmp_path / "pet.svg").read_text().count("<polyline") == 4
+
+
 def test_petersson_prime_grid_covers_requested_range(tmp_path):
     # K = 320 needs primes up to 0.055 * 319^2 ~ 5597, past the 2048 sieve floor
     code = run_cli([
@@ -144,6 +159,14 @@ def test_density_nu_atom_lines(tmp_path):
     locs = [float(ln.split()[1]) for ln in atom_lines]
     assert any(abs(l - 1.0) < 1e-12 for l in locs)
     assert any(abs(l - 4.0) < 1e-12 for l in locs)
+
+
+def test_density_nu_atom_count_at_q_max_400(tmp_path):
+    out = tmp_path / "nu"
+    code = run_cli(["density-nu", "--e-min", "0.5", "--e-max", "50", "--q-max", "400", "--out", str(out)])
+    assert code == 0
+    lines = (tmp_path / "nu.csv").read_text().splitlines()
+    assert sum(ln.startswith("#atom") for ln in lines) == 43166
 
 
 def test_old_kernel_fourier(tmp_path):

@@ -97,6 +97,23 @@ def test_nu_squarefree_square_structure(tables):
     assert brute <= a1_locs
 
 
+@pytest.mark.parametrize(
+    "E, q_max",
+    [((0.5, 50.0), 400), ((4.0, 5.0), 200), ((2.25, 9.0), 200), ((0.5625, 4.0), 200), ((4 / 9, 4.0), 200)],
+)
+def test_nu_atoms_equal_fraction_oracle(tables, E, q_max):
+    dist, _ = densities.window_murmuration_density(E, q_max, 1.0, tables)
+    assert dist.atoms == oracles.window_density_oracle(E, q_max, 1.0)
+
+
+def test_nu_non_dyadic_endpoint_halved(tables):
+    # 4/9 has no exact binary form; the atom at (2/3)^2 still counts as an endpoint
+    dist, _ = densities.window_murmuration_density((4 / 9, 4.0), 20, 1.0, tables)
+    loc, mass = dist.atoms[0]
+    assert loc == 4 / 9
+    assert mass == 0.5 * (1.0 / 3.0) * (2 / 3) ** 3
+
+
 def test_nu_tail_certified_by_doubling(tables):
     d1, tail1 = densities.window_murmuration_density((0.5, 9.0), 100, 1.0, tables)
     d2, _ = densities.window_murmuration_density((0.5, 9.0), 200, 1.0, tables)

@@ -223,6 +223,20 @@ def test_ingest_rejects_composite_prime(tmp_path):
         families.ingest(write(tmp_path, GOOD + f"11a,{2**31},0\n"))
 
 
+def test_ingest_sieve_bounded_by_input_size(tmp_path, monkeypatch):
+    # every record carries the prime 2^31 - 1; coverage still stops at 5
+    real_sieve = families.sieve
+
+    def bounded_sieve(limit):
+        if limit > 10**6:
+            raise AssertionError(f"ingest asked for a sieve up to {limit}")
+        return real_sieve(limit)
+
+    monkeypatch.setattr(families, "sieve", bounded_sieve)
+    fam = families.ingest(write(tmp_path, GOOD + "11a,2147483647,1\n37a,2147483647,1\n"))
+    assert fam.prime_coverage == 5
+
+
 def test_missing_coefficient_is_loud(tmp_path):
     fam = families.ingest(write(tmp_path, GOOD))
     rec = fam.records[0]

@@ -196,6 +196,29 @@ def test_harmonic_series_bridge_and_meta(tables_big):
     assert "omitted_constants" in bridged.meta
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("mode", ["harmonic", "symsq"])
+def test_series_carry_certified_tail_bound(tables, mode, tol):
+    K = 40.0
+    X = (K - 1.0) ** 2
+    primes = [int(q) for q in tables.primes if 0.004 * X <= q <= 0.055 * X]
+
+    def series(policy):
+        if mode == "harmonic":
+            return petersson.harmonic_series(K, primes, BUMP, 1, policy=policy, tables=tables)
+        return petersson.symsq_series(24.0, primes[:6], BUMP, policy=policy, tables=tables)
+
+    default = series(specfn.TruncationPolicy(tail_bound=tol))
+    tighter = series(specfn.TruncationPolicy(tail_bound=tol / 100))
+    bound = default.meta["tail_bound"]
+    assert bound.shape == default.value.shape
+    assert np.all(np.isfinite(bound)) and np.all(bound > 0.0)
+    assert np.all(np.abs(default.value - tighter.value) <= bound)
+    binned = frame.bin_series(default, 3)
+    assert len(binned.meta["tail_bound"]) == len(binned)
+    assert np.all(np.abs(binned.value - frame.bin_series(tighter, 3).value) <= binned.meta["tail_bound"])
+
+
 def test_harmonic_series_requires_a_sign_class(tables):
     with pytest.raises(DomainError):
         petersson.harmonic_series(60.0, [2, 3], BUMP, None, tables=tables)
