@@ -33,8 +33,8 @@ def run(cfg: Config) -> None:
     binned = {}
     for X in (cfg.x, 2 * cfg.x):
         primes = [int(q) for q in tables.primes if cfg.y_min * X <= q <= cfg.y_max * X]
-        for cls in (1, -1):
-            series = families.quadratic_murmuration(X, phi, cls, primes, normalization="raw_sqrtp")
+        both = families.quadratic_series(X, phi, (1, -1), primes, normalization="raw_sqrtp")
+        for cls, series in zip((1, -1), both):
             b = frame.bin_series(series, cfg.bins, y_range=(cfg.y_min, cfg.y_max))
             binned[(X, cls)] = b
             tag = "plus" if cls == 1 else "minus"

@@ -38,6 +38,7 @@ from .families import (
     enumerate_quadratic,
     ingest,
     quadratic_murmuration,
+    quadratic_series,
     write_family,
 )
 from .frame import (

@@ -37,14 +37,12 @@ def _fmt(x) -> str:
 
 def emit_csv(path, rows, header, atoms=()) -> None:
     """Write `#atom location mass` comment lines, a header, then data rows."""
-    lines = []
-    for loc, mass in atoms:
-        lines.append(f"#atom {_fmt(loc)} {_fmt(mass)}")
-    lines.append(header)
-    for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for loc, mass in atoms:
+            fh.write(f"#atom {_fmt(loc)} {_fmt(mass)}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) + "\n")
 
 
 def _svg_path(points, width, height, pad, x_range, y_range) -> str:
@@ -256,11 +254,11 @@ def _cmd_dirichlet(args) -> int:
     if not primes:
         raise WindowError(f"no primes with p/X in [{args.y_min}, {args.y_max}] at X={args.x:g}")
     classes = (1, -1) if sign == "both" else (sign,)
-    outputs = []
-    for cls in classes:
-        ser = families.quadratic_murmuration(args.x, phi, cls, primes, normalization=args.normalization)
-        binned = frame.bin_series(ser, args.bins, y_range=(args.y_min, args.y_max))
-        outputs.append((cls, binned))
+    series = families.quadratic_series(args.x, phi, classes, primes, normalization=args.normalization)
+    outputs = [
+        (cls, frame.bin_series(ser, args.bins, y_range=(args.y_min, args.y_max)))
+        for cls, ser in zip(classes, series)
+    ]
     for i, (cls, binned) in enumerate(outputs):
         path = f"{args.out}.csv" if i == 0 else f"{args.out}-minus.csv"
         emit_csv(path, _series_rows(binned), "y,value,count")
@@ -270,7 +268,8 @@ def _cmd_dirichlet(args) -> int:
             for cls, b in outputs
         ]
         emit_svg(f"{args.out}.svg", overlays, title=f"quadratic family, X={args.x:g}")
-    _summarize_series("dirichlet", outputs[0][1])
+    for i, (cls, binned) in enumerate(outputs):
+        _summarize_series("dirichlet" if i == 0 else "dirichlet-minus", binned)
     return 0
 
 
@@ -406,9 +405,7 @@ def _cmd_ingest_run(args) -> int:
     phi = _parse_phi(args.phi)
     tables = arith.sieve(max(1024, p_max))
     primes = [int(q) for q in tables.primes if q <= p_max]
-    ser = frame.murmuration_series(
-        family.records, args.x, phi, primes, normalization=args.normalization
-    )
+    ser = family.murmuration_series(args.x, phi, primes, normalization=args.normalization)
     emit_csv(f"{args.out}.csv", _series_rows(ser), "y,value,count")
     if args.svg:
         emit_svg(

@@ -28,6 +28,7 @@ bookkeeping entries, never as narrow approximations.
 
 from dataclasses import dataclass
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -52,10 +53,10 @@ class DistributionValue:
     continuous: Callable[[float], float]
 
     def __post_init__(self):
-        locs = [a for a, _ in self.atoms]
-        if sorted(locs) != locs or len(set(locs)) != len(locs):
+        locs = [loc for loc, _ in self.atoms]
+        if not all(map(operator.lt, locs, locs[1:])):
             raise DataError("atom locations must be distinct and sorted")
-        if any(not math.isfinite(m) for _, m in self.atoms):
+        if not all(math.isfinite(m) for _, m in self.atoms):
             raise DataError("atom masses must be finite")
 
     def total_atom_mass(self) -> float:

@@ -1,9 +1,13 @@
 """Concrete family producers.
 
-``enumerate_quadratic`` builds the family of primitive real quadratic
-characters chi_d for fundamental discriminants d in a conductor window,
+``quadratic_series`` averages the family of primitive real quadratic
+characters chi_d, for fundamental discriminants d in a conductor window,
 split into sign classes by sign(d) (real characters all have root
-number +1, so sign(d) is the natural bisection).
+number +1, so sign(d) is the natural bisection).  One pass serves every
+requested class: the discriminants are enumerated once, and one Legendre
+table per prime, built from the half-range squares r^2, r <= (p - 1)/2,
+is gathered for both classes.  The cost is O(sum_p p/2 + |family| pi(X))
+for a grid of primes up to X.
 
 ``ingest`` reads externally computed coefficient tables (elliptic-curve
 style families) in the murmur-family v1 format:
@@ -14,12 +18,14 @@ style families) in the murmur-family v1 format:
     <blank line>
     <label,p,ap coefficient lines>
 
+An ingested family is stored as columns: conductor and root number per
+record, and (record, p, a(p)) per coefficient row, sorted by (record, p).
 Raw coefficients a(p) are stored; analytic lambda(p) = a(p)/sqrt(p) is
-computed on load.  Missing coefficients raise, never read as zero:
+computed on lookup.  Missing coefficients raise, never read as zero:
 murmuration averages are bias-sensitive.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 from typing import Sequence
 
@@ -27,13 +33,17 @@ import numpy as np
 
 from .arith import ArithTables, kronecker, sieve
 from .errors import CoverageError, DataError, DomainError, WindowError
-from .frame import FamilyRecord, MurmurationSeries
+from .frame import FamilyRecord, MurmurationSeries, check_grid
 from .specfn import WeightFunction
 
 FAMILY_MAGIC = "#murmur-family v1"
+_NORMALIZATIONS = ("analytic", "raw_sqrtp")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+# ingest keeps 2 <= p < 2^31, so (record << 31) | p orders rows by (record, p)
+_P_BITS = 31
 
 
 def fnv1a64(data: bytes) -> int:
@@ -43,6 +53,11 @@ def fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def _check_normalization(normalization: str) -> None:
+    if normalization not in _NORMALIZATIONS:
+        raise DomainError(f"unknown normalization {normalization!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,32 +112,33 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-def enumerate_quadratic(X: float, phi: WeightFunction) -> list[QuadraticCharacter]:
-    """All fundamental discriminants with |d|/X inside supp(phi), both signs."""
+def _discriminants(X: float, phi: WeightFunction) -> dict[int, np.ndarray]:
+    """Fundamental discriminants with |d|/X inside supp(phi), per sign class,
+    each an int64 array in ascending |d|."""
     if X < 3:
         raise DomainError(f"X must be >= 3, got {X}")
     a, b = phi.support
     lo = max(3, math.ceil(a * X))
-    hi = math.floor(b * X)
-    if hi < lo:
-        return []
+    hi = max(lo - 1, math.floor(b * X))
     sf = _squarefree_mask(hi)
-    out = []
-    absd = np.arange(lo, hi + 1)
+    absd = np.arange(lo, hi + 1, dtype=np.int64)
+    classes = {}
     for sign in (1, -1):
         d = sign * absd
         mod4 = d % 4  # numpy % matches python semantics for negatives
-        fund = (mod4 == 1) & sf[absd]
-        four = mod4 == 0
-        if np.any(four):
-            m = d[four] // 4
-            fund4 = np.isin(m % 4, (2, 3)) & sf[np.abs(m)]
-            chosen = np.concatenate([d[fund], d[four][fund4]])
-        else:
-            chosen = d[fund]
-        out.extend(QuadraticCharacter(int(v)) for v in chosen)
-    out.sort(key=lambda ch: (ch.conductor, -ch.d))
-    return out
+        m = d // 4
+        fund = ((mod4 == 1) & sf[absd]) | ((mod4 == 0) & np.isin(m % 4, (2, 3)) & sf[np.abs(m)])
+        classes[sign] = d[fund]
+    return classes
+
+
+def enumerate_quadratic(X: float, phi: WeightFunction) -> list[QuadraticCharacter]:
+    """All fundamental discriminants with |d|/X inside supp(phi), both signs,
+    by ascending conductor (positive d first)."""
+    classes = _discriminants(X, phi)
+    d = np.concatenate([classes[1], classes[-1]])
+    d = d[np.argsort(np.abs(d), kind="stable")]
+    return [QuadraticCharacter(v) for v in d.tolist()]
 
 
 def quadratic_records(characters: Sequence[QuadraticCharacter]) -> list[FamilyRecord]:
@@ -138,18 +154,95 @@ def quadratic_records(characters: Sequence[QuadraticCharacter]) -> list[FamilyRe
     ]
 
 
-def _legendre_table(p: int) -> np.ndarray:
-    """chi(r) = (r|p) for r in [0, p), as int8; p = 2 uses the mod-8 rule."""
+def _legendre_table(p: int, squares: np.ndarray) -> np.ndarray:
+    """chi(r) = (r|p) for r in [0, p), as int8; p = 2 uses the mod-8 rule.
+
+    ``squares`` holds r*r for r = 1, 2, ... up to at least (p - 1)/2; their
+    residues are exactly the quadratic residues mod an odd prime p.
+    """
     if p == 2:
         table = np.zeros(8, dtype=np.int8)
         table[[1, 7]] = 1
         table[[3, 5]] = -1
         return table
     table = np.full(p, -1, dtype=np.int8)
-    r = np.arange(1, p, dtype=np.int64)
-    table[(r * r) % p] = 1
+    table[squares[: (p - 1) // 2] % p] = 1
     table[0] = 0
     return table
+
+
+def _prime_grid(primes: Sequence[int]) -> np.ndarray:
+    """The grid as int64, after checking that it is nonempty, strictly
+    ascending and prime (trial division by the primes up to the square
+    root of its largest entry)."""
+    grid = np.asarray(check_grid(primes))
+    if grid.dtype.kind not in "iu":
+        raise DomainError("prime grid entries must be integers")
+    grid = grid.astype(np.int64)
+    composite = grid < 2
+    for q in sieve(max(2, math.isqrt(int(grid[-1])))).primes.tolist():
+        composite |= (grid % q == 0) & (grid != q)
+    if np.any(composite):
+        raise DomainError(f"prime grid entry {int(grid[composite][0])} is not prime")
+    return grid
+
+
+def quadratic_series(
+    X: float,
+    phi: WeightFunction,
+    classes: Sequence[int],
+    primes: Sequence[int],
+    normalization: str = "analytic",
+) -> list[MurmurationSeries]:
+    """Murmuration series E[chi_d(p)], one per requested sign class of d.
+
+    Vectorized over the family: for fixed p the character value is the
+    Legendre symbol of d mod p (mod 8 for p = 2), so one residue table
+    per prime serves the whole family.  The table, tiled over [0, max|d|],
+    gives (|d| | p) by a gather; (d|p) = (-1|p)(|d| | p) for d < 0, and
+    (-1|p) is the table's last entry.
+    """
+    if not classes or any(c not in (1, -1) for c in classes):
+        raise DomainError(f"parity classes must be +-1, got {tuple(classes)}")
+    _check_normalization(normalization)
+    grid = _prime_grid(primes)
+    discriminants = _discriminants(X, phi)
+    family = []
+    for cls in classes:
+        absd = np.abs(discriminants[cls])
+        if len(absd) == 0:
+            raise WindowError(f"no fundamental discriminants of sign {cls} in window at X={X}")
+        weights = np.asarray(phi(absd / X), dtype=np.float64)
+        keep = weights != 0.0
+        if not np.any(keep):
+            raise WindowError(f"window weights vanish on the whole family at X={X}")
+        family.append((cls, absd[keep], weights[keep], float(weights[keep].sum())))
+    span = max(int(absd[-1]) for _, absd, _, _ in family) + 1
+    squares = np.arange(1, (int(grid[-1]) - 1) // 2 + 1, dtype=np.int64) ** 2
+    values = np.empty((len(family), len(grid)), dtype=np.float64)
+    for i, p in enumerate(grid.tolist()):
+        table = _legendre_table(p, squares)
+        residues = np.resize(table, span)  # residues[n] = table[n mod len(table)]
+        for j, (cls, absd, weights, den) in enumerate(family):
+            chi = residues[absd]
+            if cls == -1 and table[-1] == -1:
+                chi = -chi
+            v = float(np.dot(weights, chi)) / den
+            if normalization == "raw_sqrtp":
+                v *= math.sqrt(p)
+            values[j, i] = v
+    ys = grid / X
+    return [
+        MurmurationSeries(
+            y=ys,
+            value=values[j],
+            count=np.full(len(grid), len(absd), dtype=np.int64),
+            window_scale=X,
+            normalization=normalization,
+            meta={"family": "quadratic", "parity_class": cls},
+        )
+        for j, (cls, absd, _, _) in enumerate(family)
+    ]
 
 
 def quadratic_murmuration(
@@ -159,65 +252,88 @@ def quadratic_murmuration(
     primes: Sequence[int],
     normalization: str = "analytic",
 ) -> MurmurationSeries:
-    """Murmuration series E[chi_d(p)] for one sign class of discriminants.
-
-    Vectorized over the family: for fixed p the character value is the
-    Legendre symbol of d mod p (mod 8 for p = 2), so one residue table
-    per prime serves the whole family.
-    """
-    if parity_class not in (1, -1):
-        raise DomainError(f"parity class must be +-1, got {parity_class}")
-    chars = [ch for ch in enumerate_quadratic(X, phi) if ch.parity_class == parity_class]
-    if not chars:
-        raise WindowError(f"no fundamental discriminants of sign {parity_class} in window at X={X}")
-    d = np.array([ch.d for ch in chars], dtype=np.int64)
-    weights = np.asarray(phi(np.abs(d) / X), dtype=np.float64)
-    keep = weights != 0.0
-    d, weights = d[keep], weights[keep]
-    if len(d) == 0:
-        raise WindowError(f"window weights vanish on the whole family at X={X}")
-    den = float(weights.sum())
-    count = len(d)
-    values = np.empty(len(primes), dtype=np.float64)
-    for i, p in enumerate(primes):
-        table = _legendre_table(int(p))
-        modulus = 8 if p == 2 else int(p)
-        chi = table[d % modulus]
-        v = float(np.dot(weights, chi)) / den
-        if normalization == "raw_sqrtp":
-            v *= math.sqrt(p)
-        elif normalization != "analytic":
-            raise DomainError(f"unknown normalization {normalization!r}")
-        values[i] = v
-    ys = np.asarray(primes, dtype=np.float64) / X
-    return MurmurationSeries(
-        y=ys,
-        value=values,
-        count=np.full(len(primes), count, dtype=np.int64),
-        window_scale=X,
-        normalization=normalization,
-        meta={"family": "quadratic", "parity_class": parity_class},
-    )
+    """Murmuration series E[chi_d(p)] for one sign class of discriminants."""
+    return quadratic_series(X, phi, (parity_class,), primes, normalization)[0]
 
 
 # ---------------------------------------------------------------------------
 # ingestion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IngestedFamily:
-    """Externally computed family plus provenance checksum."""
+    """Externally computed family as columns, plus provenance checksum.
+
+    ``labels``, ``conductor`` and ``root_number`` hold one entry per
+    record, in file order; ``record`` (an index into ``labels``), ``p``
+    and ``ap`` hold one entry per coefficient row, sorted by (record, p).
+    ``records`` is the FamilyRecord view of the same data.
+    """
 
     records: tuple
     source_digest: int
     prime_coverage: int
-    _coefficients: dict
+    labels: tuple
+    conductor: np.ndarray
+    root_number: np.ndarray
+    record: np.ndarray
+    p: np.ndarray
+    ap: np.ndarray
+    _index: dict = field(init=False, repr=False)
+    _keys: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {label: i for i, label in enumerate(self.labels)})
+        object.__setattr__(self, "_keys", (self.record << _P_BITS) | self.p)
 
     def coefficient(self, label: str, p: int) -> float:
-        try:
-            return self._coefficients[(label, p)]
-        except KeyError:
-            raise CoverageError(f"no coefficient for record {label!r} at prime {p}") from None
+        i = self._index.get(label)
+        if i is not None and 0 <= p < 2**_P_BITS and p == int(p):
+            key = (i << _P_BITS) | int(p)
+            row = int(np.searchsorted(self._keys, key))
+            if row < len(self._keys) and self._keys[row] == key:
+                return float(self.ap[row])
+        raise CoverageError(f"no coefficient for record {label!r} at prime {p}")
+
+    def murmuration_series(
+        self, X: float, phi: WeightFunction, primes: Sequence[int], normalization: str = "analytic"
+    ) -> MurmurationSeries:
+        """Expectation of the prime coefficient at every prime of the grid.
+
+        One contraction of the (records in window x grid) block of
+        coefficients, each prime's sum a ``math.fsum``: the values of
+        ``frame.murmuration_series`` on ``records``, bit for bit.
+        """
+        grid = _prime_grid(primes)
+        _check_normalization(normalization)
+        if not X > 0:
+            raise DomainError(f"window scale X must be positive, got {X}")
+        weights = np.asarray(phi(self.conductor / X), dtype=np.float64)
+        in_window = np.flatnonzero(weights != 0.0)
+        if len(in_window) == 0:
+            raise WindowError(f"no family members in window at X={X}")
+        weights = weights[in_window]
+        keys = (in_window[:, None] << _P_BITS) | grid
+        rows = np.searchsorted(self._keys, keys)
+        found = (grid < 2**_P_BITS) & (rows < len(self._keys))
+        found[found] = self._keys[rows[found]] == keys[found]
+        if not np.all(found):
+            j, i = np.argwhere(~found.T)[0]  # the first miss in (prime, record) order
+            raise CoverageError(
+                f"no coefficient for record {self.labels[in_window[i]]!r} at prime {int(grid[j])}"
+            )
+        block = self.ap[rows]
+        if normalization == "analytic":
+            block = block / np.sqrt(grid)
+        den = math.fsum(weights.tolist())
+        columns = (weights[:, None] * block).T.tolist()
+        return MurmurationSeries(
+            y=grid / X,
+            value=np.array([math.fsum(column) / den for column in columns], dtype=np.float64),
+            count=np.full(len(grid), len(in_window), dtype=np.int64),
+            window_scale=X,
+            normalization=normalization,
+        )
 
     def __len__(self):
         return len(self.records)
@@ -232,7 +348,21 @@ def _parse_number(token: str, line_no: int, what: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise DataError(f"line {line_no}: cannot parse {what} from {token!r}") from None
+        raise DataError(f"line {line_no}: cannot parse {what} from {token.strip()!r}") from None
+
+
+def _sorted_rows(record, p, labels: list, line_of) -> np.ndarray:
+    """Order of the coefficient rows, given in file order, by (record, p);
+    raises the DataError of the first duplicate row in the file.
+    ``line_of(k)`` is the file line of row k."""
+    record, p = np.asarray(record, dtype=np.int64), np.asarray(p, dtype=np.int64)
+    order = np.lexsort((p, record))  # stable: equal pairs keep file order
+    r, q = record[order], p[order]
+    repeats = order[1:][(r[1:] == r[:-1]) & (q[1:] == q[:-1])]
+    if len(repeats):
+        k = repeats.min()
+        raise DataError(f"line {line_of(k)}: duplicate coefficient for ({labels[record[k]]!r}, {p[k]})")
+    return order
 
 
 def ingest(path) -> IngestedFamily:
@@ -247,15 +377,15 @@ def ingest(path) -> IngestedFamily:
     if len(lines) < 2 or lines[1].strip() != "label,conductor,root_number":
         raise DataError("line 2: expected column header 'label,conductor,root_number'")
 
-    meta = {}
-    order = []
+    index = {}
+    conductors, roots = [], []
     i = 2
     while i < len(lines) and lines[i].strip() != "":
         parts = lines[i].split(",")
         if len(parts) != 3:
             raise DataError(f"line {i + 1}: expected 'label,conductor,root_number'")
         label = parts[0].strip()
-        if label in meta:
+        if label in index:
             raise DataError(f"line {i + 1}: duplicate label {label!r}")
         conductor = _parse_number(parts[1].strip(), i + 1, "conductor")
         if not conductor > 0:
@@ -263,75 +393,89 @@ def ingest(path) -> IngestedFamily:
         root_token = parts[2].strip()
         if root_token not in ("1", "-1", "+1"):
             raise DataError(f"line {i + 1}: root number must be 1 or -1, got {root_token!r}")
-        meta[label] = (conductor, int(root_token))
-        order.append(label)
+        index[label] = len(conductors)
+        conductors.append(conductor)
+        roots.append(int(root_token))
         i += 1
     i += 1  # blank separator
+    labels = list(index)
 
-    coeffs = {}
-    line_of = {}
-    primes_by_label = {label: set() for label in order}
-    while i < len(lines):
-        line = lines[i].strip()
-        if line == "":
-            i += 1
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataError(f"line {i + 1}: expected 'label,p,ap'")
-        label = parts[0].strip()
-        if label not in meta:
-            raise DataError(f"line {i + 1}: coefficient for unknown label {label!r}")
-        try:
-            p = int(parts[1].strip())
-        except ValueError:
-            raise DataError(f"line {i + 1}: cannot parse prime from {parts[1].strip()!r}") from None
-        if not 2 <= p < 2**31:
-            raise DataError(f"line {i + 1}: prime must be in [2, 2^31), got {p}")
-        ap = _parse_number(parts[2].strip(), i + 1, "coefficient")
-        if (label, p) in coeffs:
-            raise DataError(f"line {i + 1}: duplicate coefficient for ({label!r}, {p})")
-        coeffs[(label, p)] = ap
-        line_of.setdefault(p, i + 1)
-        primes_by_label[label].add(p)
-        i += 1
+    start = i
+
+    def line_of(row: int) -> int:
+        return [j + 1 for j in range(start, len(lines)) if lines[j].strip()][row]
+
+    rec_col, p_col, ap_col = [], [], []
+    try:
+        for i in range(start, len(lines)):
+            line = lines[i].strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DataError(f"line {i + 1}: expected 'label,p,ap'")
+            label, p_token, ap_token = parts
+            record = index.get(label.strip())
+            if record is None:
+                raise DataError(f"line {i + 1}: coefficient for unknown label {label.strip()!r}")
+            try:
+                p = int(p_token)  # int() and float() ignore surrounding whitespace
+            except ValueError:
+                raise DataError(f"line {i + 1}: cannot parse prime from {p_token.strip()!r}") from None
+            if not 2 <= p < 2**_P_BITS:
+                raise DataError(f"line {i + 1}: prime must be in [2, 2^31), got {p}")
+            ap_col.append(_parse_number(ap_token, i + 1, "coefficient"))
+            rec_col.append(record)
+            p_col.append(p)
+    except DataError:
+        # a duplicate on an earlier line is the first error in the file
+        _sorted_rows(rec_col, p_col, labels, line_of)
+        raise
+    record, p, ap = np.array(rec_col, dtype=np.int64), np.array(p_col, dtype=np.int64), np.array(ap_col)
+    del rec_col, p_col, ap_col
+    order = _sorted_rows(record, p, labels, line_of)
 
     # One sieve serves the coverage scan and the primality check.  The scan
     # stops at the first prime missing from `common`, at most the
     # (|common|+1)-th prime, which Rosser's bound n(ln n + ln ln n), n >= 6,
     # caps; the primality check trial-divides a p beyond the sieve, so it
     # only needs sqrt(p).  No single large p can size the sieve.
-    common = set.intersection(*primes_by_label.values()) if order else set()
+    distinct, first, carriers = np.unique(p, return_index=True, return_counts=True)
+    common = distinct[carriers == len(labels)]
     n = max(6, len(common) + 1)
-    scan_limit = min(max(common, default=2), math.ceil(n * (math.log(n) + math.log(math.log(n)))))
-    tables = sieve(max(2, scan_limit, math.isqrt(max(line_of, default=2))))
-    composite = [(line, p) for p, line in line_of.items() if not _is_prime(p, tables)]
+    scan_limit = min(int(common[-1]) if len(common) else 2, math.ceil(n * (math.log(n) + math.log(math.log(n)))))
+    tables = sieve(max(2, scan_limit, math.isqrt(int(distinct[-1])) if len(distinct) else 2))
+    composite = [k for q, k in zip(distinct.tolist(), first.tolist()) if not _is_prime(q, tables)]
     if composite:
-        line, p = min(composite)
-        raise DataError(f"line {line}: coefficient at composite p={p}")
+        k = min(composite)
+        raise DataError(f"line {line_of(k)}: coefficient at composite p={p[k]}")
 
-    coverage = 0
-    for q in tables.primes.tolist():
-        if q not in common:
-            break
-        coverage = q
+    scanned = tables.primes[: len(common)]
+    mismatch = np.flatnonzero(scanned != common[: len(scanned)])
+    covered = int(mismatch[0]) if len(mismatch) else len(scanned)
 
     family = IngestedFamily(
-        records=(), source_digest=digest, prime_coverage=coverage, _coefficients=coeffs
+        records=(),
+        source_digest=digest,
+        prime_coverage=int(scanned[covered - 1]) if covered else 0,
+        labels=tuple(labels),
+        conductor=np.array(conductors, dtype=np.float64),
+        root_number=np.array(roots, dtype=np.int64),
+        record=record[order],
+        p=p[order],
+        ap=ap[order],
     )
-    records = []
-    for label in order:
-        conductor, root = meta[label]
-        records.append(
-            FamilyRecord(
-                label=label,
-                conductor=conductor,
-                root_number=root,
-                lam=_lam_accessor(family, label),
-                ap=_ap_accessor(family, label),
-            )
+    records = tuple(
+        FamilyRecord(
+            label=label,
+            conductor=conductor,
+            root_number=root,
+            lam=_lam_accessor(family, label),
+            ap=_ap_accessor(family, label),
         )
-    object.__setattr__(family, "records", tuple(records))
+        for label, conductor, root in zip(labels, conductors, roots)
+    )
+    object.__setattr__(family, "records", records)
     return family
 
 
@@ -365,15 +509,17 @@ def _format_number(x: float) -> str:
 
 def write_family(family: IngestedFamily, path) -> None:
     """Write the canonical byte representation of an ingested family."""
+    labels = family.labels
     lines = [FAMILY_MAGIC, "label,conductor,root_number"]
-    for rec in family.records:
-        lines.append(f"{rec.label},{_format_number(rec.conductor)},{rec.root_number}")
+    lines += [
+        f"{label},{_format_number(conductor)},{root}"
+        for label, conductor, root in zip(labels, family.conductor.tolist(), family.root_number.tolist())
+    ]
     lines.append("")
-    index = {rec.label: i for i, rec in enumerate(family.records)}
-    for (label, p) in sorted(family._coefficients, key=lambda key: (index.get(key[0], len(index)), key[1])):
-        ap = family._coefficients[(label, p)]
-        lines.append(f"{label},{p},{_format_number(ap)}")
+    lines += [
+        f"{labels[i]},{p},{_format_number(ap)}"
+        for i, p, ap in zip(family.record.tolist(), family.p.tolist(), family.ap.tolist())
+    ]
     text = "\n".join(lines) + "\n"
     with open(path, "wb") as fh:
         fh.write(text.encode("utf-8"))
-

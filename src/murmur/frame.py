@@ -118,6 +118,17 @@ def expectation(family: Sequence[FamilyRecord], f, X: float, phi: WeightFunction
     return num / den
 
 
+def check_grid(primes: Sequence[int]) -> list:
+    """The prime grid as a list, after checking that it is nonempty and
+    strictly ascending."""
+    primes = list(primes)
+    if not primes:
+        raise DomainError("prime grid is empty")
+    if any(q <= p for p, q in zip(primes, primes[1:])):
+        raise DomainError("prime grid must be strictly ascending")
+    return primes
+
+
 def murmuration_series(
     family: Sequence[FamilyRecord],
     X: float,
@@ -126,11 +137,7 @@ def murmuration_series(
     normalization: str = "analytic",
 ) -> MurmurationSeries:
     """Expectation of the prime coefficient at every prime of the grid."""
-    if len(primes) == 0:
-        raise DomainError("prime grid is empty")
-    primes = list(primes)
-    if any(q <= p for p, q in zip(primes, primes[1:])):
-        raise DomainError("prime grid must be strictly ascending")
+    primes = check_grid(primes)
     in_window = []
     weights = []
     for rec in family:

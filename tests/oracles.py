@@ -204,3 +204,50 @@ def window_density_oracle(E, q_max, prefactor):
                 mass *= 0.5
             atoms[Fraction(q, a)] = (loc, mass)
     return tuple(sorted(atoms.values(), key=lambda lm: lm[0]))
+
+
+def quadratic_class_oracle(X, phi, parity_class, primes, normalization="analytic"):
+    """E[chi_d(p)] over one sign class of fundamental discriminants, the
+    per-class loop the library ran before it shared one pass between classes.
+
+    The class is enumerated on its own (squarefree mask, d = 1 mod 4 or
+    d = 4m with m = 2, 3 mod 4), in ascending |d|; each prime gets a fresh
+    Legendre table from r*r mod p over all 1 <= r < p (the mod-8 rule for
+    p = 2), looked up at d mod p.
+    """
+    a, b = phi.support
+    lo, hi = max(3, math.ceil(a * X)), math.floor(b * X)
+    sf = np.ones(hi + 1, dtype=bool)
+    sf[0] = False
+    for k in range(2, math.isqrt(hi) + 1):
+        sf[k * k :: k * k] = False
+    absd = np.arange(lo, hi + 1)
+    d = parity_class * absd
+    mod4 = d % 4
+    fund = (mod4 == 1) & sf[absd]
+    four = mod4 == 0
+    m = d[four] // 4
+    chosen = np.concatenate([d[fund], d[four][np.isin(m % 4, (2, 3)) & sf[np.abs(m)]]])
+    d = np.array(sorted(chosen.tolist(), key=abs), dtype=np.int64)
+    weights = np.asarray(phi(np.abs(d) / X), dtype=np.float64)
+    keep = weights != 0.0
+    d, weights = d[keep], weights[keep]
+    den = float(weights.sum())
+    values = np.empty(len(primes), dtype=np.float64)
+    for i, p in enumerate(primes):
+        if p == 2:
+            table = np.zeros(8, dtype=np.int8)
+            table[[1, 7]] = 1
+            table[[3, 5]] = -1
+            modulus = 8
+        else:
+            table = np.full(p, -1, dtype=np.int8)
+            r = np.arange(1, p, dtype=np.int64)
+            table[(r * r) % p] = 1
+            table[0] = 0
+            modulus = p
+        v = float(np.dot(weights, table[d % modulus])) / den
+        if normalization == "raw_sqrtp":
+            v *= math.sqrt(p)
+        values[i] = v
+    return values

@@ -81,6 +81,13 @@ def test_dirichlet_row_count(tmp_path):
     assert len(lines) == 1 + 40
 
 
+def test_dirichlet_both_signs_summarize_each_class(tmp_path, capsys):
+    code = run_cli(["dirichlet", "--x", "2000", "--sign", "both", "--bins", "20", "--out", str(tmp_path / "dir")])
+    assert code == 0
+    names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == ["dirichlet", "dirichlet-minus"]
+
+
 def test_cli_determinism_byte_identical(tmp_path):
     args = [
         "dirichlet", "--x", "1500", "--phi", "indicator", "1", "2",

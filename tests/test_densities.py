@@ -135,8 +135,11 @@ def test_nu_validation(tables):
 def test_distribution_value_invariants():
     with pytest.raises(DataError):
         densities.DistributionValue(atoms=((1.0, 1.0), (0.5, 1.0)), continuous=lambda x: 0.0)
+    with pytest.raises(DataError, match="distinct"):
+        densities.DistributionValue(atoms=((0.5, 1.0), (1.0, 1.0), (1.0, 2.0)), continuous=lambda x: 0.0)
     with pytest.raises(DataError):
         densities.DistributionValue(atoms=((1.0, math.inf),), continuous=lambda x: 0.0)
+    assert len(densities.DistributionValue(atoms=((0.5, 1.0), (1.0, 2.0)), continuous=lambda x: 0.0).atoms) == 2
 
 
 # ---------------------------------------------------------------------------

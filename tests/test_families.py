@@ -70,8 +70,9 @@ def test_character_multiplicativity(d, p, q):
 
 
 def test_legendre_table_matches_kronecker():
+    squares = np.arange(1, 49, dtype=np.int64) ** 2  # r*r up to (97 - 1)/2
     for p in [2, 3, 5, 7, 11, 13, 97]:
-        table = families._legendre_table(p)
+        table = families._legendre_table(p, squares)
         modulus = 8 if p == 2 else p
         for d in range(-40, 41):
             if d == 0:
@@ -88,6 +89,35 @@ def test_quadratic_murmuration_against_double_loop():
             expect = sum(arith.kronecker(ch.d, p) for ch in chars) / len(chars)
             assert abs(ser.value[i] - expect) < 1e-12
         assert ser.count[0] == len(chars)
+
+
+@pytest.mark.parametrize("X", [50.0, 1500.0, 20000.0])
+@pytest.mark.parametrize("phi", [specfn.indicator(1.0, 2.0), specfn.bump(1.0, 2.0)], ids=["indicator", "bump"])
+def test_quadratic_series_matches_per_class_oracle(X, phi):
+    primes = arith.sieve(int(X)).primes.tolist()
+    for normalization in ("analytic", "raw_sqrtp"):
+        both = families.quadratic_series(X, phi, (1, -1), primes, normalization=normalization)
+        for cls, ser in zip((1, -1), both):
+            want = oracles.quadratic_class_oracle(X, phi, cls, primes, normalization)
+            assert np.array_equal(ser.value, want), (cls, normalization)
+            one = families.quadratic_murmuration(X, phi, cls, primes, normalization=normalization)
+            assert np.array_equal(one.value, want), (cls, normalization)
+            assert np.array_equal(one.count, ser.count)
+            assert ser.meta["parity_class"] == cls
+
+
+def test_quadratic_murmuration_validates_grid_and_normalization():
+    # [9] once returned a silent -0.556: the class mean of kronecker(d, 9) is 0.667
+    for grid in ([], [5, 3], [3, 3], [9], [2, 3, 25], [1, 2], [0, 2]):
+        with pytest.raises(DomainError):
+            families.quadratic_murmuration(30.0, PHI, 1, grid)
+    for grid in ([], [3]):
+        with pytest.raises(DomainError, match="normalization"):
+            families.quadratic_murmuration(30.0, PHI, 1, grid, normalization="bogus")
+    with pytest.raises(DomainError):
+        families.quadratic_series(30.0, PHI, (), [3])
+    with pytest.raises(DomainError):
+        families.quadratic_series(30.0, PHI, (1, 0), [3])
 
 
 def test_quadratic_murmuration_through_generic_frame():
@@ -242,6 +272,56 @@ def test_missing_coefficient_is_loud(tmp_path):
     rec = fam.records[0]
     with pytest.raises(CoverageError, match="prime 7"):
         rec.lam(7)
+    # p beyond 2^31 must not alias another record's row
+    with pytest.raises(CoverageError):
+        fam.coefficient("11a", 2**31 + 2)
+    with pytest.raises(CoverageError):
+        fam.coefficient("99z", 2)
+
+
+def _random_family_text(rng, records, primes):
+    lines = [families.FAMILY_MAGIC, "label,conductor,root_number"]
+    conductors = rng.uniform(5.0, 70.0, size=records).round(1)
+    lines += [f"r{i},{c!r},{rng.choice([-1, 1])}" for i, c in enumerate(conductors.tolist())]
+    lines.append("")
+    for i in range(records):
+        ap = rng.normal(0.0, 1.5, size=len(primes)) * np.sqrt(primes)
+        ap[::3] = np.rint(ap[::3])
+        lines += [f"r{i},{p},{a!r}" for p, a in zip(primes.tolist(), ap.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def test_ingested_series_matches_frame_path(tmp_path):
+    rng = np.random.default_rng(11)
+    primes = arith.sieve(120).primes
+    fam = families.ingest(write(tmp_path, _random_family_text(rng, 90, primes)))
+    for phi in (PHI, specfn.bump(1.0, 2.0), specfn.bump(0.5, 3.0)):
+        for X, grid in ((20.0, primes.tolist()), (27.5, [3, 7, 11, 113])):
+            for normalization in ("analytic", "raw_sqrtp"):
+                got = fam.murmuration_series(X, phi, grid, normalization=normalization)
+                want = frame.murmuration_series(fam.records, X, phi, grid, normalization=normalization)
+                assert np.array_equal(got.value, want.value), (X, normalization)
+                assert np.array_equal(got.y, want.y)
+                assert np.array_equal(got.count, want.count)
+
+
+def test_ingested_series_errors_match_frame_path(tmp_path):
+    # in the window at X = 10, record a lacks p = 5 and record b lacks p = 3
+    text = "#murmur-family v1\nlabel,conductor,root_number\na,10,1\nb,15,1\n\na,2,1\na,3,1\nb,2,1\nb,5,1\n"
+    fam = families.ingest(write(tmp_path, text))
+    for grid in ([2, 3], [2, 3, 5], [2, 5], [2, 7]):
+        with pytest.raises(CoverageError) as frame_error:
+            frame.murmuration_series(fam.records, 10.0, PHI, grid)
+        with pytest.raises(CoverageError) as columns_error:
+            fam.murmuration_series(10.0, PHI, grid)
+        assert str(columns_error.value) == str(frame_error.value)
+    with pytest.raises(WindowError):
+        fam.murmuration_series(1000.0, PHI, [2])
+    for grid in ([], [3, 2], [2, 4]):
+        with pytest.raises(DomainError):
+            fam.murmuration_series(10.0, PHI, grid)
+    with pytest.raises(DomainError, match="normalization"):
+        fam.murmuration_series(10.0, PHI, [2], normalization="bogus")
 
 
 def test_line_ending_normalization(tmp_path):
