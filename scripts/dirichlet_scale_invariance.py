@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from murmur import arith, cli, families, frame, specfn
+from murmur import cli, families, frame, petersson, specfn
 
 
 @dataclass
@@ -29,10 +29,9 @@ class Config:
 def run(cfg: Config) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     phi = specfn.indicator(1.0, 2.0)
-    tables = arith.sieve(int(cfg.y_max * 2 * cfg.x) + 16)
     binned = {}
     for X in (cfg.x, 2 * cfg.x):
-        primes = [int(q) for q in tables.primes if cfg.y_min * X <= q <= cfg.y_max * X]
+        primes, _ = petersson.prime_grid(X, cfg.y_min, cfg.y_max)
         both = families.quadratic_series(X, phi, (1, -1), primes, normalization="raw_sqrtp")
         for cls, series in zip((1, -1), both):
             b = frame.bin_series(series, cfg.bins, y_range=(cfg.y_min, cfg.y_max))

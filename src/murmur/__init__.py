@@ -34,8 +34,7 @@ from .errors import (
 )
 from .families import (
     IngestedFamily,
-    QuadraticCharacter,
-    enumerate_quadratic,
+    fundamental_discriminants,
     ingest,
     quadratic_murmuration,
     quadratic_series,
@@ -50,19 +49,14 @@ from .frame import (
     peak_location,
     prime_window_average,
     shape_residual,
-    weighted_sum,
 )
 from .petersson import (
     PeterssonValue,
-    harmonic_murmuration,
     harmonic_series,
     petersson_delta,
-    symsq_murmuration,
     symsq_series,
-    weight_conductor,
 )
 from .specfn import (
-    TruncationPolicy,
     WeightFunction,
     bessel_j,
     bump,

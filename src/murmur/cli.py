@@ -6,13 +6,12 @@ byte-identical CSV.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from . import arith, densities, families, frame, petersson, specfn
-from .errors import DataError, MurmurError, WindowError
+from .errors import DataError, MurmurError
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -132,12 +131,17 @@ def emit_svg(path, overlays, atoms=(), title="") -> None:
 def _add_common(sub):
     sub.add_argument("--out", required=True, help="output path prefix (writes <out>.csv)")
     sub.add_argument("--svg", action="store_true", help="also write <out>.svg")
+
+
+def _add_phi(sub):
     sub.add_argument(
         "--phi", nargs=3, metavar=("KIND", "A", "B"), default=("indicator", "1", "2"),
         help="weight function: 'bump A B' or 'indicator A B' (default indicator 1 2)",
     )
-    sub.add_argument("--tail-tol", type=float, default=1e-12, help="trace-formula tail tolerance")
-    sub.add_argument("--quad-tol", type=float, default=1e-9, help="quadrature tolerance")
+
+
+def _add_tail_tol(sub):
+    sub.add_argument("--tail-tol", type=float, default=1e-12, help="trace-formula tail tolerance (> 0)")
 
 
 def _parse_phi(spec) -> specfn.WeightFunction:
@@ -166,6 +170,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("dirichlet", help="quadratic-character murmuration series")
     _add_common(p)
+    _add_phi(p)
     p.add_argument("--x", type=float, required=True, help="conductor window scale X")
     p.add_argument("--sign", default="+1", help="discriminant sign class: +1, -1 or both")
     p.add_argument("--bins", type=int, default=200, help="y-bins for the series (>=1)")
@@ -177,6 +182,8 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("petersson", help="weight-aspect harmonic murmuration series")
     _add_common(p)
+    _add_phi(p)
+    _add_tail_tol(p)
     p.add_argument("--k", type=float, help="central weight K (scale X = (K-1)^2)")
     p.add_argument("--k-window", nargs=2, type=float, metavar=("KMIN", "KMAX"),
                    help="explicit weight span; K defaults to its midpoint")
@@ -187,11 +194,14 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("symsq", help="symmetric-square murmuration series")
     _add_common(p)
+    _add_phi(p)
+    _add_tail_tol(p)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--p-max", type=int, default=97, help="largest prime sampled")
 
     p = subs.add_parser("density-ils", help="closed-form weight-aspect density")
     _add_common(p)
+    _add_phi(p)
     p.add_argument("--sign", default="+1")
     p.add_argument("--y-min", type=float, default=0.004)
     p.add_argument("--y-max", type=float, default=0.055)
@@ -213,6 +223,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("ingest-run", help="murmuration series for an ingested family")
     _add_common(p)
+    _add_phi(p)
     p.add_argument("--file", required=True, help="murmur-family v1 input file")
     p.add_argument("--x", type=float, required=True)
     p.add_argument(
@@ -243,33 +254,40 @@ def _summarize_series(name, series, ref=None):
     print(msg)
 
 
+def _emit_series(args, name, outputs, title, refs=None) -> None:
+    """Write the series of ``outputs``, a list of (label, series): <out>.csv
+    for the first and <out>-minus.csv for the second (the minus sign class);
+    with --svg one overlay per series and per reference curve of ``refs``
+    ((label, values) or None per series, on its grid); and a ``name`` /
+    ``name-minus`` summary line per series, with its reference residual."""
+    refs = refs or [None] * len(outputs)
+    for i, (_, ser) in enumerate(outputs):
+        emit_csv(f"{args.out}.csv" if i == 0 else f"{args.out}-minus.csv", _series_rows(ser), "y,value,count")
+    if args.svg:
+        overlays = [(label, list(map(float, ser.y)), list(map(float, ser.value))) for label, ser in outputs]
+        overlays += [
+            (ref[0], list(map(float, ser.y)), list(map(float, ref[1])))
+            for (_, ser), ref in zip(outputs, refs)
+            if ref is not None
+        ]
+        emit_svg(f"{args.out}.svg", overlays, title=title)
+    for i, ((_, ser), ref) in enumerate(zip(outputs, refs)):
+        _summarize_series(name if i == 0 else f"{name}-minus", ser, None if ref is None else ref[1])
+
+
 def _cmd_dirichlet(args) -> int:
     phi = _parse_phi(args.phi)
     sign = _parse_sign(args.sign)
     if args.bins < 1:
         raise _UsageError("--bins must be >= 1")
-    limit = int(math.ceil(args.y_max * args.x)) + 1
-    tables = arith.sieve(max(1024, limit))
-    primes = [int(q) for q in tables.primes if args.y_min * args.x <= q <= args.y_max * args.x]
-    if not primes:
-        raise WindowError(f"no primes with p/X in [{args.y_min}, {args.y_max}] at X={args.x:g}")
+    primes, _ = petersson.prime_grid(args.x, args.y_min, args.y_max)
     classes = (1, -1) if sign == "both" else (sign,)
     series = families.quadratic_series(args.x, phi, classes, primes, normalization=args.normalization)
     outputs = [
-        (cls, frame.bin_series(ser, args.bins, y_range=(args.y_min, args.y_max)))
+        (f"sign {cls:+d}", frame.bin_series(ser, args.bins, y_range=(args.y_min, args.y_max)))
         for cls, ser in zip(classes, series)
     ]
-    for i, (cls, binned) in enumerate(outputs):
-        path = f"{args.out}.csv" if i == 0 else f"{args.out}-minus.csv"
-        emit_csv(path, _series_rows(binned), "y,value,count")
-    if args.svg:
-        overlays = [
-            (f"sign {cls:+d}", list(map(float, b.y)), list(map(float, b.value)))
-            for cls, b in outputs
-        ]
-        emit_svg(f"{args.out}.svg", overlays, title=f"quadratic family, X={args.x:g}")
-    for i, (cls, binned) in enumerate(outputs):
-        _summarize_series("dirichlet" if i == 0 else "dirichlet-minus", binned)
+    _emit_series(args, "dirichlet", outputs, f"quadratic family, X={args.x:g}")
     return 0
 
 
@@ -286,54 +304,33 @@ def _cmd_petersson(args) -> int:
     sign = _parse_sign(args.sign)
     K = args_k(args)
     span = tuple(args.k_window) if args.k_window else None
-    policy = specfn.TruncationPolicy(tail_bound=args.tail_tol)
-    primes, tables = petersson.prime_grid(K, args.y_min, args.y_max)
+    primes, tables = petersson.prime_grid((K - 1.0) ** 2, args.y_min, args.y_max)
     signs = (1, -1) if sign == "both" else (sign,)
-    outputs = []
-    for s in signs:
-        ser = petersson.harmonic_series(
-            K, primes, phi, s, span=span, policy=policy, tables=tables,
+    outputs = [
+        (f"sign {s:+d}", petersson.harmonic_series(
+            K, primes, phi, s, span=span, tail_tol=args.tail_tol, tables=tables,
             density_normalized=not args.raw,
-        )
-        outputs.append((s, ser))
+        ))
+        for s in signs
+    ]
     # the density is odd in the sign, so one evaluation serves both classes
-    refs = [None] * len(signs)
+    refs = None
     if not args.raw:
         ref = np.array(
             [densities.harmonic_murmuration_density(y, phi, 1, tables) for y in outputs[0][1].y]
         )
-        refs = [s * ref for s in signs]
-    for i, (s, ser) in enumerate(outputs):
-        path = f"{args.out}.csv" if i == 0 else f"{args.out}-minus.csv"
-        emit_csv(path, _series_rows(ser), "y,value,count")
-    if args.svg:
-        overlays = [
-            (f"sign {s:+d}", list(map(float, ser.y)), list(map(float, ser.value)))
-            for s, ser in outputs
-        ]
-        for s, ref in zip(signs, refs):
-            if ref is not None:
-                overlays.append((f"reference density {s:+d}", list(map(float, outputs[0][1].y)), list(map(float, ref))))
-        emit_svg(f"{args.out}.svg", overlays, title=f"weight aspect, K={K:g}")
-    for i, ((s, ser), ref) in enumerate(zip(outputs, refs)):
-        _summarize_series("petersson" if i == 0 else "petersson-minus", ser, ref)
+        refs = [(f"reference density {s:+d}", s * ref) for s in signs]
+    _emit_series(args, "petersson", outputs, f"weight aspect, K={K:g}", refs)
     return 0
 
 
 def _cmd_symsq(args) -> int:
     phi = _parse_phi(args.phi)
-    policy = specfn.TruncationPolicy(tail_bound=args.tail_tol)
-    tables = arith.sieve(max(2048, 8 * args.p_max))
-    primes = [int(q) for q in tables.primes if q <= args.p_max]
-    ser = petersson.symsq_series(args.k, primes, phi, policy=policy, tables=tables)
-    emit_csv(f"{args.out}.csv", _series_rows(ser), "y,value,count")
-    if args.svg:
-        emit_svg(
-            f"{args.out}.svg",
-            [("symmetric square", list(map(float, ser.y)), list(map(float, ser.value)))],
-            title=f"symmetric-square mode, K={args.k:g}",
-        )
-    _summarize_series("symsq", ser)
+    if args.p_max < 2:
+        raise _UsageError("--p-max must be >= 2")
+    primes, tables = petersson.prime_grid(1.0, 0.0, args.p_max)
+    ser = petersson.symsq_series(args.k, primes, phi, tail_tol=args.tail_tol, tables=tables)
+    _emit_series(args, "symsq", [("symmetric square", ser)], f"symmetric-square mode, K={args.k:g}")
     return 0
 
 
@@ -397,24 +394,16 @@ def _cmd_old_kernel(args) -> int:
 
 def _cmd_ingest_run(args) -> int:
     family = families.ingest(args.file)
-    if not family.records:
+    if not len(family):
         raise DataError(f"{args.file}: family has no records")
     p_max = args.p_max if args.p_max is not None else family.prime_coverage
     if p_max < 2:
         raise DataError(f"{args.file}: no usable prime coverage")
     phi = _parse_phi(args.phi)
-    tables = arith.sieve(max(1024, p_max))
-    primes = [int(q) for q in tables.primes if q <= p_max]
+    primes, _ = petersson.prime_grid(1.0, 0.0, p_max)
     ser = family.murmuration_series(args.x, phi, primes, normalization=args.normalization)
-    emit_csv(f"{args.out}.csv", _series_rows(ser), "y,value,count")
-    if args.svg:
-        emit_svg(
-            f"{args.out}.svg",
-            [("ingested family", list(map(float, ser.y)), list(map(float, ser.value)))],
-            title=f"ingested family, X={args.x:g}",
-        )
-    _summarize_series("ingest-run", ser)
-    print(f"ingest-run: digest={family.source_digest:016x} records={len(family.records)}")
+    _emit_series(args, "ingest-run", [("ingested family", ser)], f"ingested family, X={args.x:g}")
+    print(f"ingest-run: digest={family.source_digest:016x} records={len(family)}")
     return 0
 
 

@@ -25,13 +25,14 @@ computed on lookup.  Missing coefficients raise, never read as zero:
 murmuration averages are bias-sensitive.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .arith import ArithTables, kronecker, sieve
+from .arith import ArithTables, sieve
 from .errors import CoverageError, DataError, DomainError, WindowError
 from .frame import FamilyRecord, MurmurationSeries, check_grid
 from .specfn import WeightFunction
@@ -64,24 +65,6 @@ def _check_normalization(normalization: str) -> None:
 # quadratic characters
 
 
-@dataclass(frozen=True)
-class QuadraticCharacter:
-    """A primitive real character indexed by a fundamental discriminant."""
-
-    d: int
-
-    @property
-    def conductor(self) -> int:
-        return abs(self.d)
-
-    @property
-    def parity_class(self) -> int:
-        return 1 if self.d > 0 else -1
-
-    def lam(self, p: int) -> float:
-        return float(kronecker(self.d, p))
-
-
 def _squarefree_mask(limit: int) -> np.ndarray:
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
@@ -90,31 +73,13 @@ def _squarefree_mask(limit: int) -> np.ndarray:
     return mask
 
 
-def is_fundamental_discriminant(d: int) -> bool:
-    """d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree."""
-    if d == 0:
-        return False
+def fundamental_discriminants(X: float, phi: WeightFunction) -> dict[int, np.ndarray]:
+    """Fundamental discriminants d with |d|/X inside supp(phi), per sign
+    class (keys +1 and -1), each an int64 array in ascending |d|.
 
-    def squarefree(n):
-        n = abs(n)
-        k = 2
-        while k * k <= n:
-            if n % (k * k) == 0:
-                return False
-            k += 1
-        return True
-
-    if d % 4 == 1:
-        return squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and squarefree(m)
-    return False
-
-
-def _discriminants(X: float, phi: WeightFunction) -> dict[int, np.ndarray]:
-    """Fundamental discriminants with |d|/X inside supp(phi), per sign class,
-    each an int64 array in ascending |d|."""
+    d is fundamental when d = 1 mod 4 is squarefree, or d = 4m with
+    m = 2, 3 mod 4 squarefree.
+    """
     if X < 3:
         raise DomainError(f"X must be >= 3, got {X}")
     a, b = phi.support
@@ -130,28 +95,6 @@ def _discriminants(X: float, phi: WeightFunction) -> dict[int, np.ndarray]:
         fund = ((mod4 == 1) & sf[absd]) | ((mod4 == 0) & np.isin(m % 4, (2, 3)) & sf[np.abs(m)])
         classes[sign] = d[fund]
     return classes
-
-
-def enumerate_quadratic(X: float, phi: WeightFunction) -> list[QuadraticCharacter]:
-    """All fundamental discriminants with |d|/X inside supp(phi), both signs,
-    by ascending conductor (positive d first)."""
-    classes = _discriminants(X, phi)
-    d = np.concatenate([classes[1], classes[-1]])
-    d = d[np.argsort(np.abs(d), kind="stable")]
-    return [QuadraticCharacter(v) for v in d.tolist()]
-
-
-def quadratic_records(characters: Sequence[QuadraticCharacter]) -> list[FamilyRecord]:
-    """FamilyRecord view of a character list, for the generic framework."""
-    return [
-        FamilyRecord(
-            label=f"chi_{ch.d}",
-            conductor=float(ch.conductor),
-            root_number=1,
-            lam=ch.lam,
-        )
-        for ch in characters
-    ]
 
 
 def _legendre_table(p: int, squares: np.ndarray) -> np.ndarray:
@@ -206,7 +149,7 @@ def quadratic_series(
         raise DomainError(f"parity classes must be +-1, got {tuple(classes)}")
     _check_normalization(normalization)
     grid = _prime_grid(primes)
-    discriminants = _discriminants(X, phi)
+    discriminants = fundamental_discriminants(X, phi)
     family = []
     for cls in classes:
         absd = np.abs(discriminants[cls])
@@ -267,10 +210,8 @@ class IngestedFamily:
     ``labels``, ``conductor`` and ``root_number`` hold one entry per
     record, in file order; ``record`` (an index into ``labels``), ``p``
     and ``ap`` hold one entry per coefficient row, sorted by (record, p).
-    ``records`` is the FamilyRecord view of the same data.
     """
 
-    records: tuple
     source_digest: int
     prime_coverage: int
     labels: tuple
@@ -279,12 +220,29 @@ class IngestedFamily:
     record: np.ndarray
     p: np.ndarray
     ap: np.ndarray
-    _index: dict = field(init=False, repr=False)
-    _keys: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {label: i for i, label in enumerate(self.labels)})
-        object.__setattr__(self, "_keys", (self.record << _P_BITS) | self.p)
+    @cached_property
+    def _index(self) -> dict:
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return (self.record << _P_BITS) | self.p
+
+    @cached_property
+    def records(self) -> tuple:
+        """FamilyRecord view of the columns, for the generic framework;
+        built on first access."""
+        return tuple(
+            FamilyRecord(
+                label=label,
+                conductor=conductor,
+                root_number=root,
+                lam=lambda p, label=label: self.coefficient(label, p) / math.sqrt(p),
+                ap=partial(self.coefficient, label),
+            )
+            for label, conductor, root in zip(self.labels, self.conductor.tolist(), self.root_number.tolist())
+        )
 
     def coefficient(self, label: str, p: int) -> float:
         i = self._index.get(label)
@@ -336,7 +294,7 @@ class IngestedFamily:
         )
 
     def __len__(self):
-        return len(self.records)
+        return len(self.labels)
 
 
 def _normalize_text(raw: bytes) -> str:
@@ -346,9 +304,12 @@ def _normalize_text(raw: bytes) -> str:
 
 def _parse_number(token: str, line_no: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise DataError(f"line {line_no}: cannot parse {what} from {token.strip()!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"line {line_no}: {what} must be finite, got {token.strip()!r}")
+    return value
 
 
 def _sorted_rows(record, p, labels: list, line_of) -> np.ndarray:
@@ -454,8 +415,7 @@ def ingest(path) -> IngestedFamily:
     mismatch = np.flatnonzero(scanned != common[: len(scanned)])
     covered = int(mismatch[0]) if len(mismatch) else len(scanned)
 
-    family = IngestedFamily(
-        records=(),
+    return IngestedFamily(
         source_digest=digest,
         prime_coverage=int(scanned[covered - 1]) if covered else 0,
         labels=tuple(labels),
@@ -465,18 +425,6 @@ def ingest(path) -> IngestedFamily:
         p=p[order],
         ap=ap[order],
     )
-    records = tuple(
-        FamilyRecord(
-            label=label,
-            conductor=conductor,
-            root_number=root,
-            lam=_lam_accessor(family, label),
-            ap=_ap_accessor(family, label),
-        )
-        for label, conductor, root in zip(labels, conductors, roots)
-    )
-    object.__setattr__(family, "records", records)
-    return family
 
 
 def _is_prime(p: int, tables: ArithTables) -> bool:
@@ -485,20 +433,6 @@ def _is_prime(p: int, tables: ArithTables) -> bool:
     if p <= tables.limit:
         return bool(tables.smallest_prime_factor[p] == p)
     return bool(np.all(p % tables.primes))
-
-
-def _ap_accessor(family: IngestedFamily, label: str):
-    def ap(p: int) -> float:
-        return family.coefficient(label, p)
-
-    return ap
-
-
-def _lam_accessor(family: IngestedFamily, label: str):
-    def lam(p: int) -> float:
-        return family.coefficient(label, p) / math.sqrt(p)
-
-    return lam
 
 
 def _format_number(x: float) -> str:

@@ -82,21 +82,6 @@ class MurmurationSeries:
     def __len__(self):
         return len(self.y)
 
-    def samples(self):
-        return list(zip(self.y.tolist(), self.value.tolist(), self.count.tolist()))
-
-
-def weighted_sum(family: Sequence[FamilyRecord], f, X: float, phi: WeightFunction) -> float:
-    """sum_r Phi(N_r / X) f(r); out-of-support records are skipped."""
-    if not X > 0:
-        raise DomainError(f"window scale X must be positive, got {X}")
-    total = 0.0
-    for rec in family:
-        w = phi(rec.conductor / X)
-        if w != 0.0:
-            total += w * f(rec)
-    return total
-
 
 def expectation(family: Sequence[FamilyRecord], f, X: float, phi: WeightFunction) -> float:
     """Weighted average of f over the conductor window.

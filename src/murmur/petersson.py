@@ -13,12 +13,12 @@ certifies the remainder.
 Weight-aspect murmuration averages aggregate these values over a
 window of weights.  Inside this engine the conductor scale of a
 weight-k form is (k-1)^2, which puts the empirical series on the same
-y-axis as the closed-form density Phi(16 pi^2 y / c^2); the alternate
-scale ((k-1)/4 pi)^2 used by the prime-window machinery differs from it
-by the constant 16 pi^2 only.  Each weight enters the aggregation with
-an extra factor (k-1): the harmonic weight of a single form is
-proportional to 1/((k-1) L(1, Sym^2 f)), so the (k-1) restores the pure
-inverse-special-value weighting that the closed-form density describes.
+y-axis as the closed-form density Phi(16 pi^2 y / c^2).  Each weight
+enters the aggregation with an extra factor (k-1): the harmonic weight
+of a single form is proportional to 1/((k-1) L(1, Sym^2 f)), so the
+(k-1) restores the pure inverse-special-value weighting that the
+closed-form density describes.  ``harmonic_series`` (n = p) and
+``symsq_series`` (n = p^2) are the two front-ends of one window sum.
 
 The raw window ratio r(p) is tied to the closed-form density by an
 exact bookkeeping factor.  Since sum over nu = 3 mod 4 of
@@ -31,7 +31,7 @@ n = 1 normalization integrates to X mass(Phi)/8, leaving
 whose bracket is the density once primes equidistribute mod c.  Series
 producers therefore rescale samples by mass(Phi)/(4 pi y) (the
 ``density_normalized`` flag, on by default and recorded in metadata);
-point evaluators return the raw ratio.  Overall constants (2 pi^2 and
+without it a series holds the raw ratios.  Overall constants (2 pi^2 and
 the special-value proportionality) cancel in ratios and are recorded in
 series metadata, never folded in.
 """
@@ -44,7 +44,7 @@ import numpy as np
 from .arith import ArithTables, kloosterman_many, sieve
 from .errors import AccuracyError, DomainError, WindowError
 from .frame import MurmurationSeries
-from .specfn import TruncationPolicy, WeightFunction, bessel_j, quadrature
+from .specfn import WeightFunction, bessel_j, quadrature
 
 _CUTOFF_BUDGET = 200_000
 
@@ -59,11 +59,6 @@ class PeterssonValue(NamedTuple):
     value: float
     tail_bound: float
     cutoff: int
-
-
-def weight_conductor(k: int) -> float:
-    """Conductor scale ((k-1)/(4 pi))^2 of a weight-k level-1 form."""
-    return ((k - 1) / (4.0 * math.pi)) ** 2
 
 
 def _phase(k: int) -> int:
@@ -112,32 +107,32 @@ def _choose_cutoff(k: int, A: float, g0: int, tol: float) -> tuple[int, float]:
     return C, math.exp(_log_tail_bound(k, A, g0, C))
 
 
-def default_cutoff(k: int, m: int, n: int) -> int:
-    """Fixed-cutoff default: Bessel argument at c = C below (k-1)/10, floor 1000."""
-    return max(math.ceil(40.0 * math.pi * math.sqrt(m * n) / (k - 1)), 1000)
+def _check_tail_tol(tail_tol: float) -> None:
+    if not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise DomainError(f"tail tolerance must be finite and > 0, got {tail_tol}")
 
 
 def petersson_delta(
     k: int,
     m: int,
     n: int,
-    policy: Optional[TruncationPolicy] = None,
+    tail_tol: float = 1e-12,
     tables: Optional[ArithTables] = None,
 ) -> PeterssonValue:
     """Kloosterman--Bessel side of the trace-formula average, truncated
-    with a certified tail bound.
+    where the certified tail falls to ``tail_tol``.
 
     Returns (value, tail_bound, cutoff).  Increasing the cutoff can
     never move the value by more than the reported tail_bound.
     """
-    return _delta_window([k], m, n, policy, tables)[0]
+    return _delta_window([k], m, n, tail_tol, tables)[0]
 
 
 def _delta_window(
     ks: Sequence[int],
     m: int,
     n: int,
-    policy: Optional[TruncationPolicy],
+    tail_tol: float,
     tables: Optional[ArithTables],
 ) -> list[PeterssonValue]:
     """``petersson_delta`` at every weight of ``ks`` in one batch.
@@ -152,14 +147,10 @@ def _delta_window(
             raise DomainError(f"weight k must be even and >= 4, got {k}")
     if m < 1 or n < 1:
         raise DomainError("m, n must be positive integers")
-    policy = policy or TruncationPolicy()
+    _check_tail_tol(tail_tol)
     A = 4.0 * math.pi * math.sqrt(m * n)
     g0 = math.gcd(m, n)
-    if policy.mode == "fixed_cutoff":
-        C = policy.cutoff
-        cuts = [(C, math.exp(min(700.0, _log_tail_bound(k, A, g0, C)))) for k in ks]
-    else:
-        cuts = [_choose_cutoff(k, A, g0, policy.tail_bound) for k in ks]
+    cuts = [_choose_cutoff(k, A, g0, tail_tol) for k in ks]
     c_max = max(C for C, _ in cuts)
     if tables is None or tables.limit < c_max:
         tables = _shared_tables(c_max)
@@ -221,95 +212,68 @@ def weight_window(K: float, phi: WeightFunction, sign: Optional[int], span=None)
     return ks
 
 
-def prime_grid(K: float, y_min: float, y_max: float) -> tuple[list[int], ArithTables]:
-    """Primes p with y_min <= p / (K-1)^2 <= y_max, and the sieve tables
-    that cover them (at least 2048, so small windows share one table).
+def prime_grid(X: float, y_min: float, y_max: float) -> tuple[list[int], ArithTables]:
+    """Primes p with y_min <= p / X <= y_max, and the sieve tables that
+    cover them (at least 2048, so small windows share one table).
 
-    Raises WindowError when no prime falls in the range.
+    Raises DomainError unless X > 0 and the window are finite, and
+    WindowError when no prime falls in the range.
     """
-    X = (K - 1.0) ** 2
+    if not (0 < X < math.inf and math.isfinite(y_min) and math.isfinite(y_max)):
+        raise DomainError(f"prime window needs finite X > 0, y_min and y_max, got {X}, {y_min}, {y_max}")
     tables = sieve(max(2048, math.floor(y_max * X) + 1))
-    primes = [int(q) for q in tables.primes if y_min * X <= q <= y_max * X]
+    sieved = tables.primes
+    primes = sieved[(y_min * X <= sieved) & (sieved <= y_max * X)].tolist()
     if not primes:
-        raise WindowError(f"no primes with p/X in [{y_min}, {y_max}] at K={K:g}")
+        raise WindowError(f"no primes with p/X in [{y_min}, {y_max}] at X={X:g}")
     return primes, tables
 
 
-def _aggregate(
+def _window_sums(
     K: float,
     ks: Sequence[int],
-    n: int,
+    ns: Sequence[int],
     phi: WeightFunction,
-    policy: Optional[TruncationPolicy],
+    tail_tol: float,
     tables: Optional[ArithTables],
-) -> tuple[float, float]:
-    """sum_k Phi((k-1)^2/X) (k-1) Delta_k(1, n) over the window weights, and
-    its certified truncation bound sum_k |Phi((k-1)^2/X)| (k-1) tail_k."""
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The window sums A(n) = sum_k Phi((k-1)^2/X) (k-1) Delta_k(1, n) over
+    the weights ``ks`` and their certified truncation bounds
+    sum_k |Phi((k-1)^2/X)| (k-1) tail_k: A(1) and its bound, then arrays
+    of A(n) and its bound over ``ns``.
+
+    The weights and A(1) are computed once per call; WindowError when
+    A(1) vanishes.
+    """
     X = (K - 1.0) ** 2
     weights = [float(phi((k - 1.0) ** 2 / X)) for k in ks]
     weighted = [(w, k) for w, k in zip(weights, ks) if w != 0.0]
-    if not weighted:
-        return 0.0, 0.0
-    deltas = _delta_window([k for _, k in weighted], 1, n, policy, tables)
-    value = sum(w * (k - 1.0) * delta.value for (w, k), delta in zip(weighted, deltas))
-    bound = sum(abs(w) * (k - 1.0) * delta.tail_bound for (w, k), delta in zip(weighted, deltas))
-    return value, bound
+    window = [k for _, k in weighted]
+
+    def window_sum(n):
+        deltas = _delta_window(window, 1, n, tail_tol, tables) if window else []
+        value = sum(w * (k - 1.0) * delta.value for (w, k), delta in zip(weighted, deltas))
+        bound = sum(abs(w) * (k - 1.0) * delta.tail_bound for (w, k), delta in zip(weighted, deltas))
+        return value, bound
+
+    den, den_bound = window_sum(1)
+    if den == 0.0:
+        raise WindowError(f"window normalization vanished at K={K}")
+    num, num_bound = np.array([window_sum(n) for n in ns], dtype=np.float64).reshape(-1, 2).T
+    return den, den_bound, num, num_bound
 
 
-def _ratio_bound(num: float, num_bound: float, den: float, den_bound: float) -> float:
+def _ratio_bound(num: np.ndarray, num_bound: np.ndarray, den: float, den_bound: float) -> np.ndarray:
     """Certified bound on |num/den - N/D| given |num - N| <= num_bound and
     |den - D| <= den_bound; infinite unless den_bound < |den|."""
     if not den_bound < abs(den):
-        return math.inf
-    return (num_bound + abs(num / den) * den_bound) / (abs(den) - den_bound)
-
-
-def harmonic_murmuration(
-    K: float,
-    p: int,
-    phi: WeightFunction,
-    sign: int,
-    span=None,
-    policy: Optional[TruncationPolicy] = None,
-    tables: Optional[ArithTables] = None,
-) -> float:
-    """Raw window ratio of ``harmonic_series`` at the single prime p."""
-    return float(harmonic_series(K, [p], phi, sign, span, policy, tables, density_normalized=False).value[0])
-
-
-def symsq_murmuration(
-    K: float,
-    p: int,
-    phi: WeightFunction,
-    span=None,
-    policy: Optional[TruncationPolicy] = None,
-    tables: Optional[ArithTables] = None,
-) -> float:
-    """Window ratio of ``symsq_series`` at the single prime p."""
-    return float(symsq_series(K, [p], phi, span, policy, tables).value[0])
+        return np.full_like(num, math.inf)
+    return (num_bound + np.abs(num / den) * den_bound) / (abs(den) - den_bound)
 
 
 def weight_mass(phi: WeightFunction) -> float:
     """integral of Phi over its support, used by the normalization bridge."""
     return quadrature(lambda u: float(phi(u)), phi.support, tol=1e-12).value
-
-
-def _series(sample_fn, K: float, primes: Sequence[int], normalization: str, meta: dict) -> MurmurationSeries:
-    """Series of ``sample_fn(p) -> (value, certified bound)`` over the primes;
-    the bounds go to ``meta["tail_bound"]``."""
-    X = (K - 1.0) ** 2
-    primes = list(primes)
-    samples = [sample_fn(p) for p in primes]
-    values = np.array([v for v, _ in samples], dtype=np.float64)
-    meta["tail_bound"] = np.array([b for _, b in samples], dtype=np.float64)
-    return MurmurationSeries(
-        y=np.asarray(primes, dtype=np.float64) / X,
-        value=values,
-        count=np.full(len(primes), meta.pop("_count"), dtype=np.int64),
-        window_scale=X,
-        normalization=normalization,
-        meta=meta,
-    )
 
 
 def harmonic_series(
@@ -318,7 +282,7 @@ def harmonic_series(
     phi: WeightFunction,
     sign: int,
     span=None,
-    policy: Optional[TruncationPolicy] = None,
+    tail_tol: float = 1e-12,
     tables: Optional[ArithTables] = None,
     density_normalized: bool = True,
 ) -> MurmurationSeries:
@@ -338,25 +302,27 @@ def harmonic_series(
     ks = weight_window(K, phi, sign, span=span)
     if not ks:
         raise WindowError(f"no weights of sign class {sign:+d} in window at K={K}")
-    den, den_bound = _aggregate(K, ks, 1, phi, policy, tables)
-    if den == 0.0:
-        raise WindowError(f"window normalization vanished at K={K}")
+    primes = [int(p) for p in primes]
+    den, den_bound, num, num_bound = _window_sums(K, ks, primes, phi, tail_tol, tables)
+    root = np.sqrt(primes)
+    value = num * root / den
+    bound = _ratio_bound(num, num_bound, den, den_bound) * root
     X = (K - 1.0) ** 2
-    mass = weight_mass(phi) if density_normalized else None
-
-    def sample_at(p):
-        num, num_bound = _aggregate(K, ks, p, phi, policy, tables)
-        raw = num * math.sqrt(p) / den
-        bound = _ratio_bound(num, num_bound, den, den_bound) * math.sqrt(p)
-        if mass is None:
-            return raw, bound
-        return raw * mass / (4.0 * math.pi * p / X), bound * mass / (4.0 * math.pi * p / X)
-
-    meta = dict(_AGGREGATION_META, weights=tuple(ks), sign=sign, _count=len(ks))
+    meta = dict(_AGGREGATION_META, weights=tuple(ks), sign=sign)
     if density_normalized:
-        meta["bridge"] = "mass(Phi)/(4*pi*y)"
-        meta["phi_mass"] = mass
-    return _series(sample_at, K, primes, "raw_sqrtp", meta)
+        mass = weight_mass(phi)
+        scale = 4.0 * math.pi * np.array(primes, dtype=np.float64) / X
+        value, bound = value * mass / scale, bound * mass / scale
+        meta.update(bridge="mass(Phi)/(4*pi*y)", phi_mass=mass)
+    meta["tail_bound"] = bound
+    return MurmurationSeries(
+        y=np.array(primes, dtype=np.float64) / X,
+        value=value,
+        count=np.full(len(primes), len(ks), dtype=np.int64),
+        window_scale=X,
+        normalization="raw_sqrtp",
+        meta=meta,
+    )
 
 
 def symsq_series(
@@ -364,7 +330,7 @@ def symsq_series(
     primes: Sequence[int],
     phi: WeightFunction,
     span=None,
-    policy: Optional[TruncationPolicy] = None,
+    tail_tol: float = 1e-12,
     tables: Optional[ArithTables] = None,
 ) -> MurmurationSeries:
     """Symmetric-square murmuration sampled over a prime grid.
@@ -379,13 +345,15 @@ def symsq_series(
     ks = weight_window(K, phi, None, span=span)
     if not ks:
         raise WindowError(f"no weights in window at K={K}")
-    den, den_bound = _aggregate(K, ks, 1, phi, policy, tables)
-    if den == 0.0:
-        raise WindowError(f"window normalization vanished at K={K}")
-
-    def sample_at(p):
-        num, num_bound = _aggregate(K, ks, p * p, phi, policy, tables)
-        return num / den, _ratio_bound(num, num_bound, den, den_bound)
-
-    meta = dict(_AGGREGATION_META, weights=tuple(ks), sign=None, _count=len(ks))
-    return _series(sample_at, K, primes, "analytic", meta)
+    primes = [int(p) for p in primes]
+    den, den_bound, num, num_bound = _window_sums(K, ks, [p * p for p in primes], phi, tail_tol, tables)
+    bound = _ratio_bound(num, num_bound, den, den_bound)
+    X = (K - 1.0) ** 2
+    return MurmurationSeries(
+        y=np.array(primes, dtype=np.float64) / X,
+        value=num / den,
+        count=np.full(len(primes), len(ks), dtype=np.int64),
+        window_scale=X,
+        normalization="analytic",
+        meta=dict(_AGGREGATION_META, weights=tuple(ks), sign=None, tail_bound=bound),
+    )

@@ -120,28 +120,6 @@ def shifted_bump(a: float, b: float) -> WeightFunction:
     )
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """How an infinite sum is cut off.
-
-    mode 'fixed_cutoff' sums the first ``cutoff`` terms and reports the
-    certified bound for what was dropped; mode 'tail_bound' grows the
-    cutoff until the certified tail is <= ``tail_bound``.
-    """
-
-    mode: str = "tail_bound"
-    cutoff: int = 1000
-    tail_bound: float = 1e-12
-
-    def __post_init__(self):
-        if self.mode not in ("fixed_cutoff", "tail_bound"):
-            raise DomainError(f"unknown truncation mode {self.mode!r}")
-        if self.cutoff < 1:
-            raise DomainError("cutoff must be >= 1")
-        if self.tail_bound < 0:
-            raise DomainError("tail_bound must be >= 0")
-
-
 # ---------------------------------------------------------------------------
 # Bessel J of integer order
 

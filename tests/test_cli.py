@@ -1,3 +1,5 @@
+import importlib.util
+from pathlib import Path
 import subprocess
 import sys
 
@@ -6,6 +8,9 @@ import pytest
 from murmur import cli, frame
 
 import numpy as np
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -205,6 +210,32 @@ def test_ingest_run(tmp_path):
 def test_exit_usage():
     assert run_cli(["dirichlet", "--x", "100", "--sign", "maybe", "--out", "/tmp/x"]) == 1
     assert run_cli(["nonsense"]) == 1
+
+
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path):
+    out = str(tmp_path / "o")
+    assert run_cli(["dirichlet", "--x", "100", "--quad-tol", "1e-3", "--out", out]) == 1
+    assert run_cli(["density-nu", "--e-min", "0.5", "--e-max", "5", "--tail-tol", "1e-3", "--out", out]) == 1
+    assert run_cli(["old-kernel", "--phi", "bump", "1", "2", "--out", out]) == 1
+
+
+def test_benchmark_argv_still_parses():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parser = cli.build_parser()
+    for ops in workloads.WORKLOADS.values():
+        for _, argv in ops:
+            if argv is not None:
+                parser.parse_args([a.format(out="o", family="f") for a in argv])
+
+
+@pytest.mark.parametrize("command", ["petersson", "symsq"])
+def test_zero_tail_tol_is_usage_exit(tmp_path, command, capsys):
+    # --tail-tol 0 once crashed with an uncaught math domain error
+    code = run_cli([command, "--k", "40", "--tail-tol", "0", "--out", str(tmp_path / "t")])
+    assert code == 1
+    assert "tail tolerance" in capsys.readouterr().err
 
 
 def test_exit_data(tmp_path):

@@ -42,22 +42,6 @@ def test_record_raw_accessor_consistency():
             <= 1e-9 * abs(rec.coefficient(p, "raw_sqrtp"))
 
 
-def test_weighted_sum_examples():
-    assert frame.weighted_sum([], lambda r: 1.0, 10.0, PHI) == 0.0
-    fam = make_family([10.0, 15.0, 30.0], [{2: 1.0}] * 3)
-    assert frame.weighted_sum(fam, lambda r: 1.0, 10.0, PHI) == 2.0
-
-
-def test_weighted_sum_matches_direct_loop():
-    rng = np.random.default_rng(3)
-    conds = [8.0, 12.0, 15.0, 19.0, 21.0]
-    tablesets = [{2: float(rng.standard_normal())} for _ in conds]
-    fam = make_family(conds, tablesets)
-    f = lambda r: r.lam(2)
-    expect = sum(PHI(c / 10.0) * t[2] for c, t in zip(conds, tablesets))
-    assert abs(frame.weighted_sum(fam, f, 10.0, PHI) - expect) < 1e-12
-
-
 def test_expectation_exact_one_and_constants():
     fam = make_family([10.0, 12.0, 19.0], [{2: 1.0}] * 3)
     assert frame.expectation(fam, lambda r: 1.0, 10.0, PHI) == 1.0

@@ -59,19 +59,10 @@ def test_phase_is_real_sign():
 
 
 def test_monotone_truncation(tables):
-    policy_loose = specfn.TruncationPolicy(mode="tail_bound", tail_bound=1e-6)
-    policy_tight = specfn.TruncationPolicy(mode="tail_bound", tail_bound=1e-14)
-    loose = petersson.petersson_delta(12, 1, 7, policy=policy_loose, tables=tables)
-    tight = petersson.petersson_delta(12, 1, 7, policy=policy_tight, tables=tables)
+    loose = petersson.petersson_delta(12, 1, 7, tail_tol=1e-6, tables=tables)
+    tight = petersson.petersson_delta(12, 1, 7, tail_tol=1e-14, tables=tables)
     assert tight.cutoff >= loose.cutoff
     assert abs(tight.value - loose.value) <= loose.tail_bound
-
-
-def test_fixed_cutoff_policy(tables):
-    policy = specfn.TruncationPolicy(mode="fixed_cutoff", cutoff=petersson.default_cutoff(12, 1, 7))
-    v = petersson.petersson_delta(12, 1, 7, policy=policy, tables=tables)
-    ref = petersson.petersson_delta(12, 1, 7, tables=tables)
-    assert abs(v.value - ref.value) <= max(v.tail_bound, ref.tail_bound) + 1e-15
 
 
 def test_small_weight_accuracy_error():
@@ -90,7 +81,7 @@ def test_delta_window_matches_scalar_terms(tables):
     # every row keeps its own certified cutoff; the reference sums the
     # same terms one modulus and one weight at a time
     ks = [12, 14, 16, 20, 30]
-    batch = petersson._delta_window(ks, 1, 7, None, tables)
+    batch = petersson._delta_window(ks, 1, 7, 1e-12, tables)
     assert len({v.cutoff for v in batch}) > 1
     A = 4.0 * math.pi * math.sqrt(7)
     for k, v in zip(ks, batch):
@@ -130,7 +121,7 @@ def test_harmonic_single_weight_reduces_to_hecke(tables):
     assert petersson.weight_window(12.0, phi, 1) == [12]
     base = petersson.petersson_delta(12, 1, 1, tables=tables)
     for p in [2, 3]:
-        got = petersson.harmonic_murmuration(12.0, p, phi, sign=1, tables=tables)
+        got = petersson.harmonic_series(12.0, [p], phi, 1, tables=tables, density_normalized=False).value[0]
         expect = petersson.petersson_delta(12, 1, p, tables=tables).value / base.value * math.sqrt(p)
         assert abs(got - expect) < 1e-12
 
@@ -138,7 +129,7 @@ def test_harmonic_single_weight_reduces_to_hecke(tables):
 def test_symsq_single_weight_reduces_to_hecke(tables):
     phi = specfn.indicator(0.9, 1.1)
     base = petersson.petersson_delta(12, 1, 1, tables=tables)
-    got = petersson.symsq_murmuration(12.0, 2, phi, tables=tables)
+    got = petersson.symsq_series(12.0, [2], phi, tables=tables).value[0]
     expect = petersson.petersson_delta(12, 1, 4, tables=tables).value / base.value
     assert abs(got - expect) < 1e-12
     assert abs(got - TAU[4] / 2**11.0) < 1e-6
@@ -153,18 +144,18 @@ def test_harmonic_gap_prime_is_negligible(tables_big):
     while not all(p % q for q in range(2, math.isqrt(p) + 1)):
         p += 1
     assert densities.harmonic_murmuration_density(p / X, BUMP, 1, tables_big) == 0.0
-    gap = petersson.harmonic_murmuration(K, p, BUMP, sign=1, tables=tables_big)
+    gap = petersson.harmonic_series(K, [p], BUMP, 1, tables=tables_big, density_normalized=False).value[0]
     p_star = int(round(1.5 / (16 * math.pi**2) * X))
     while not all(p_star % q for q in range(2, math.isqrt(p_star) + 1)):
         p_star += 1
-    peak = petersson.harmonic_murmuration(K, p_star, BUMP, sign=1, tables=tables_big)
+    peak = petersson.harmonic_series(K, [p_star], BUMP, 1, tables=tables_big, density_normalized=False).value[0]
     assert abs(gap) < 0.1 * abs(peak)
 
 
 def test_symsq_small_prime_negligible_at_high_weight(tables_big):
     phi = specfn.indicator(0.98, 1.02)
     assert petersson.weight_window(101.0, phi, None) == [100]
-    got = petersson.symsq_murmuration(101.0, 2, phi, tables=tables_big)
+    got = petersson.symsq_series(101.0, [2], phi, tables=tables_big).value[0]
     # delta term absent, every kernel argument deep below the order
     assert abs(got) < 1e-30
 
@@ -191,7 +182,8 @@ def test_harmonic_series_bridge_and_meta(tables_big):
     for i, p in enumerate(primes):
         expect = raw.value[i] * mass / (4.0 * math.pi * p / X)
         assert abs(bridged.value[i] - expect) < 1e-12 * max(1.0, abs(expect))
-        assert abs(raw.value[i] - petersson.harmonic_murmuration(K, p, BUMP, 1, tables=tables_big)) < 1e-12
+        alone = petersson.harmonic_series(K, [p], BUMP, 1, tables=tables_big, density_normalized=False)
+        assert abs(raw.value[i] - alone.value[0]) < 1e-12
     assert bridged.meta["bridge"] == "mass(Phi)/(4*pi*y)"
     assert "omitted_constants" in bridged.meta
 
@@ -203,13 +195,13 @@ def test_series_carry_certified_tail_bound(tables, mode, tol):
     X = (K - 1.0) ** 2
     primes = [int(q) for q in tables.primes if 0.004 * X <= q <= 0.055 * X]
 
-    def series(policy):
+    def series(tail_tol):
         if mode == "harmonic":
-            return petersson.harmonic_series(K, primes, BUMP, 1, policy=policy, tables=tables)
-        return petersson.symsq_series(24.0, primes[:6], BUMP, policy=policy, tables=tables)
+            return petersson.harmonic_series(K, primes, BUMP, 1, tail_tol=tail_tol, tables=tables)
+        return petersson.symsq_series(24.0, primes[:6], BUMP, tail_tol=tail_tol, tables=tables)
 
-    default = series(specfn.TruncationPolicy(tail_bound=tol))
-    tighter = series(specfn.TruncationPolicy(tail_bound=tol / 100))
+    default = series(tol)
+    tighter = series(tol / 100)
     bound = default.meta["tail_bound"]
     assert bound.shape == default.value.shape
     assert np.all(np.isfinite(bound)) and np.all(bound > 0.0)
@@ -227,23 +219,36 @@ def test_harmonic_series_requires_a_sign_class(tables):
 
 
 def test_prime_grid_bounds(tables):
-    primes, tabs = petersson.prime_grid(320.0, 0.004, 0.055)
     X = 319.0**2
+    primes, tabs = petersson.prime_grid(X, 0.004, 0.055)
     assert len(primes) == 659
     assert primes == [int(q) for q in tabs.primes if 0.004 * X <= q <= 0.055 * X]
     assert tabs.limit >= 0.055 * X
-    assert petersson.prime_grid(100.0, 0.004, 0.055)[1].limit == 2048
+    assert petersson.prime_grid(99.0**2, 0.004, 0.055)[1].limit == 2048
+    # any window scale: a dirichlet grid at X = 5000 and the p <= 97 grid at X = 1
+    assert petersson.prime_grid(5000.0, 0.05, 1.0)[0] == [int(q) for q in tables.primes if 250 <= q <= 5000]
+    assert petersson.prime_grid(1.0, 0.0, 97)[0] == [int(q) for q in tables.primes if q <= 97]
     with pytest.raises(WindowError):
-        petersson.prime_grid(40.0, 0.0001, 0.0002)
+        petersson.prime_grid(39.0**2, 0.0001, 0.0002)
+    # a non-finite window once escaped as OverflowError/ValueError from math.floor
+    for window in ((math.inf, 0.05, 1.0), (math.nan, 0.05, 1.0), (0.0, 0.05, 1.0), (1000.0, 0.05, math.nan)):
+        with pytest.raises(DomainError):
+            petersson.prime_grid(*window)
 
 
 def test_window_errors():
     phi = specfn.indicator(0.9, 1.1)
     with pytest.raises(WindowError):
-        petersson.harmonic_murmuration(13.0, 2, phi, sign=-1)  # k=12 is in the +1 class
+        petersson.harmonic_series(13.0, [2], phi, -1)  # k=12 is in the +1 class
     with pytest.raises(WindowError):
-        petersson.harmonic_murmuration(6.0, 2, specfn.indicator(50.0, 60.0), sign=1)
+        petersson.harmonic_series(6.0, [2], specfn.indicator(50.0, 60.0), 1)
 
 
-def test_weight_conductor_value():
-    assert abs(petersson.weight_conductor(160) - (159.0 / (4 * math.pi)) ** 2) < 1e-12
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-12, math.nan, math.inf])
+def test_series_tail_tol_must_be_finite_and_positive(tables, tail_tol):
+    # tail_tol = 0 once reached math.log(0) and escaped as a bare ValueError
+    phi = specfn.indicator(0.9, 1.1)
+    with pytest.raises(DomainError, match="tail tolerance"):
+        petersson.harmonic_series(12.0, [2], phi, 1, tail_tol=tail_tol, tables=tables)
+    with pytest.raises(DomainError, match="tail tolerance"):
+        petersson.symsq_series(12.0, [2], phi, tail_tol=tail_tol, tables=tables)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from murmur import specfn
+from murmur import petersson, specfn
 from murmur.errors import AccuracyError, DomainError
 
 import oracles
@@ -174,10 +174,10 @@ def test_shifted_bump_allows_origin():
 
 
 def test_truncation_policy_validation():
-    with pytest.raises(DomainError):
-        specfn.TruncationPolicy(mode="nope")
-    with pytest.raises(DomainError):
-        specfn.TruncationPolicy(cutoff=0)
+    # the truncation policy is the trace-formula tail tolerance: finite and > 0
+    for tail_tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            petersson.petersson_delta(12, 1, 1, tail_tol=tail_tol)
 
 
 # ---------------------------------------------------------------------------
