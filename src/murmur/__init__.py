@@ -10,13 +10,11 @@ from .arith import (
     ArithTables,
     kloosterman_direct,
     kloosterman_fast,
-    kloosterman_many,
     kronecker,
     sieve,
 )
 from .densities import (
     DistributionValue,
-    explicit_prime_sum,
     harmonic_murmuration_density,
     one_level_pairing,
     so_kernel,
@@ -47,7 +45,6 @@ from .frame import (
     expectation,
     murmuration_series,
     peak_location,
-    prime_window_average,
     shape_residual,
 )
 from .petersson import (
@@ -61,8 +58,6 @@ from .specfn import (
     bessel_j,
     bump,
     indicator,
-    petersson_prefactor,
-    petersson_prefactor_log,
     quadrature,
     shifted_bump,
 )

@@ -1,5 +1,5 @@
-"""Exact integer kernels: sieve tables, multiplicative functions, Kronecker
-symbols, and Kloosterman sums.
+"""Exact integer kernels: sieve tables and prime grids, multiplicative
+functions, Kronecker symbols, and Kloosterman sums.
 
 Kloosterman sums S(m, n; c) are evaluated two independent ways:
 
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, SizeError
+from .errors import AccuracyError, DomainError, SizeError, WindowError
 
 # int64 products d*m with d, m < c stay exact only while c*c < 2**63
 _MAX_MODULUS = 2**31
@@ -61,6 +61,43 @@ def sieve(limit: int) -> ArithTables:
     spf.flags.writeable = False
     primes.flags.writeable = False
     return ArithTables(limit=limit, smallest_prime_factor=spf, primes=primes)
+
+
+def prime_grid(X: float, y_min: float, y_max: float) -> tuple[list[int], ArithTables]:
+    """Primes p with y_min <= p / X <= y_max, and the sieve tables that
+    cover them (at least 2048, so small windows share one table).
+
+    Raises DomainError unless X > 0 and the window are finite, and
+    WindowError when no prime falls in the range.
+    """
+    if not (0 < X < math.inf and math.isfinite(y_min) and math.isfinite(y_max)):
+        raise DomainError(f"prime window needs finite X > 0, y_min and y_max, got {X}, {y_min}, {y_max}")
+    tables = sieve(max(2048, math.floor(y_max * X) + 1))
+    sieved = tables.primes
+    primes = sieved[(y_min * X <= sieved) & (sieved <= y_max * X)].tolist()
+    if not primes:
+        raise WindowError(f"no primes with p/X in [{y_min}, {y_max}] at X={X:g}")
+    return primes, tables
+
+
+def check_prime_grid(primes) -> np.ndarray:
+    """The grid as int64, after checking that it is nonempty, strictly
+    ascending and prime (trial division by the primes up to the square
+    root of its largest entry)."""
+    grid = np.asarray(primes)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise DomainError("prime grid must be a nonempty sequence")
+    if grid.dtype.kind not in "iu":
+        raise DomainError("prime grid entries must be integers")
+    grid = grid.astype(np.int64)
+    if np.any(grid[1:] <= grid[:-1]):
+        raise DomainError("prime grid must be strictly ascending")
+    composite = grid < 2
+    for q in sieve(math.isqrt(max(4, int(grid[-1])))).primes.tolist():
+        composite |= (grid % q == 0) & (grid != q)
+    if np.any(composite):
+        raise DomainError(f"prime grid entry {int(grid[composite][0])} is not prime")
+    return grid
 
 
 def _check_range(n: int, tables: ArithTables) -> None:
@@ -266,11 +303,6 @@ def kloosterman_fast(m: int, n: int, c: int, tables: ArithTables) -> float:
             rbar = pow(r, -1, q)
             value *= _unit_cosine_sum(m * rbar, n * rbar, q)
     return value
-
-
-def kloosterman_many(m: int, n: int, moduli, tables: ArithTables) -> np.ndarray:
-    """Fast-path S(m, n; c) over an iterable of moduli, in input order."""
-    return np.fromiter((kloosterman_fast(m, n, c, tables) for c in moduli), dtype=np.float64)
 
 
 def weil_bound(m: int, n: int, c: int, tables: ArithTables) -> float:

@@ -6,6 +6,7 @@ byte-identical CSV.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -27,6 +28,17 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 by default; usage errors must map to 1
     def error(self, message):
         raise _UsageError(message)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _fmt(x) -> str:
@@ -141,12 +153,17 @@ def _add_phi(sub):
 
 
 def _add_tail_tol(sub):
-    sub.add_argument("--tail-tol", type=float, default=1e-12, help="trace-formula tail tolerance (> 0)")
+    sub.add_argument(
+        "--tail-tol", type=_finite_float, default=1e-12, help="trace-formula tail tolerance (> 0)"
+    )
 
 
 def _parse_phi(spec) -> specfn.WeightFunction:
     kind, a, b = spec
-    a, b = float(a), float(b)
+    try:
+        a, b = _finite_float(a), _finite_float(b)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"--phi bounds: {exc}") from None
     if kind == "bump":
         return specfn.bump(a, b)
     if kind == "indicator":
@@ -171,11 +188,11 @@ def build_parser() -> _Parser:
     p = subs.add_parser("dirichlet", help="quadratic-character murmuration series")
     _add_common(p)
     _add_phi(p)
-    p.add_argument("--x", type=float, required=True, help="conductor window scale X")
+    p.add_argument("--x", type=_finite_float, required=True, help="conductor window scale X")
     p.add_argument("--sign", default="+1", help="discriminant sign class: +1, -1 or both")
     p.add_argument("--bins", type=int, default=200, help="y-bins for the series (>=1)")
-    p.add_argument("--y-min", type=float, default=0.05)
-    p.add_argument("--y-max", type=float, default=1.0)
+    p.add_argument("--y-min", type=_finite_float, default=0.05)
+    p.add_argument("--y-max", type=_finite_float, default=1.0)
     p.add_argument(
         "--normalization", choices=("analytic", "raw_sqrtp"), default="raw_sqrtp"
     )
@@ -184,48 +201,48 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_phi(p)
     _add_tail_tol(p)
-    p.add_argument("--k", type=float, help="central weight K (scale X = (K-1)^2)")
-    p.add_argument("--k-window", nargs=2, type=float, metavar=("KMIN", "KMAX"),
+    p.add_argument("--k", type=_finite_float, help="central weight K (scale X = (K-1)^2)")
+    p.add_argument("--k-window", nargs=2, type=_finite_float, metavar=("KMIN", "KMAX"),
                    help="explicit weight span; K defaults to its midpoint")
     p.add_argument("--sign", default="+1")
-    p.add_argument("--y-min", type=float, default=0.004)
-    p.add_argument("--y-max", type=float, default=0.055)
+    p.add_argument("--y-min", type=_finite_float, default=0.004)
+    p.add_argument("--y-max", type=_finite_float, default=0.055)
     p.add_argument("--raw", action="store_true", help="skip the density normalization bridge")
 
     p = subs.add_parser("symsq", help="symmetric-square murmuration series")
     _add_common(p)
     _add_phi(p)
     _add_tail_tol(p)
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite_float, required=True)
     p.add_argument("--p-max", type=int, default=97, help="largest prime sampled")
 
     p = subs.add_parser("density-ils", help="closed-form weight-aspect density")
     _add_common(p)
     _add_phi(p)
     p.add_argument("--sign", default="+1")
-    p.add_argument("--y-min", type=float, default=0.004)
-    p.add_argument("--y-max", type=float, default=0.055)
+    p.add_argument("--y-min", type=_finite_float, default=0.004)
+    p.add_argument("--y-max", type=_finite_float, default=0.055)
     p.add_argument("--grid", type=int, default=400, help="number of y samples")
 
     p = subs.add_parser("density-nu", help="atomic prime-window density on an interval")
     _add_common(p)
-    p.add_argument("--e-min", type=float, required=True)
-    p.add_argument("--e-max", type=float, required=True)
+    p.add_argument("--e-min", type=_finite_float, required=True)
+    p.add_argument("--e-max", type=_finite_float, required=True)
     p.add_argument("--q-max", type=int, default=500)
-    p.add_argument("--prefactor", type=float, default=1.0)
+    p.add_argument("--prefactor", type=_finite_float, default=1.0)
 
     p = subs.add_parser("old-kernel", help="one-level-density kernels and transforms")
     _add_common(p)
     p.add_argument("--parity", choices=("even", "odd"), default="even")
     p.add_argument("--hat", action="store_true", help="emit the Fourier side")
-    p.add_argument("--x-max", type=float, default=3.0)
+    p.add_argument("--x-max", type=_finite_float, default=3.0)
     p.add_argument("--grid", type=int, default=601)
 
     p = subs.add_parser("ingest-run", help="murmuration series for an ingested family")
     _add_common(p)
     _add_phi(p)
     p.add_argument("--file", required=True, help="murmur-family v1 input file")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument(
         "--normalization", choices=("analytic", "raw_sqrtp"), default="raw_sqrtp"
     )
@@ -280,7 +297,7 @@ def _cmd_dirichlet(args) -> int:
     sign = _parse_sign(args.sign)
     if args.bins < 1:
         raise _UsageError("--bins must be >= 1")
-    primes, _ = petersson.prime_grid(args.x, args.y_min, args.y_max)
+    primes, _ = arith.prime_grid(args.x, args.y_min, args.y_max)
     classes = (1, -1) if sign == "both" else (sign,)
     series = families.quadratic_series(args.x, phi, classes, primes, normalization=args.normalization)
     outputs = [
@@ -304,7 +321,7 @@ def _cmd_petersson(args) -> int:
     sign = _parse_sign(args.sign)
     K = args_k(args)
     span = tuple(args.k_window) if args.k_window else None
-    primes, tables = petersson.prime_grid((K - 1.0) ** 2, args.y_min, args.y_max)
+    primes, tables = arith.prime_grid((K - 1.0) ** 2, args.y_min, args.y_max)
     signs = (1, -1) if sign == "both" else (sign,)
     outputs = [
         (f"sign {s:+d}", petersson.harmonic_series(
@@ -328,7 +345,7 @@ def _cmd_symsq(args) -> int:
     phi = _parse_phi(args.phi)
     if args.p_max < 2:
         raise _UsageError("--p-max must be >= 2")
-    primes, tables = petersson.prime_grid(1.0, 0.0, args.p_max)
+    primes, tables = arith.prime_grid(1.0, 0.0, args.p_max)
     ser = petersson.symsq_series(args.k, primes, phi, tail_tol=args.tail_tol, tables=tables)
     _emit_series(args, "symsq", [("symmetric square", ser)], f"symmetric-square mode, K={args.k:g}")
     return 0
@@ -400,7 +417,7 @@ def _cmd_ingest_run(args) -> int:
     if p_max < 2:
         raise DataError(f"{args.file}: no usable prime coverage")
     phi = _parse_phi(args.phi)
-    primes, _ = petersson.prime_grid(1.0, 0.0, p_max)
+    primes, _ = arith.prime_grid(1.0, 0.0, p_max)
     ser = family.murmuration_series(args.x, phi, primes, normalization=args.normalization)
     _emit_series(args, "ingest-run", [("ingested family", ser)], f"ingested family, X={args.x:g}")
     print(f"ingest-run: digest={family.source_digest:016x} records={len(family)}")

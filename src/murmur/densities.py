@@ -119,7 +119,7 @@ def window_murmuration_density(
     with L the length of the sqrt-reciprocal window.
     """
     lo, hi = float(E[0]), float(E[1])
-    if not (0 < lo < hi):
+    if not (0 < lo < hi < math.inf):
         raise DomainError(f"E must be a compact subinterval of (0, inf), got [{lo}, {hi}]")
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
@@ -213,43 +213,3 @@ def one_level_pairing(phi_hat: WeightFunction, parity: str, tol: float = 1e-9) -
         lambda x: float(phi_hat(x)) * kernel.continuous(x), (a, b), tol=tol, breakpoints=breaks
     )
     return atom_part + result.value
-
-
-# ---------------------------------------------------------------------------
-# explicit-formula prime sum
-
-
-def explicit_prime_sum(
-    coefficients, N: float, phi_hat: WeightFunction, tables: ArithTables
-) -> float:
-    """sum_p lam(p) log(p)/sqrt(p) * phi_hat(log p / log N).
-
-    Only primes p <= N^theta contribute, where [-theta, theta] covers
-    supp(phi_hat); the sum is exact and finite.  ``coefficients`` is a
-    callable p -> lam(p); a lookup failure is reported as a data error
-    naming the prime.
-    """
-    if not N > 1:
-        raise DomainError(f"scale N must exceed 1, got {N}")
-    a, b = phi_hat.support
-    theta = max(abs(a), abs(b))
-    cutoff = N**theta
-    if cutoff > tables.limit:
-        raise DomainError(
-            f"prime sum needs primes up to {cutoff:.0f}, beyond table limit {tables.limit}"
-        )
-    log_n = math.log(N)
-    total = 0.0
-    for p in tables.primes:
-        p = int(p)
-        if p > cutoff:
-            break
-        w = float(phi_hat(math.log(p) / log_n))
-        if w == 0.0:
-            continue
-        try:
-            lam = coefficients(p)
-        except Exception as exc:
-            raise DataError(f"coefficient source failed at prime {p}: {exc}") from exc
-        total += lam * math.log(p) / math.sqrt(p) * w
-    return total

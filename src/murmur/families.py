@@ -32,9 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import ArithTables, sieve
+from .arith import ArithTables, check_prime_grid, sieve
 from .errors import CoverageError, DataError, DomainError, WindowError
-from .frame import FamilyRecord, MurmurationSeries, check_grid
+from .frame import FamilyRecord, MurmurationSeries
 from .specfn import WeightFunction
 
 FAMILY_MAGIC = "#murmur-family v1"
@@ -114,22 +114,6 @@ def _legendre_table(p: int, squares: np.ndarray) -> np.ndarray:
     return table
 
 
-def _prime_grid(primes: Sequence[int]) -> np.ndarray:
-    """The grid as int64, after checking that it is nonempty, strictly
-    ascending and prime (trial division by the primes up to the square
-    root of its largest entry)."""
-    grid = np.asarray(check_grid(primes))
-    if grid.dtype.kind not in "iu":
-        raise DomainError("prime grid entries must be integers")
-    grid = grid.astype(np.int64)
-    composite = grid < 2
-    for q in sieve(max(2, math.isqrt(int(grid[-1])))).primes.tolist():
-        composite |= (grid % q == 0) & (grid != q)
-    if np.any(composite):
-        raise DomainError(f"prime grid entry {int(grid[composite][0])} is not prime")
-    return grid
-
-
 def quadratic_series(
     X: float,
     phi: WeightFunction,
@@ -148,7 +132,7 @@ def quadratic_series(
     if not classes or any(c not in (1, -1) for c in classes):
         raise DomainError(f"parity classes must be +-1, got {tuple(classes)}")
     _check_normalization(normalization)
-    grid = _prime_grid(primes)
+    grid = check_prime_grid(primes)
     discriminants = fundamental_discriminants(X, phi)
     family = []
     for cls in classes:
@@ -262,7 +246,7 @@ class IngestedFamily:
         coefficients, each prime's sum a ``math.fsum``: the values of
         ``frame.murmuration_series`` on ``records``, bit for bit.
         """
-        grid = _prime_grid(primes)
+        grid = check_prime_grid(primes)
         _check_normalization(normalization)
         if not X > 0:
             raise DomainError(f"window scale X must be positive, got {X}")

@@ -1,5 +1,5 @@
 """Family averaging: weighted sums over conductor windows, expectations,
-murmuration series on prime grids, and prime-window averages.
+and murmuration series on prime grids.
 
 A family is any sequence of FamilyRecord.  The expectation of f over the
 window is
@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .arith import check_prime_grid
 from .errors import DataError, DomainError, WindowError
 from .specfn import WeightFunction
 
@@ -103,17 +104,6 @@ def expectation(family: Sequence[FamilyRecord], f, X: float, phi: WeightFunction
     return num / den
 
 
-def check_grid(primes: Sequence[int]) -> list:
-    """The prime grid as a list, after checking that it is nonempty and
-    strictly ascending."""
-    primes = list(primes)
-    if not primes:
-        raise DomainError("prime grid is empty")
-    if any(q <= p for p, q in zip(primes, primes[1:])):
-        raise DomainError("prime grid must be strictly ascending")
-    return primes
-
-
 def murmuration_series(
     family: Sequence[FamilyRecord],
     X: float,
@@ -122,7 +112,7 @@ def murmuration_series(
     normalization: str = "analytic",
 ) -> MurmurationSeries:
     """Expectation of the prime coefficient at every prime of the grid."""
-    primes = check_grid(primes)
+    primes = check_prime_grid(primes).tolist()
     in_window = []
     weights = []
     for rec in family:
@@ -197,27 +187,6 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
         stderr=np.array(errs),
         meta=meta,
     )
-
-
-def prime_window_average(numerator, denominator, E, N: float, primes: Sequence[int]) -> float:
-    """log-weighted double average over primes with p/N in E.
-
-    Returns sum(log p * numerator(p)) / sum(log p * denominator(p)),
-    both sums running over the identical prime set.
-    """
-    lo, hi = E
-    if not (0 < lo < hi):
-        raise DomainError(f"window E must be a compact subinterval of (0, inf), got [{lo}, {hi}]")
-    if not N > 0:
-        raise DomainError(f"scale N must be positive, got {N}")
-    selected = [p for p in primes if lo <= p / N <= hi]
-    if not selected:
-        raise WindowError(f"no primes with p/{N} in [{lo}, {hi}]")
-    num = math.fsum(math.log(p) * numerator(p) for p in selected)
-    den = math.fsum(math.log(p) * denominator(p) for p in selected)
-    if den == 0.0:
-        raise WindowError("prime-window denominator vanished")
-    return num / den
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .arith import ArithTables, kloosterman_many, sieve
+from .arith import ArithTables, check_prime_grid, kloosterman_fast, sieve
 from .errors import AccuracyError, DomainError, WindowError
 from .frame import MurmurationSeries
-from .specfn import WeightFunction, bessel_j, quadrature
+from .specfn import WeightFunction, bessel_j
 
 _CUTOFF_BUDGET = 200_000
 
@@ -155,7 +155,8 @@ def _delta_window(
     if tables is None or tables.limit < c_max:
         tables = _shared_tables(c_max)
     moduli = np.arange(1, c_max + 1)
-    s_over_c = kloosterman_many(m, n, range(1, c_max + 1), tables) / moduli
+    sums = np.fromiter((kloosterman_fast(m, n, c, tables) for c in range(1, c_max + 1)), dtype=np.float64)
+    s_over_c = sums / moduli
     nus = np.asarray(ks, dtype=np.float64)[:, None] - 1.0
     grid = bessel_j(nus, A / moduli) * s_over_c
     diagonal = 1.0 if m == n else 0.0
@@ -193,6 +194,8 @@ def weight_window(K: float, phi: WeightFunction, sign: Optional[int], span=None)
     """
     if sign not in (1, -1, None):
         raise DomainError(f"sign must be +1, -1 or None, got {sign}")
+    if not math.isfinite(K):
+        raise DomainError(f"central weight K must be finite, got {K}")
     X = (K - 1.0) ** 2
     a, b = phi.support
     k_lo = max(4, math.ceil(1.0 + math.sqrt(a * X)))
@@ -210,23 +213,6 @@ def weight_window(K: float, phi: WeightFunction, sign: Optional[int], span=None)
             continue
         ks.append(k)
     return ks
-
-
-def prime_grid(X: float, y_min: float, y_max: float) -> tuple[list[int], ArithTables]:
-    """Primes p with y_min <= p / X <= y_max, and the sieve tables that
-    cover them (at least 2048, so small windows share one table).
-
-    Raises DomainError unless X > 0 and the window are finite, and
-    WindowError when no prime falls in the range.
-    """
-    if not (0 < X < math.inf and math.isfinite(y_min) and math.isfinite(y_max)):
-        raise DomainError(f"prime window needs finite X > 0, y_min and y_max, got {X}, {y_min}, {y_max}")
-    tables = sieve(max(2048, math.floor(y_max * X) + 1))
-    sieved = tables.primes
-    primes = sieved[(y_min * X <= sieved) & (sieved <= y_max * X)].tolist()
-    if not primes:
-        raise WindowError(f"no primes with p/X in [{y_min}, {y_max}] at X={X:g}")
-    return primes, tables
 
 
 def _window_sums(
@@ -271,11 +257,6 @@ def _ratio_bound(num: np.ndarray, num_bound: np.ndarray, den: float, den_bound: 
     return (num_bound + np.abs(num / den) * den_bound) / (abs(den) - den_bound)
 
 
-def weight_mass(phi: WeightFunction) -> float:
-    """integral of Phi over its support, used by the normalization bridge."""
-    return quadrature(lambda u: float(phi(u)), phi.support, tol=1e-12).value
-
-
 def harmonic_series(
     K: float,
     primes: Sequence[int],
@@ -299,10 +280,10 @@ def harmonic_series(
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +-1, got {sign}")
+    primes = check_prime_grid(primes).tolist()
     ks = weight_window(K, phi, sign, span=span)
     if not ks:
         raise WindowError(f"no weights of sign class {sign:+d} in window at K={K}")
-    primes = [int(p) for p in primes]
     den, den_bound, num, num_bound = _window_sums(K, ks, primes, phi, tail_tol, tables)
     root = np.sqrt(primes)
     value = num * root / den
@@ -310,10 +291,9 @@ def harmonic_series(
     X = (K - 1.0) ** 2
     meta = dict(_AGGREGATION_META, weights=tuple(ks), sign=sign)
     if density_normalized:
-        mass = weight_mass(phi)
         scale = 4.0 * math.pi * np.array(primes, dtype=np.float64) / X
-        value, bound = value * mass / scale, bound * mass / scale
-        meta.update(bridge="mass(Phi)/(4*pi*y)", phi_mass=mass)
+        value, bound = value * phi.mass / scale, bound * phi.mass / scale
+        meta.update(bridge="mass(Phi)/(4*pi*y)", phi_mass=phi.mass)
     meta["tail_bound"] = bound
     return MurmurationSeries(
         y=np.array(primes, dtype=np.float64) / X,
@@ -342,10 +322,10 @@ def symsq_series(
     bridge is applied.  ``meta["tail_bound"]`` holds each sample's
     certified truncation bound.
     """
+    primes = check_prime_grid(primes).tolist()
     ks = weight_window(K, phi, None, span=span)
     if not ks:
         raise WindowError(f"no weights in window at K={K}")
-    primes = [int(p) for p in primes]
     den, den_bound, num, num_bound = _window_sums(K, ks, [p * p for p in primes], phi, tail_tol, tables)
     bound = _ratio_bound(num, num_bound, den, den_bound)
     X = (K - 1.0) ** 2

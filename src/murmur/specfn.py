@@ -1,18 +1,19 @@
 """Floating-point special functions: integer-order Bessel J over arrays,
-log-Gamma prefactors, smooth cutoff weights, and adaptive quadrature.
+compactly supported cutoff weights that carry their exact mass, and
+adaptive quadrature.
 
 ``bessel_j`` guards the supported range (order <= 500, argument
 <= 1e5) and evaluates ``scipy.special.jv`` on whole (order x argument)
 grids, so the trace-formula engine gets every weight of a window from
-one call.
+one call.  Weight masses are closed forms, so no engine integrates at
+run time; ``quadrature`` imports ``scipy.integrate`` on its first call.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 import warnings
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .errors import AccuracyError, DomainError
@@ -27,20 +28,21 @@ _BESSEL_MAX_X = 1e5
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """A nonnegative cutoff weight with exactly known compact support.
+    """A nonnegative cutoff weight with exactly known compact support and mass.
 
     ``evaluator`` accepts a float or ndarray and returns exact zeros
-    outside [a, b].  ``smoothness_class`` is one of 'bump', 'indicator',
-    'custom'.  Conductor-window weights ('bump', 'indicator') require
-    0 < a; 'custom' weights may straddle the origin, as transform-side
-    test functions do.
+    outside [a, b]; ``mass`` is its integral over [a, b].
+    ``smoothness_class`` is one of 'bump', 'indicator', 'custom'.
+    Conductor-window weights ('bump', 'indicator') require 0 < a;
+    'custom' weights may straddle the origin, as transform-side test
+    functions do.
     """
 
     a: float
     b: float
     evaluator: object
+    mass: float
     smoothness_class: str = "custom"
-    max_value: float = 1.0
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -72,15 +74,22 @@ def _bump_evaluator(a: float, b: float):
     return evaluate
 
 
+def _bump_mass(a: float, b: float) -> float:
+    # integral of exp(1 - 1/(1-t^2)) over [-1, 1] is e^(1/2) (K_1(1/2) - K_0(1/2))
+    return (b - a) / 2 * math.exp(0.5) * float(scipy.special.k1(0.5) - scipy.special.k0(0.5))
+
+
 def bump(a: float, b: float) -> WeightFunction:
-    """Standard mollifier exp(-1/(1-t^2)) mapped onto [a, b], peak 1.
+    """Standard mollifier exp(1 - 1/(1-t^2)) mapped onto [a, b], peak 1.
 
     Peak normalization (rather than unit mass) is deliberate: every
     consumer divides by a matching weighted count, so scale cancels.
     """
     if not 0 < a < b:
         raise DomainError(f"bump requires 0 < a < b, got ({a}, {b})")
-    return WeightFunction(a=a, b=b, evaluator=_bump_evaluator(a, b), smoothness_class="bump")
+    return WeightFunction(
+        a=a, b=b, evaluator=_bump_evaluator(a, b), mass=_bump_mass(a, b), smoothness_class="bump"
+    )
 
 
 def indicator(a: float, b: float) -> WeightFunction:
@@ -93,21 +102,7 @@ def indicator(a: float, b: float) -> WeightFunction:
         out = np.where((x >= a) & (x <= b), 1.0, 0.0)
         return out if out.ndim else float(out)
 
-    return WeightFunction(a=a, b=b, evaluator=evaluate, smoothness_class="indicator")
-
-
-def custom_weight(a: float, b: float, fn, max_value: float = 1.0) -> WeightFunction:
-    """Wrap an arbitrary evaluator, clipping it to exact zero outside [a, b]."""
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        inside = (x >= a) & (x <= b)
-        if np.any(inside):
-            out[inside] = fn(x[inside])
-        return out if out.ndim else float(out)
-
-    return WeightFunction(a=a, b=b, evaluator=evaluate, smoothness_class="custom", max_value=max_value)
+    return WeightFunction(a=a, b=b, evaluator=evaluate, mass=b - a, smoothness_class="indicator")
 
 
 def shifted_bump(a: float, b: float) -> WeightFunction:
@@ -115,9 +110,7 @@ def shifted_bump(a: float, b: float) -> WeightFunction:
 
     Used for transform-side test functions supported around the origin.
     """
-    return WeightFunction(
-        a=a, b=b, evaluator=_bump_evaluator(a, b), smoothness_class="custom"
-    )
+    return WeightFunction(a=a, b=b, evaluator=_bump_evaluator(a, b), mass=_bump_mass(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -144,36 +137,6 @@ def bessel_j(order, x):
 
 
 # ---------------------------------------------------------------------------
-# Gamma bookkeeping
-
-
-def petersson_prefactor_log(k: int, m: int, n: int) -> float:
-    """log of Gamma(k-1) / (4*pi*sqrt(m*n))^(k-1); finite for all k <= 500."""
-    if k % 2 != 0 or k < 4:
-        raise DomainError(f"weight k must be even and >= 4, got {k}")
-    if m < 1 or n < 1:
-        raise DomainError("m, n must be positive integers")
-    return math.lgamma(k - 1) - (k - 1) * math.log(4.0 * math.pi * math.sqrt(m * n))
-
-
-def petersson_prefactor(k: int, m: int, n: int) -> float:
-    """Gamma(k-1) / (4*pi*sqrt(m*n))^(k-1), evaluated in log space.
-
-    This is the weight that turns raw coefficient sums into the
-    delta-normalized trace-formula average.  Intermediate quantities
-    never overflow for k up to 500; when the value itself exceeds the
-    double range (small mn with very large k), a domain error points at
-    ``petersson_prefactor_log``.
-    """
-    log_value = petersson_prefactor_log(k, m, n)
-    if log_value > 709.0:
-        raise DomainError(
-            f"prefactor exp({log_value:.1f}) exceeds double range; use petersson_prefactor_log"
-        )
-    return math.exp(log_value)
-
-
-# ---------------------------------------------------------------------------
 # quadrature
 
 
@@ -181,7 +144,6 @@ def petersson_prefactor(k: int, m: int, n: int) -> float:
 class QuadResult:
     value: float
     error: float
-    breakpoints: tuple = field(default=())
 
     def __float__(self):
         return self.value
@@ -195,6 +157,8 @@ def quadrature(f, interval, tol: float = 1e-9, breakpoints=None) -> QuadResult:
     AccuracyError carrying the best estimate when the requested
     tolerance is not achieved.
     """
+    import scipy.integrate  # deferred: only the one-level pairing integrates at run time
+
     a, b = interval
     if not a < b:
         raise DomainError(f"empty interval [{a}, {b}]")
@@ -216,4 +180,4 @@ def quadrature(f, interval, tol: float = 1e-9, breakpoints=None) -> QuadResult:
                 ) from exc
     if err > tol:
         raise AccuracyError(f"quadrature error estimate {err:g} exceeds {tol:g}", best=value, estimate=err)
-    return QuadResult(value=value, error=err, breakpoints=tuple(pts or ()))
+    return QuadResult(value=value, error=err)

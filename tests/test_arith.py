@@ -185,12 +185,6 @@ def test_reality_sweep_sample():
         arith.kloosterman_direct(3, 7, int(c))  # raises if Im exceeds 1e-9
 
 
-def test_kloosterman_many_preserves_order_and_accepts_map(tables):
-    cs = list(range(1, 40))
-    base = arith.kloosterman_many(2, 5, cs, tables)
-    assert np.array_equal(base, [arith.kloosterman_fast(2, 5, c, tables) for c in cs])
-
-
 def test_kloosterman_domain_errors(tables):
     with pytest.raises(DomainError):
         arith.kloosterman_direct(1, 1, 0)

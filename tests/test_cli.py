@@ -238,6 +238,51 @@ def test_zero_tail_tol_is_usage_exit(tmp_path, command, capsys):
     assert "tail tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symsq", "--k", "inf"],
+        ["symsq", "--k", "nan"],
+        ["density-ils", "--y-min", "nan"],
+        ["density-ils", "--y-max", "inf"],
+        ["old-kernel", "--x-max", "inf"],
+        ["old-kernel", "--x-max", "nan"],
+        ["density-nu", "--e-min", "0.5", "--e-max", "inf"],
+        ["petersson", "--k", "40", "--phi", "bump", "1", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_float_options_are_usage_errors(tmp_path, argv, capsys):
+    # these once ended in a traceback, or wrote a NaN or unbounded-window CSV and exited 0
+    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_commands_leave_scipy_integrate_unimported(tmp_path):
+    (tmp_path / "fam.txt").write_text(GOOD_FAMILY)
+    out = str(tmp_path / "o")
+    argvs = [
+        ["petersson", "--k", "40", "--phi", "bump", "1", "2", "--out", out],
+        ["symsq", "--k", "24", "--p-max", "13", "--out", out],
+        ["density-nu", "--e-min", "0.5", "--e-max", "5", "--q-max", "20", "--out", out],
+        ["dirichlet", "--x", "1000", "--bins", "5", "--out", out],
+        ["ingest-run", "--file", str(tmp_path / "fam.txt"), "--x", "10", "--out", out],
+    ]
+    code = f"""
+import sys
+import murmur.cli
+for argv in {argvs!r}:
+    assert murmur.cli.main(argv) == 0, argv
+assert "scipy.integrate" not in sys.modules
+from murmur import densities, specfn
+assert densities.one_level_pairing(specfn.shifted_bump(-0.5, 0.5), "odd") > 1.0
+assert "scipy.integrate" in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_exit_data(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a family file\n")

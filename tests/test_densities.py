@@ -130,6 +130,10 @@ def test_nu_validation(tables):
         densities.window_murmuration_density((-1.0, 2.0), 10, 1.0, tables)
     with pytest.raises(DomainError):
         densities.window_murmuration_density((2.0, 2.0), 10, 1.0, tables)
+    # E = [0.5, inf] once produced atoms with an infinite tail bound
+    for E in ((0.5, math.inf), (math.nan, 2.0), (0.5, math.nan)):
+        with pytest.raises(DomainError):
+            densities.window_murmuration_density(E, 10, 1.0, tables)
 
 
 def test_distribution_value_invariants():
@@ -193,7 +197,8 @@ def test_fourier_transform_numeric():
 def test_one_level_pairing_closed_form():
     zero = specfn.shifted_bump(-0.5, 0.5)
     phi_hat = specfn.shifted_bump(-0.9, 0.9)
-    assert densities.one_level_pairing(specfn.custom_weight(0.1, 0.2, lambda x: 0.0 * x), "odd") == 0.0
+    zero_weight = specfn.WeightFunction(0.1, 0.2, lambda x: 0.0 * x, mass=0.0)
+    assert densities.one_level_pairing(zero_weight, "odd") == 0.0
     integral = specfn.quadrature(lambda x: float(phi_hat(x)), (-0.9, 0.9), tol=1e-12).value
     odd = densities.one_level_pairing(phi_hat, "odd")
     assert abs(odd - (phi_hat(0.0) + 0.5 * integral)) < 1e-9
@@ -218,46 +223,3 @@ def test_one_level_pairing_support_check():
     too_wide = specfn.shifted_bump(-2.5, 2.5)
     with pytest.raises(DomainError):
         densities.one_level_pairing(too_wide, "odd")
-
-
-# ---------------------------------------------------------------------------
-# explicit-formula prime sum
-
-
-def test_explicit_prime_sum_zero_cases(tables):
-    phi_hat = specfn.shifted_bump(-0.5, 0.5)
-    assert densities.explicit_prime_sum(lambda p: 0.0, 100.0, phi_hat, tables) == 0.0
-    tiny_support = specfn.shifted_bump(-0.01, 0.01)
-    # N^theta < 2: empty prime sum
-    assert densities.explicit_prime_sum(lambda p: 1.0, 100.0, tiny_support, tables) == 0.0
-
-
-def test_explicit_prime_sum_single_prime(tables):
-    # support reaching only p = 2 at N = 16: log 2 / log 16 = 0.25
-    phi_hat = specfn.custom_weight(0.2, 0.3, lambda x: np.ones_like(x))
-    got = densities.explicit_prime_sum(lambda p: 1.0, 16.0, phi_hat, tables)
-    assert abs(got - math.log(2.0) / math.sqrt(2.0)) < 1e-12
-
-
-def test_explicit_prime_sum_matches_loop(tables):
-    lam = {2: 0.5, 3: -1.0, 5: 0.25, 7: 1.5, 11: -0.125, 13: 2.0}
-    phi_hat = specfn.shifted_bump(-0.8, 0.8)
-    N = 25.0
-    got = densities.explicit_prime_sum(lambda p: lam[p], N, phi_hat, tables)
-    expect = sum(
-        lam[p] * math.log(p) / math.sqrt(p) * float(phi_hat(math.log(p) / math.log(N)))
-        for p in [2, 3, 5, 7, 11, 13]
-    )
-    assert abs(got - expect) < 1e-12
-
-
-def test_explicit_prime_sum_missing_coefficient(tables):
-    phi_hat = specfn.shifted_bump(-0.8, 0.8)
-
-    def source(p):
-        if p == 3:
-            raise KeyError(p)
-        return 1.0
-
-    with pytest.raises(DataError, match="prime 3"):
-        densities.explicit_prime_sum(source, 25.0, phi_hat, tables)

@@ -63,7 +63,7 @@ def test_expectation_linearity_and_phi_scale_invariance(scale, phi_scale):
     base = frame.expectation(fam, lambda r: r.lam(2), 10.0, PHI)
     scaled = frame.expectation(fam, lambda r: scale * r.lam(2), 10.0, PHI)
     assert math.isclose(scaled, scale * base, rel_tol=1e-12, abs_tol=1e-12)
-    phi2 = specfn.custom_weight(1.0, 2.0, lambda x: phi_scale * np.ones_like(x))
+    phi2 = specfn.WeightFunction(1.0, 2.0, lambda x: phi_scale * PHI(x), mass=phi_scale)
     rescaled = frame.expectation(fam, lambda r: r.lam(2), 10.0, phi2)
     assert math.isclose(rescaled, base, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -120,28 +120,6 @@ def test_bin_series_weighted_means():
     assert abs(binned.value[1] - 6.0) < 1e-12
     assert list(binned.count) == [4, 4]
     assert binned.stderr is not None
-
-
-def test_prime_window_average():
-    primes = [2, 3, 5, 7, 11, 13]
-    one = lambda p: 1.0
-    assert frame.prime_window_average(one, one, (0.1, 2.0), 7.0, primes) == 1.0
-    const = lambda p: 3.0
-    assert abs(frame.prime_window_average(const, one, (0.1, 2.0), 7.0, primes) - 3.0) < 1e-12
-    with pytest.raises(WindowError):
-        frame.prime_window_average(one, one, (100.0, 200.0), 7.0, primes)
-
-
-def test_prime_window_average_alternating_oracle():
-    primes = [2, 3, 5, 7, 11, 13, 17, 19]
-    signs = {p: (-1) ** i for i, p in enumerate(primes)}
-    num = lambda p: signs[p]
-    den = lambda p: 1.0
-    window = (0.2, 2.0)
-    chosen = [p for p in primes if window[0] <= p / 9.0 <= window[1]]
-    expect = sum(math.log(p) * signs[p] for p in chosen) / sum(math.log(p) for p in chosen)
-    got = frame.prime_window_average(num, den, window, 9.0, primes)
-    assert abs(got - expect) < 1e-12
 
 
 def test_peak_location_quadratic_exact():

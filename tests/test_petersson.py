@@ -115,6 +115,13 @@ def test_weight_window_span_clip():
     assert all(60 <= k <= 72 for k in ks)
 
 
+@pytest.mark.parametrize("K", [math.inf, -math.inf, math.nan])
+def test_weight_window_rejects_non_finite_k(K):
+    # K = inf once escaped as OverflowError from math.ceil
+    with pytest.raises(DomainError):
+        petersson.weight_window(K, BUMP, None)
+
+
 def test_harmonic_single_weight_reduces_to_hecke(tables):
     # indicator window catching exactly k = 12 (X = 121 puts (k-1)^2/X at 1)
     phi = specfn.indicator(0.9, 1.1)
@@ -178,13 +185,14 @@ def test_harmonic_series_bridge_and_meta(tables_big):
     primes = [int(q) for q in tables_big.primes if 0.006 * X <= q <= 0.012 * X]
     raw = petersson.harmonic_series(K, primes, BUMP, 1, tables=tables_big, density_normalized=False)
     bridged = petersson.harmonic_series(K, primes, BUMP, 1, tables=tables_big)
-    mass = petersson.weight_mass(BUMP)
+    mass = BUMP.mass
     for i, p in enumerate(primes):
         expect = raw.value[i] * mass / (4.0 * math.pi * p / X)
         assert abs(bridged.value[i] - expect) < 1e-12 * max(1.0, abs(expect))
         alone = petersson.harmonic_series(K, [p], BUMP, 1, tables=tables_big, density_normalized=False)
         assert abs(raw.value[i] - alone.value[0]) < 1e-12
     assert bridged.meta["bridge"] == "mass(Phi)/(4*pi*y)"
+    assert bridged.meta["phi_mass"] == mass
     assert "omitted_constants" in bridged.meta
 
 
@@ -218,22 +226,34 @@ def test_harmonic_series_requires_a_sign_class(tables):
         petersson.harmonic_series(6.0, [2], specfn.indicator(50.0, 60.0), None)
 
 
+@pytest.mark.parametrize("grid", [[9, 15], [2, 3, 25], [7, 5], [5, 5], []], ids=str)
+@pytest.mark.parametrize("mode", ["harmonic", "symsq"])
+def test_series_reject_bad_prime_grids(mode, grid):
+    # [9, 15] once returned values, and a descending grid failed with a
+    # DataError only after the whole Kloosterman/Bessel pass
+    with pytest.raises(DomainError, match="prime grid"):
+        if mode == "harmonic":
+            petersson.harmonic_series(40.0, grid, BUMP, 1)
+        else:
+            petersson.symsq_series(40.0, grid, BUMP)
+
+
 def test_prime_grid_bounds(tables):
     X = 319.0**2
-    primes, tabs = petersson.prime_grid(X, 0.004, 0.055)
+    primes, tabs = arith.prime_grid(X, 0.004, 0.055)
     assert len(primes) == 659
     assert primes == [int(q) for q in tabs.primes if 0.004 * X <= q <= 0.055 * X]
     assert tabs.limit >= 0.055 * X
-    assert petersson.prime_grid(99.0**2, 0.004, 0.055)[1].limit == 2048
+    assert arith.prime_grid(99.0**2, 0.004, 0.055)[1].limit == 2048
     # any window scale: a dirichlet grid at X = 5000 and the p <= 97 grid at X = 1
-    assert petersson.prime_grid(5000.0, 0.05, 1.0)[0] == [int(q) for q in tables.primes if 250 <= q <= 5000]
-    assert petersson.prime_grid(1.0, 0.0, 97)[0] == [int(q) for q in tables.primes if q <= 97]
+    assert arith.prime_grid(5000.0, 0.05, 1.0)[0] == [int(q) for q in tables.primes if 250 <= q <= 5000]
+    assert arith.prime_grid(1.0, 0.0, 97)[0] == [int(q) for q in tables.primes if q <= 97]
     with pytest.raises(WindowError):
-        petersson.prime_grid(39.0**2, 0.0001, 0.0002)
+        arith.prime_grid(39.0**2, 0.0001, 0.0002)
     # a non-finite window once escaped as OverflowError/ValueError from math.floor
     for window in ((math.inf, 0.05, 1.0), (math.nan, 0.05, 1.0), (0.0, 0.05, 1.0), (1000.0, 0.05, math.nan)):
         with pytest.raises(DomainError):
-            petersson.prime_grid(*window)
+            arith.prime_grid(*window)
 
 
 def test_window_errors():

@@ -85,34 +85,6 @@ def test_bessel_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# gamma prefactor
-
-
-def test_petersson_prefactor_values():
-    assert abs(specfn.petersson_prefactor(4, 1, 1) - 2.0 / (4 * math.pi) ** 3) < 1e-18
-    import mpmath
-    with mpmath.workdps(50):
-        ref = mpmath.gamma(99) / (4 * mpmath.pi) ** 99
-    mine = specfn.petersson_prefactor(100, 1, 1)
-    assert abs(mine - float(ref)) <= 1e-10 * float(ref)
-    assert mine > 0.0
-
-
-def test_petersson_prefactor_no_overflow():
-    # intermediate quantities stay finite for k up to 500
-    log_v = specfn.petersson_prefactor_log(500, 1, 1)
-    assert math.isfinite(log_v)
-    with pytest.raises(DomainError):
-        specfn.petersson_prefactor(500, 1, 1)  # value itself exceeds double range
-    v = specfn.petersson_prefactor(500, 10**6, 10**6)
-    assert 0.0 <= v < math.inf
-    with pytest.raises(DomainError):
-        specfn.petersson_prefactor(5, 1, 1)
-    with pytest.raises(DomainError):
-        specfn.petersson_prefactor(2, 1, 1)
-
-
-# ---------------------------------------------------------------------------
 # weight functions
 
 
@@ -138,7 +110,7 @@ def test_bump_range_and_support(a, width):
     xs = np.linspace(a - 1.0, b + 1.0, 41)
     vals = phi(xs)
     assert np.all(vals >= 0.0)
-    assert np.all(vals <= phi.max_value)
+    assert np.all(vals <= 1.0)  # peak-normalised
     outside = (xs < a) | (xs > b)
     assert np.all(vals[outside] == 0.0)
 
@@ -165,6 +137,21 @@ def test_indicator_includes_endpoints():
     assert phi(2.0) == 1.0
     assert phi(1.5) == 1.0
     assert phi(0.5) == 0.0
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [make(a, b) for make in (specfn.bump, specfn.indicator) for a, b in ((1.0, 2.0), (0.5, 3.0), (1.0, 1.0001))]
+    + [specfn.shifted_bump(-0.9, 0.9)],
+    ids=lambda phi: f"{phi.smoothness_class}-{phi.a}-{phi.b}",
+)
+def test_weight_mass_matches_quadrature(phi):
+    a, b = phi.support
+    reference = specfn.quadrature(lambda x: float(phi(x)), (a, b), tol=1e-13 * (b - a)).value
+    # the bump evaluator rounds t = (x - center)/half to about eps*|x|/(b - a),
+    # which caps how well any x-space quadrature of it can resolve the mass
+    rel_tol = 1e-14 + 4 * np.finfo(float).eps * max(abs(a), abs(b)) / (b - a)
+    assert abs(phi.mass - reference) <= rel_tol * reference
 
 
 def test_shifted_bump_allows_origin():
