@@ -31,7 +31,7 @@ def run(cfg: Config) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     phi = specfn.bump(cfg.phi_a, cfg.phi_b)
     for K in cfg.weights:
-        primes, tables = arith.prime_grid((K - 1.0) ** 2, cfg.y_min, cfg.y_max)
+        primes, tables = arith.prime_grid(petersson.window_scale(K), cfg.y_min, cfg.y_max)
         series = petersson.harmonic_series(K, primes, phi, cfg.sign, tables=tables)
         ref = np.array(
             [densities.harmonic_murmuration_density(float(y), phi, cfg.sign, tables) for y in series.y]

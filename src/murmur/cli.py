@@ -321,7 +321,7 @@ def _cmd_petersson(args) -> int:
     sign = _parse_sign(args.sign)
     K = args_k(args)
     span = tuple(args.k_window) if args.k_window else None
-    primes, tables = arith.prime_grid((K - 1.0) ** 2, args.y_min, args.y_max)
+    primes, tables = arith.prime_grid(petersson.window_scale(K), args.y_min, args.y_max)
     signs = (1, -1) if sign == "both" else (sign,)
     outputs = [
         (f"sign {s:+d}", petersson.harmonic_series(
@@ -358,7 +358,7 @@ def _cmd_density_ils(args) -> int:
         raise _UsageError("density-ils needs a single sign")
     if args.grid < 2:
         raise _UsageError("--grid must be >= 2")
-    tables = arith.sieve(4096)
+    tables = arith.sieve(max(2, densities.admissible_moduli(max(args.y_min, args.y_max), phi).stop))
     ys = np.linspace(args.y_min, args.y_max, args.grid)
     vals = [densities.harmonic_murmuration_density(float(y), phi, sign, tables) for y in ys]
     emit_csv(f"{args.out}.csv", list(zip(map(float, ys), map(float, vals))), "y,value")
@@ -394,6 +394,8 @@ def _cmd_old_kernel(args) -> int:
     dist = (
         densities.so_kernel_fourier(args.parity) if args.hat else densities.so_kernel(args.parity)
     )
+    if math.isinf(2.0 * args.x_max):
+        raise _UsageError(f"--x-max {args.x_max:g} is too large: the grid width 2*x_max overflows")
     xs = np.linspace(-args.x_max, args.x_max, args.grid)
     vals = [dist.continuous(float(x)) for x in xs]
     emit_csv(f"{args.out}.csv", list(zip(map(float, xs), map(float, vals))), "y,value", atoms=dist.atoms)

@@ -123,6 +123,10 @@ def window_murmuration_density(
         raise DomainError(f"E must be a compact subinterval of (0, inf), got [{lo}, {hi}]")
     if q_max < 1:
         raise DomainError("q_max must be >= 1")
+    try:
+        hi_power = hi**1.5
+    except OverflowError:
+        raise DomainError(f"E max {hi:g} is too large: its tail bound (max E)^(3/2) overflows") from None
     locs, masses = [], []
     sqrt_lo, sqrt_hi = math.sqrt(lo), math.sqrt(hi)
     for q in range(1, q_max + 1):
@@ -146,7 +150,7 @@ def window_murmuration_density(
         masses.append(mass)
     # tail over q > q_max
     length = 1.0 / sqrt_lo - 1.0 / sqrt_hi
-    const = hi**1.5 * abs(prefactor) * math.pi**2 * math.sqrt(2.0) / 6.0
+    const = hi_power * abs(prefactor) * math.pi**2 * math.sqrt(2.0) / 6.0
     tail = const * (length * 2.0 / math.sqrt(q_max) + (2.0 / 3.0) * q_max**-1.5)
     if tail_tol is not None and tail > tail_tol:
         raise AccuracyError(

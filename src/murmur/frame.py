@@ -113,6 +113,8 @@ def murmuration_series(
 ) -> MurmurationSeries:
     """Expectation of the prime coefficient at every prime of the grid."""
     primes = check_prime_grid(primes).tolist()
+    if not 0 < X < math.inf:
+        raise DomainError(f"window scale X must be positive and finite, got {X}")
     in_window = []
     weights = []
     for rec in family:

@@ -8,7 +8,10 @@ in the weight aspect, with certified truncation.
 with i^k = +1 for k = 0 mod 4 and -1 for k = 2 mod 4 (k odd never
 occurs), truncating the c-sum where a rigorous tail bound built from
 |J_nu(x)| <= (x/2)^nu/nu! * exp(x^2/(4(nu+1))) and the Weil bound
-certifies the remainder.
+certifies the remainder.  One kernel evaluates it over a whole
+(weight x n) grid in one pass per modulus c, with one Kloosterman sum
+per residue class n mod c, one Bessel call per c and memory
+O(weights x n).
 
 Weight-aspect murmuration averages aggregate these values over a
 window of weights.  Inside this engine the conductor scale of a
@@ -61,13 +64,14 @@ class PeterssonValue(NamedTuple):
     cutoff: int
 
 
-def _phase(k: int) -> int:
-    # i^k for even k
-    return 1 if k % 4 == 0 else -1
+def _phase(k):
+    # i^k for even k, elementwise
+    return np.where(np.asarray(k) % 4 == 0, 1.0, -1.0)
 
 
-def _log_tail_bound(k: int, A: float, g0: int, C: int) -> float:
-    """log of the certified bound for the c > C tail of the Kloosterman sum.
+def _log_tail_bound(k, lgamma_k, A, g0, C):
+    """log of the certified bound for the c > C tail of the Kloosterman sum,
+    elementwise over broadcast arrays (``lgamma_k`` is lgamma(k)).
 
     Each term obeys |S(m,n;c)|/c <= 2 sqrt(g0) (tau(c) <= 2 sqrt(c) and
     gcd(m,n,c) <= g0) and |J_{k-1}(A/c)| <= (A/2c)^{k-1}/(k-1)! *
@@ -76,48 +80,17 @@ def _log_tail_bound(k: int, A: float, g0: int, C: int) -> float:
     """
     nu = k - 1
     return (
-        math.log(4.0 * math.pi * math.sqrt(g0))
+        np.log(4.0 * math.pi * np.sqrt(g0))
         + (A / (2.0 * C)) ** 2 / k
-        + nu * math.log(A / 2.0)
-        - math.lgamma(k)
-        - (nu - 1) * math.log(C)
-        - math.log(k - 2)
+        + nu * np.log(A / 2.0)
+        - lgamma_k
+        - (nu - 1) * np.log(C)
+        - np.log(k - 2)
     )
 
 
-def _choose_cutoff(k: int, A: float, g0: int, tol: float) -> tuple[int, float]:
-    log_tol = math.log(tol)
-    C = max(1, int(A / (k - 1)))
-    while _log_tail_bound(k, A, g0, C) > log_tol:
-        C *= 2
-        if C > _CUTOFF_BUDGET:
-            raise AccuracyError(
-                f"tail tolerance {tol:g} unreachable within cutoff budget "
-                f"{_CUTOFF_BUDGET} for k={k}, 4*pi*sqrt(mn)={A:.3g}",
-                estimate=math.exp(min(700.0, _log_tail_bound(k, A, g0, _CUTOFF_BUDGET))),
-            )
-    lo, hi = max(1, C // 2), C
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _log_tail_bound(k, A, g0, mid) <= log_tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    C = lo
-    return C, math.exp(_log_tail_bound(k, A, g0, C))
-
-
-def _check_tail_tol(tail_tol: float) -> None:
-    if not (math.isfinite(tail_tol) and tail_tol > 0):
-        raise DomainError(f"tail tolerance must be finite and > 0, got {tail_tol}")
-
-
 def petersson_delta(
-    k: int,
-    m: int,
-    n: int,
-    tail_tol: float = 1e-12,
-    tables: Optional[ArithTables] = None,
+    k: int, m: int, n: int, tail_tol: float = 1e-12, tables: Optional[ArithTables] = None
 ) -> PeterssonValue:
     """Kloosterman--Bessel side of the trace-formula average, truncated
     where the certified tail falls to ``tail_tol``.
@@ -125,65 +98,80 @@ def petersson_delta(
     Returns (value, tail_bound, cutoff).  Increasing the cutoff can
     never move the value by more than the reported tail_bound.
     """
-    return _delta_window([k], m, n, tail_tol, tables)[0]
+    value, tail, cutoff = _deltas([k], m, [n], tail_tol, tables)
+    return PeterssonValue(float(value[0, 0]), float(tail[0, 0]), int(cutoff[0, 0]))
 
 
-def _delta_window(
-    ks: Sequence[int],
-    m: int,
-    n: int,
-    tail_tol: float,
-    tables: Optional[ArithTables],
-) -> list[PeterssonValue]:
-    """``petersson_delta`` at every weight of ``ks`` in one batch.
+def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, tables: Optional[ArithTables]):
+    """(value, tail_bound, cutoff) of ``petersson_delta(k, m, n)`` over the
+    grid ``ks`` x ``ns``, as arrays of shape (len(ks), len(ns)).
 
-    S(m,n;c)/c and the Bessel argument 4 pi sqrt(mn)/c do not depend on
-    the weight, so they are computed once up to the largest cutoff; row
-    k of the (weight x modulus) Bessel grid is summed up to its own
-    certified cutoff C_k.
+    Cutoffs come from one masked search (start at max(1, floor(A/(k-1)))
+    with A = 4 pi sqrt(mn), double until the tail bound holds, bisect in
+    [C/2, C]).  The only loop is over c, adding the terms of the cells
+    with cutoff >= c in ascending c; ``kloosterman_fast`` reduces n modulo
+    every prime power of c, so the sum taken at the residue n mod c is the
+    term of a direct call.
     """
     for k in ks:
         if k % 2 != 0 or k < 4:
             raise DomainError(f"weight k must be even and >= 4, got {k}")
-    if m < 1 or n < 1:
+    ns = np.asarray(ns, dtype=np.int64)
+    if m < 1 or np.any(ns < 1):
         raise DomainError("m, n must be positive integers")
-    _check_tail_tol(tail_tol)
-    A = 4.0 * math.pi * math.sqrt(m * n)
-    g0 = math.gcd(m, n)
-    cuts = [_choose_cutoff(k, A, g0, tail_tol) for k in ks]
-    c_max = max(C for C, _ in cuts)
+    if not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise DomainError(f"tail tolerance must be finite and > 0, got {tail_tol}")
+    log_tol = math.log(tail_tol)
+    k = np.asarray(ks, dtype=np.float64).reshape(-1, 1)
+    lgamma_k = np.array([math.lgamma(kk) for kk in ks]).reshape(-1, 1)
+    A = 4.0 * math.pi * np.sqrt(m * ns)
+    g0 = np.gcd(m, ns)
+    C = np.maximum(1, (A / (k - 1)).astype(np.int64))
+    while True:
+        over = _log_tail_bound(k, lgamma_k, A, g0, C) > log_tol
+        if not over.any():
+            break
+        C = np.where(over, 2 * C, C)
+        blown = np.argwhere(over & (C > _CUTOFF_BUDGET))
+        if len(blown):
+            i, j = blown[0]
+            raise AccuracyError(
+                f"tail tolerance {tail_tol:g} unreachable within cutoff budget "
+                f"{_CUTOFF_BUDGET} for k={ks[i]}, 4*pi*sqrt(mn)={A[j]:.3g}",
+                estimate=math.exp(min(700.0, _log_tail_bound(k, lgamma_k, A, g0, _CUTOFF_BUDGET)[i, j])),
+            )
+    # every hi certifies the tolerance, so settled cells (lo == hi) stay put
+    lo, hi = np.maximum(1, C // 2), C
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        ok = _log_tail_bound(k, lgamma_k, A, g0, mid) <= log_tol
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1)
+    c_max = int(lo.max(initial=0))
     if tables is None or tables.limit < c_max:
-        tables = _shared_tables(c_max)
-    moduli = np.arange(1, c_max + 1)
-    sums = np.fromiter((kloosterman_fast(m, n, c, tables) for c in range(1, c_max + 1)), dtype=np.float64)
-    s_over_c = sums / moduli
-    nus = np.asarray(ks, dtype=np.float64)[:, None] - 1.0
-    grid = bessel_j(nus, A / moduli) * s_over_c
-    diagonal = 1.0 if m == n else 0.0
-    return [
-        PeterssonValue(
-            value=diagonal + 2.0 * math.pi * _phase(k) * math.fsum(row[:C]),
-            tail_bound=tail,
-            cutoff=C,
-        )
-        for k, row, (C, tail) in zip(ks, grid, cuts)
-    ]
-
-
-_TABLE_CACHE: dict = {}
-
-
-def _shared_tables(at_least: int) -> ArithTables:
-    limit = max(1024, 1 << (at_least - 1).bit_length())
-    cached = _TABLE_CACHE.get("tables")
-    if cached is None or cached.limit < limit:
-        cached = sieve(limit)
-        _TABLE_CACHE["tables"] = cached
-    return cached
+        tables = sieve(max(2, c_max))
+    total = np.zeros(lo.shape)
+    for c in range(1, c_max + 1):
+        rows, cols = np.nonzero(lo >= c)
+        residues, residue_of = np.unique(ns[cols] % c, return_inverse=True)
+        sums = np.array([kloosterman_fast(m, r, c, tables) for r in residues.tolist()])
+        total[rows, cols] += bessel_j(k[rows, 0] - 1.0, A[cols] / c) * (sums / c)[residue_of]
+    value = (ns == m) + 2.0 * math.pi * _phase(k) * total
+    return value, np.exp(_log_tail_bound(k, lgamma_k, A, g0, lo)), lo
 
 
 # ---------------------------------------------------------------------------
 # weight-aspect aggregation
+
+
+def window_scale(K: float) -> float:
+    """The conductor scale X = (K-1)^2 of the weight window centred at K;
+    DomainError unless K is finite and X is representable."""
+    if not math.isfinite(K):
+        raise DomainError(f"central weight K must be finite, got {K}")
+    try:
+        return (K - 1.0) ** 2
+    except OverflowError:
+        raise DomainError(f"central weight K={K:g} puts the window scale (K-1)^2 beyond float range") from None
 
 
 def weight_window(K: float, phi: WeightFunction, sign: Optional[int], span=None) -> list[int]:
@@ -194,59 +182,38 @@ def weight_window(K: float, phi: WeightFunction, sign: Optional[int], span=None)
     """
     if sign not in (1, -1, None):
         raise DomainError(f"sign must be +1, -1 or None, got {sign}")
-    if not math.isfinite(K):
-        raise DomainError(f"central weight K must be finite, got {K}")
-    X = (K - 1.0) ** 2
+    X = window_scale(K)
     a, b = phi.support
     k_lo = max(4, math.ceil(1.0 + math.sqrt(a * X)))
     k_hi = math.floor(1.0 + math.sqrt(b * X))
     if span is not None:
         k_lo = max(k_lo, int(span[0]))
         k_hi = min(k_hi, int(span[1]))
-    ks = []
-    for k in range(k_lo, k_hi + 1):
-        if k % 2 != 0:
-            continue
-        if sign == 1 and k % 4 != 0:
-            continue
-        if sign == -1 and k % 4 != 2:
-            continue
-        ks.append(k)
-    return ks
+    step, residue = (2, 0) if sign is None else (4, 0 if sign == 1 else 2)
+    return list(range(k_lo + (residue - k_lo) % step, k_hi + 1, step))
 
 
-def _window_sums(
-    K: float,
-    ks: Sequence[int],
-    ns: Sequence[int],
-    phi: WeightFunction,
-    tail_tol: float,
-    tables: Optional[ArithTables],
-) -> tuple[float, float, np.ndarray, np.ndarray]:
+def _window_sums(K: float, ks: Sequence[int], ns: Sequence[int], phi: WeightFunction, tail_tol: float,
+                 tables: Optional[ArithTables]) -> tuple[float, float, np.ndarray, np.ndarray]:
     """The window sums A(n) = sum_k Phi((k-1)^2/X) (k-1) Delta_k(1, n) over
     the weights ``ks`` and their certified truncation bounds
     sum_k |Phi((k-1)^2/X)| (k-1) tail_k: A(1) and its bound, then arrays
     of A(n) and its bound over ``ns``.
 
-    The weights and A(1) are computed once per call; WindowError when
-    A(1) vanishes.
+    One ``_deltas`` pass covers n = 1 and every n of ``ns``; rows are
+    weighted and added in ascending k.  WindowError when A(1) vanishes.
     """
-    X = (K - 1.0) ** 2
+    X = window_scale(K)
     weights = [float(phi((k - 1.0) ** 2 / X)) for k in ks]
-    weighted = [(w, k) for w, k in zip(weights, ks) if w != 0.0]
-    window = [k for _, k in weighted]
-
-    def window_sum(n):
-        deltas = _delta_window(window, 1, n, tail_tol, tables) if window else []
-        value = sum(w * (k - 1.0) * delta.value for (w, k), delta in zip(weighted, deltas))
-        bound = sum(abs(w) * (k - 1.0) * delta.tail_bound for (w, k), delta in zip(weighted, deltas))
-        return value, bound
-
-    den, den_bound = window_sum(1)
-    if den == 0.0:
+    window = [k for w, k in zip(weights, ks) if w != 0.0]
+    coef = [w * (k - 1.0) for w, k in zip(weights, ks) if w != 0.0]
+    value, tail, _ = _deltas(window, 1, [1, *ns], tail_tol, tables)
+    start = np.zeros(len(ns) + 1)
+    total = sum((c * row for c, row in zip(coef, value)), start)
+    bound = sum((abs(c) * row for c, row in zip(coef, tail)), start)
+    if total[0] == 0.0:
         raise WindowError(f"window normalization vanished at K={K}")
-    num, num_bound = np.array([window_sum(n) for n in ns], dtype=np.float64).reshape(-1, 2).T
-    return den, den_bound, num, num_bound
+    return float(total[0]), float(bound[0]), total[1:], bound[1:]
 
 
 def _ratio_bound(num: np.ndarray, num_bound: np.ndarray, den: float, den_bound: float) -> np.ndarray:
@@ -258,14 +225,8 @@ def _ratio_bound(num: np.ndarray, num_bound: np.ndarray, den: float, den_bound: 
 
 
 def harmonic_series(
-    K: float,
-    primes: Sequence[int],
-    phi: WeightFunction,
-    sign: int,
-    span=None,
-    tail_tol: float = 1e-12,
-    tables: Optional[ArithTables] = None,
-    density_normalized: bool = True,
+    K: float, primes: Sequence[int], phi: WeightFunction, sign: int, span=None, tail_tol: float = 1e-12,
+    tables: Optional[ArithTables] = None, density_normalized: bool = True,
 ) -> MurmurationSeries:
     """Harmonic murmuration sampled over a prime grid, y = p / (K-1)^2.
 
@@ -288,7 +249,7 @@ def harmonic_series(
     root = np.sqrt(primes)
     value = num * root / den
     bound = _ratio_bound(num, num_bound, den, den_bound) * root
-    X = (K - 1.0) ** 2
+    X = window_scale(K)
     meta = dict(_AGGREGATION_META, weights=tuple(ks), sign=sign)
     if density_normalized:
         scale = 4.0 * math.pi * np.array(primes, dtype=np.float64) / X
@@ -306,11 +267,7 @@ def harmonic_series(
 
 
 def symsq_series(
-    K: float,
-    primes: Sequence[int],
-    phi: WeightFunction,
-    span=None,
-    tail_tol: float = 1e-12,
+    K: float, primes: Sequence[int], phi: WeightFunction, tail_tol: float = 1e-12,
     tables: Optional[ArithTables] = None,
 ) -> MurmurationSeries:
     """Symmetric-square murmuration sampled over a prime grid.
@@ -323,12 +280,12 @@ def symsq_series(
     certified truncation bound.
     """
     primes = check_prime_grid(primes).tolist()
-    ks = weight_window(K, phi, None, span=span)
+    ks = weight_window(K, phi, None)
     if not ks:
         raise WindowError(f"no weights in window at K={K}")
     den, den_bound, num, num_bound = _window_sums(K, ks, [p * p for p in primes], phi, tail_tol, tables)
     bound = _ratio_bound(num, num_bound, den, den_bound)
-    X = (K - 1.0) ** 2
+    X = window_scale(K)
     return MurmurationSeries(
         y=np.array(primes, dtype=np.float64) / X,
         value=num / den,

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from murmur import cli, frame
+from murmur import arith, cli, densities, frame, specfn
 
 import numpy as np
 
@@ -257,6 +257,34 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, argv, capsys):
     assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
     assert "finite" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["petersson", "--k", "1e200"],
+        ["symsq", "--k", "1e200"],
+        ["petersson", "--k-window", "4", "1e300"],
+        ["density-nu", "--e-min", "0.5", "--e-max", "1e300", "--q-max", "10"],
+        ["old-kernel", "--x-max", "1e308", "--grid", "3"],
+    ],
+    ids=" ".join,
+)
+def test_huge_finite_float_options_exit_1(tmp_path, argv, capsys):
+    # these once ended in an OverflowError traceback, or wrote a NaN CSV and exited 0
+    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_density_ils_sieve_covers_y_max(tmp_path):
+    # a fixed 4096 sieve once failed with "n=6284 outside table range"
+    out = tmp_path / "ils"
+    assert run_cli(["density-ils", "--y-max", "1e6", "--grid", "3", "--out", str(out)]) == 0
+    last = float((tmp_path / "ils.csv").read_text().splitlines()[-1].split(",")[1])
+    phi = specfn.indicator(1.0, 2.0)
+    assert last == densities.harmonic_murmuration_density(1e6, phi, 1, arith.sieve(20000))
 
 
 def test_commands_leave_scipy_integrate_unimported(tmp_path):

@@ -101,6 +101,10 @@ def test_series_validation():
         frame.murmuration_series(fam, 10.0, PHI, [])
     with pytest.raises(DomainError):
         frame.murmuration_series(fam, 10.0, PHI, [3, 2])
+    # X = 0 once raised ZeroDivisionError
+    for X in (0.0, -10.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            frame.murmuration_series(fam, X, PHI, [2, 3])
     with pytest.raises(DataError):
         frame.MurmurationSeries(y=np.array([1.0, 0.5]), value=np.zeros(2), count=np.ones(2), window_scale=1.0)
     with pytest.raises(DataError):

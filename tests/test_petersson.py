@@ -77,20 +77,45 @@ def test_delta_validation():
         petersson.petersson_delta(12, 0, 1)
 
 
-def test_delta_window_matches_scalar_terms(tables):
-    # every row keeps its own certified cutoff; the reference sums the
-    # same terms one modulus and one weight at a time
+def test_deltas_match_scalar_terms(tables):
+    # every cell keeps its own certified cutoff; the reference sums the
+    # same terms one modulus at a time for one weight and one n
     ks = [12, 14, 16, 20, 30]
-    batch = petersson._delta_window(ks, 1, 7, 1e-12, tables)
-    assert len({v.cutoff for v in batch}) > 1
-    A = 4.0 * math.pi * math.sqrt(7)
-    for k, v in zip(ks, batch):
-        assert v == petersson.petersson_delta(k, 1, 7, tables=tables)
-        terms = [
-            arith.kloosterman_fast(1, 7, c, tables) / c * specfn.bessel_j(k - 1, A / c)
-            for c in range(1, v.cutoff + 1)
-        ]
-        assert v.value == 2.0 * math.pi * petersson._phase(k) * math.fsum(terms)
+    ns = [1, 2, 7, 97, 4, 9409]
+    value, tail, cutoff = petersson._deltas(ks, 1, ns, 1e-12, tables)
+    assert value.shape == tail.shape == cutoff.shape == (len(ks), len(ns))
+    assert len(np.unique(cutoff)) > 1
+    for i, k in enumerate(ks):
+        for j, n in enumerate(ns):
+            cell = petersson.PeterssonValue(float(value[i, j]), float(tail[i, j]), int(cutoff[i, j]))
+            assert cell == petersson.petersson_delta(k, 1, n, tables=tables)
+            A = 4.0 * math.pi * math.sqrt(n)
+            terms = [
+                arith.kloosterman_fast(1, n, c, tables) / c * specfn.bessel_j(k - 1, A / c)
+                for c in range(1, cell.cutoff + 1)
+            ]
+            expect = (n == 1) + 2.0 * math.pi * petersson._phase(k) * math.fsum(terms)
+            eps = np.finfo(np.float64).eps
+            assert abs(cell.value - expect) <= cell.cutoff * eps * 2.0 * math.pi * math.fsum(map(abs, terms))
+
+
+def test_harmonic_series_is_one_bessel_call_per_modulus(tables, monkeypatch):
+    K = 40.0
+    phi = specfn.indicator(1.0, 2.0)
+    primes, _ = arith.prime_grid(petersson.window_scale(K), 0.004, 0.055)
+    ks = petersson.weight_window(K, phi, 1)
+    sizes = []
+
+    def spy(order, x):
+        sizes.append(max(np.size(order), np.size(x)))
+        return specfn.bessel_j(order, x)
+
+    monkeypatch.setattr(petersson, "bessel_j", spy)
+    petersson.harmonic_series(K, primes, phi, 1, tables=tables)
+    monkeypatch.undo()
+    _, _, cutoff = petersson._deltas(ks, 1, [1, *primes], 1e-12, tables)
+    assert len(sizes) == cutoff.max() > 1
+    assert max(sizes) <= len(ks) * (len(primes) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +140,13 @@ def test_weight_window_span_clip():
     assert all(60 <= k <= 72 for k in ks)
 
 
-@pytest.mark.parametrize("K", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("K", [math.inf, -math.inf, math.nan, 1e200])
 def test_weight_window_rejects_non_finite_k(K):
-    # K = inf once escaped as OverflowError from math.ceil
+    # K = inf once escaped as OverflowError from math.ceil, K = 1e200 from (K-1)^2
     with pytest.raises(DomainError):
         petersson.weight_window(K, BUMP, None)
+    with pytest.raises(DomainError):
+        petersson.window_scale(K)
 
 
 def test_harmonic_single_weight_reduces_to_hecke(tables):
