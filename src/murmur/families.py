@@ -22,7 +22,10 @@ An ingested family is stored as columns: conductor and root number per
 record, and (record, p, a(p)) per coefficient row, sorted by (record, p).
 Raw coefficients a(p) are stored; analytic lambda(p) = a(p)/sqrt(p) is
 computed on lookup.  Missing coefficients raise, never read as zero:
-murmuration averages are bias-sensitive.
+murmuration averages are bias-sensitive.  The source digest is standard
+64-bit FNV-1a of the UTF-8 text with line endings normalized to LF,
+computed in linear time and bounded memory (``fnv1a64``); its value is
+that of the byte-at-a-time definition.
 """
 
 from dataclasses import dataclass
@@ -42,17 +45,39 @@ _NORMALIZATIONS = ("analytic", "raw_sqrtp")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_FNV_CHUNK = 1 << 15  # bytes per vectorised block: bounds the temporaries
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # ingest keeps 2 <= p < 2^31, so (record << 31) | p orders rows by (record, p)
 _P_BITS = 31
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a checksum (stable, documented)."""
+    """Standard 64-bit FNV-1a checksum: h <- (h XOR byte) * P mod 2^64.
+
+    Evaluated exactly, block by block, in linear time and O(block)
+    memory.  XOR with a byte changes only the low byte s_i of h_i, so
+    h_i XOR b_i = h_i + d_i with d_i = (s_i XOR b_i) - s_i, and a block
+    of n bytes maps h to h P^n + sum_i d_i P^(n-i) mod 2^64.  The low
+    bytes come bit by bit: P is odd, so with t = s_i XOR b_i, bit j of
+    s_(i+1) = t P mod 256 is bit j of t XOR ((t mod 2^j) P), which needs
+    only the lower bits -- one prefix XOR over the block per bit.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    powers = np.multiply.accumulate(np.full(min(len(buf), _FNV_CHUNK), _FNV_PRIME, dtype=np.uint64))
+    p8 = np.uint8(_FNV_PRIME & 0xFF)
     h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    for start in range(0, len(buf), _FNV_CHUNK):
+        b = buf[start : start + _FNV_CHUNK]
+        n = len(b)
+        s = np.full(n, h & 0xFF, dtype=np.uint8)  # bits >= j are still those of s_0
+        for j in range(8):
+            low = (s ^ b) & np.uint8((1 << j) - 1)
+            flips = np.bitwise_xor.accumulate((b ^ low * p8) & np.uint8(1 << j))
+            s[1:] ^= flips[:-1]
+        d = (s ^ b).astype(np.uint64) - s  # wraps to d_i mod 2^64
+        tail = int(np.sum(d * powers[n - 1 :: -1], dtype=np.uint64))
+        h = (h * int(powers[n - 1]) + tail) & _MASK64
     return h
 
 
@@ -282,7 +307,12 @@ class IngestedFamily:
 
 
 def _normalize_text(raw: bytes) -> str:
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]  # line breaks as normalized below: LF, CRLF or a lone CR
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataError(f"line {line_no}: not valid UTF-8") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -159,14 +159,15 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
     if not lo < hi:
         raise DomainError(f"empty bin range [{lo}, {hi}]")
     edges = np.linspace(lo, hi, bins + 1)
-    idx = np.clip(np.searchsorted(edges, series.y, side="right") - 1, 0, bins - 1)
-    in_range = (series.y >= lo) & (series.y <= hi)
+    in_range = np.flatnonzero((series.y >= lo) & (series.y <= hi))
+    idx = np.clip(np.searchsorted(edges, series.y[in_range], side="right") - 1, 0, bins - 1)
+    # a stable sort keeps each bin's samples in series order, so every bin
+    # sums the same elements in the same order as a per-bin mask would
+    order = np.argsort(idx, kind="stable")
+    occupied, starts = np.unique(idx[order], return_index=True)
     bound = series.meta.get("tail_bound")
     ys, vals, cnts, errs, bounds = [], [], [], [], []
-    for b in range(bins):
-        sel = in_range & (idx == b)
-        if not np.any(sel):
-            continue
+    for b, sel in zip(occupied.tolist(), np.split(in_range[order], starts[1:])):
         v = series.value[sel]
         c = series.count[sel].astype(np.float64)
         ys.append(0.5 * (edges[b] + edges[b + 1]))

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: trial division, direct divisor
 enumeration, Euler's criterion, complex exponential sums with exact
 modular inverses, arbitrary-precision power series, dense Simpson
-integration, and exact integer q-expansions.  None of it shares code
-with the library paths it checks.
+integration, exact integer q-expansions, and a byte-at-a-time checksum.
+None of it shares code with the library paths it checks.
 """
 
 import cmath
@@ -162,6 +162,15 @@ def is_fundamental_naive(d):
     if d % 4 == 0 and (d // 4) % 4 in (2, 3):
         return squarefree(d // 4)
     return False
+
+
+def fnv1a64_oracle(data):
+    """64-bit FNV-1a, one byte at a time, as the specification states it."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def window_density_oracle(E, q_max, prefactor):

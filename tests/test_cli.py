@@ -203,6 +203,18 @@ def test_ingest_run(tmp_path):
     assert len(lines) == 3  # primes 2 and 3
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_ingest_run_rejects_invalid_utf8(tmp_path, capsys, newline):
+    # a file that is not UTF-8 once ended in a UnicodeDecodeError traceback
+    text = GOOD_FAMILY.replace("\n", newline).encode("utf-8")
+    fam = tmp_path / "fam.txt"
+    fam.write_bytes(text.replace(b"b,15,1", b"b,15,1\xff\xfe"))
+    code = run_cli(["ingest-run", "--file", str(fam), "--x", "10", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 4: not valid UTF-8\n"
+    assert not any(p.name.startswith("run") for p in tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,39 @@ def test_fnv1a64_reference_values():
     assert families.fnv1a64(b"") == 0xCBF29CE484222325
     assert families.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert families.fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+CHUNK = families._FNV_CHUNK
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 5)),
+    st.binary(max_size=16),
+    st.integers(0, 2**32 - 1),
+)
+def test_fnv1a64_matches_oracle(n, pattern, seed):
+    # a short pattern repeated (runs of one byte included), else random bytes
+    if pattern:
+        data = (pattern * (n // len(pattern) + 1))[:n]
+    else:
+        data = np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
+    expected = oracles.fnv1a64_oracle(data)
+    assert families.fnv1a64(data) == expected
+    assert families.fnv1a64(bytearray(data)) == expected
+    assert families.fnv1a64(memoryview(data)) == expected
+    assert families.fnv1a64(memoryview(b"x" + data)[1:]) == expected
+
+
+def test_fnv1a64_memory_is_bounded():
+    data = bytes(range(256)) * (8 * 2**20 // 256)
+    tracemalloc.start()
+    try:
+        families.fnv1a64(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_enumeration_count_large_window():

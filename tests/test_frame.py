@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +125,23 @@ def test_bin_series_weighted_means():
     assert abs(binned.value[1] - 6.0) < 1e-12
     assert list(binned.count) == [4, 4]
     assert binned.stderr is not None
+
+
+def test_bin_series_cost_follows_occupied_bins():
+    # one mask over the whole series per bin once made this take seconds
+    ser = frame.MurmurationSeries(
+        y=np.array([0.1, 0.5, 0.9]),
+        value=np.array([1.0, 2.0, 3.0]),
+        count=np.array([1, 1, 1]),
+        window_scale=1.0,
+        meta={"tail_bound": np.array([0.1, 0.2, 0.3])},
+    )
+    start = time.perf_counter()
+    binned = frame.bin_series(ser, 10**6, y_range=(0.0, 1.0))
+    assert time.perf_counter() - start < 1.0
+    assert list(binned.value) == [1.0, 2.0, 3.0]
+    assert list(binned.meta["tail_bound"]) == [0.1, 0.2, 0.3]
+    assert np.allclose(binned.y, [0.1, 0.5, 0.9], atol=1e-6)
 
 
 def test_peak_location_quadratic_exact():
