@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from murmur import arith, cli, densities
+from murmur import cli, densities
 
 
 @dataclass
@@ -26,10 +26,7 @@ class Config:
 
 def run(cfg: Config) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    tables = arith.sieve(max(1024, 4 * cfg.q_max))
-    dist, tail = densities.window_murmuration_density(
-        (cfg.e_min, cfg.e_max), cfg.q_max, 1.0, tables
-    )
+    dist, tail = densities.window_murmuration_density((cfg.e_min, cfg.e_max), cfg.q_max, 1.0)
     cli.emit_csv(cfg.out_dir / "atoms.csv", [], "y,value", atoms=dist.atoms)
     cli.emit_svg(cfg.out_dir / "atoms.svg", [], atoms=dist.atoms, title="atomic density")
     heaviest = sorted(dist.atoms, key=lambda lm: -lm[1])[: cfg.top]

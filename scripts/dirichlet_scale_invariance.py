@@ -31,7 +31,7 @@ def run(cfg: Config) -> None:
     phi = specfn.indicator(1.0, 2.0)
     binned = {}
     for X in (cfg.x, 2 * cfg.x):
-        primes, _ = arith.prime_grid(X, cfg.y_min, cfg.y_max)
+        primes = arith.prime_grid(X, cfg.y_min, cfg.y_max)
         both = families.quadratic_series(X, phi, (1, -1), primes, normalization="raw_sqrtp")
         for cls, series in zip((1, -1), both):
             b = frame.bin_series(series, cfg.bins, y_range=(cfg.y_min, cfg.y_max))

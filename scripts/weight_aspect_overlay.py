@@ -11,8 +11,6 @@ import argparse
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from murmur import arith, cli, densities, frame, petersson, specfn
 
 
@@ -31,11 +29,9 @@ def run(cfg: Config) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     phi = specfn.bump(cfg.phi_a, cfg.phi_b)
     for K in cfg.weights:
-        primes, tables = arith.prime_grid(petersson.window_scale(K), cfg.y_min, cfg.y_max)
-        series = petersson.harmonic_series(K, primes, phi, cfg.sign, tables=tables)
-        ref = np.array(
-            [densities.harmonic_murmuration_density(float(y), phi, cfg.sign, tables) for y in series.y]
-        )
+        primes = arith.prime_grid(petersson.window_scale(K), cfg.y_min, cfg.y_max)
+        series = petersson.harmonic_series(K, primes, phi, cfg.sign)
+        ref = densities.harmonic_murmuration_density(series.y, phi, cfg.sign)
         support = ref != 0.0
         peak_err = abs(
             frame.peak_location(series.y, series.value) - frame.peak_location(series.y, ref)

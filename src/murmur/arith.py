@@ -1,5 +1,7 @@
 """Exact integer kernels: sieve tables and prime grids, multiplicative
-functions, Kronecker symbols, and Kloosterman sums.
+functions, Kronecker symbols, and Kloosterman sums.  ``covering`` is the
+one rule that sizes the sieve tables a reader needs, and ``is_prime`` the
+one prime test.
 
 Kloosterman sums S(m, n; c) are evaluated two independent ways:
 
@@ -17,6 +19,7 @@ on dense grids rather than trusting the combination rule.
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .errors import AccuracyError, DomainError, SizeError, WindowError
 # int64 products d*m with d, m < c stay exact only while c*c < 2**63
 _MAX_MODULUS = 2**31
 _IMAG_TOL = 1e-9
+_UNIT_BLOCK = 1 << 20  # unit-sum terms per vectorised block: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -63,27 +67,42 @@ def sieve(limit: int) -> ArithTables:
     return ArithTables(limit=limit, smallest_prime_factor=spf, primes=primes)
 
 
-def prime_grid(X: float, y_min: float, y_max: float) -> tuple[list[int], ArithTables]:
-    """Primes p with y_min <= p / X <= y_max, and the sieve tables that
-    cover them (at least 2048, so small windows share one table).
+def covering(tables: Optional[ArithTables], n: int) -> ArithTables:
+    """``tables`` when they reach n, else a sieve up to max(2, n): the one
+    rule that sizes a sieve, used by every reader of the tables."""
+    if tables is not None and tables.limit >= n:
+        return tables
+    return sieve(max(2, n))
+
+
+def prime_grid(X: float, y_min: float, y_max: float) -> list[int]:
+    """Primes p with y_min <= p / X <= y_max, ascending.
 
     Raises DomainError unless X > 0 and the window are finite, and
     WindowError when no prime falls in the range.
     """
     if not (0 < X < math.inf and math.isfinite(y_min) and math.isfinite(y_max)):
         raise DomainError(f"prime window needs finite X > 0, y_min and y_max, got {X}, {y_min}, {y_max}")
-    tables = sieve(max(2048, math.floor(y_max * X) + 1))
-    sieved = tables.primes
+    sieved = covering(None, math.floor(y_max * X)).primes
     primes = sieved[(y_min * X <= sieved) & (sieved <= y_max * X)].tolist()
     if not primes:
         raise WindowError(f"no primes with p/X in [{y_min}, {y_max}] at X={X:g}")
-    return primes, tables
+    return primes
+
+
+def is_prime(values) -> np.ndarray:
+    """Elementwise primality of an integer array, by trial division by the
+    primes up to the square root of its largest entry."""
+    n = np.asarray(values, dtype=np.int64)
+    prime = n >= 2
+    for q in covering(None, math.isqrt(max(4, int(n.max(initial=0))))).primes.tolist():
+        prime &= (n % q != 0) | (n == q)
+    return prime
 
 
 def check_prime_grid(primes) -> np.ndarray:
     """The grid as int64, after checking that it is nonempty, strictly
-    ascending and prime (trial division by the primes up to the square
-    root of its largest entry)."""
+    ascending and prime (``is_prime``)."""
     grid = np.asarray(primes)
     if grid.ndim != 1 or len(grid) == 0:
         raise DomainError("prime grid must be a nonempty sequence")
@@ -92,9 +111,7 @@ def check_prime_grid(primes) -> np.ndarray:
     grid = grid.astype(np.int64)
     if np.any(grid[1:] <= grid[:-1]):
         raise DomainError("prime grid must be strictly ascending")
-    composite = grid < 2
-    for q in sieve(math.isqrt(max(4, int(grid[-1])))).primes.tolist():
-        composite |= (grid % q == 0) & (grid != q)
+    composite = ~is_prime(grid)
     if np.any(composite):
         raise DomainError(f"prime grid entry {int(grid[composite][0])} is not prime")
     return grid
@@ -246,30 +263,37 @@ def _unit_tables(modulus: int) -> tuple[np.ndarray, np.ndarray]:
     return _build_unit_tables(modulus)
 
 
-def _unit_cosine_sum(m: int, n: int, modulus: int) -> float:
-    """Sum of exp(2*pi*i*(m*d + n*dbar)/modulus) over units d, as a real.
+def _unit_cosine_sum(m: int, n: np.ndarray, modulus: int) -> np.ndarray:
+    """Sums of exp(2*pi*i*(m*d + n*dbar)/modulus) over the units d, as reals,
+    one per entry of the int64 array n, in blocks of at most _UNIT_BLOCK terms.
 
-    Raises AccuracyError if the imaginary part fails to cancel below
-    1e-9, which would indicate a broken inverse table.
+    Raises AccuracyError if an imaginary part fails to cancel below 1e-9,
+    which would indicate a broken inverse table.
     """
     if modulus == 1:
-        return 1.0
+        return np.ones(n.shape)
     units, inv = _unit_tables(modulus)
-    num = (m % modulus) * units + (n % modulus) * inv
-    ang = (num % modulus) * (2.0 * math.pi / modulus)
-    real = float(np.cos(ang).sum())
-    imag = float(np.sin(ang).sum())
-    if abs(imag) > _IMAG_TOL:
+    rows = n.reshape(-1, 1) % modulus
+    real, imag = np.empty(len(rows)), np.empty(len(rows))
+    step = max(1, _UNIT_BLOCK // len(units))
+    for lo in range(0, len(rows), step):
+        num = (m % modulus) * units + rows[lo : lo + step] * inv
+        ang = (num % modulus) * (2.0 * math.pi / modulus)
+        real[lo : lo + step] = np.cos(ang).sum(axis=1)
+        imag[lo : lo + step] = np.sin(ang).sum(axis=1)
+    worst = float(np.abs(imag).max(initial=0.0))
+    if worst > _IMAG_TOL:
         raise AccuracyError(
-            f"Kloosterman imaginary part {imag:.3e} exceeds {_IMAG_TOL} for c={modulus}",
-            best=real,
-            estimate=abs(imag),
+            f"Kloosterman imaginary part {worst:.3e} exceeds {_IMAG_TOL} for c={modulus}",
+            best=real.reshape(n.shape),
+            estimate=worst,
         )
-    return real
+    return real.reshape(n.shape)
 
 
-def kloosterman_direct(m: int, n: int, c: int) -> float:
-    """S(m, n; c) by direct summation over the units of Z/cZ.
+def kloosterman_direct(m: int, n, c: int):
+    """S(m, n; c) by direct summation over the units of Z/cZ, for an int n
+    (a float) or an int array n (an array of the same shape).
 
     S(m, n; 1) = 1 by convention (the empty exponent contributes the
     single residue class).
@@ -278,11 +302,13 @@ def kloosterman_direct(m: int, n: int, c: int) -> float:
         raise DomainError(f"modulus c must be >= 1, got {c}")
     if c >= _MAX_MODULUS:
         raise SizeError(f"modulus {c} exceeds supported size {_MAX_MODULUS - 1}")
-    return _unit_cosine_sum(m, n, c)
+    value = _unit_cosine_sum(m, np.asarray(n, dtype=np.int64), c)
+    return value if value.ndim else float(value)
 
 
-def kloosterman_fast(m: int, n: int, c: int, tables: ArithTables) -> float:
-    """S(m, n; c) via prime-power factorization of c.
+def kloosterman_fast(m: int, n, c: int, tables: ArithTables):
+    """S(m, n; c) via prime-power factorization of c, for an int n (a float)
+    or an int array n (an array of the same shape).
 
     Each local factor is a direct unit sum mod p^e; factors combine by
     twisted multiplicativity, twisting (m, n) by the inverse of the
@@ -291,18 +317,13 @@ def kloosterman_fast(m: int, n: int, c: int, tables: ArithTables) -> float:
     if c < 1:
         raise DomainError(f"modulus c must be >= 1, got {c}")
     _check_range(c, tables)
-    if c == 1:
-        return 1.0
-    value = 1.0
+    n = np.asarray(n, dtype=np.int64)
+    value = np.ones(n.shape)
     for p, e in factorize(c, tables):
         q = p**e
-        r = c // q
-        if r == 1:
-            value *= _unit_cosine_sum(m, n, q)
-        else:
-            rbar = pow(r, -1, q)
-            value *= _unit_cosine_sum(m * rbar, n * rbar, q)
-    return value
+        rbar = pow(c // q, -1, q)
+        value *= _unit_cosine_sum(m * rbar, n % q * rbar, q)
+    return value if value.ndim else float(value)
 
 
 def weil_bound(m: int, n: int, c: int, tables: ArithTables) -> float:

@@ -201,9 +201,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     _add_phi(p)
     _add_tail_tol(p)
-    p.add_argument("--k", type=_finite_float, help="central weight K (scale X = (K-1)^2)")
-    p.add_argument("--k-window", nargs=2, type=_finite_float, metavar=("KMIN", "KMAX"),
-                   help="explicit weight span; K defaults to its midpoint")
+    p.add_argument("--k", type=_finite_float, required=True, help="central weight K (scale X = (K-1)^2)")
     p.add_argument("--sign", default="+1")
     p.add_argument("--y-min", type=_finite_float, default=0.004)
     p.add_argument("--y-max", type=_finite_float, default=0.055)
@@ -297,7 +295,7 @@ def _cmd_dirichlet(args) -> int:
     sign = _parse_sign(args.sign)
     if args.bins < 1:
         raise _UsageError("--bins must be >= 1")
-    primes, _ = arith.prime_grid(args.x, args.y_min, args.y_max)
+    primes = arith.prime_grid(args.x, args.y_min, args.y_max)
     classes = (1, -1) if sign == "both" else (sign,)
     series = families.quadratic_series(args.x, phi, classes, primes, normalization=args.normalization)
     outputs = [
@@ -308,34 +306,22 @@ def _cmd_dirichlet(args) -> int:
     return 0
 
 
-def args_k(args) -> float:
-    if getattr(args, "k", None) is not None:
-        return args.k
-    if getattr(args, "k_window", None):
-        return 0.5 * (args.k_window[0] + args.k_window[1])
-    raise _UsageError("one of --k or --k-window is required")
-
-
 def _cmd_petersson(args) -> int:
     phi = _parse_phi(args.phi)
     sign = _parse_sign(args.sign)
-    K = args_k(args)
-    span = tuple(args.k_window) if args.k_window else None
-    primes, tables = arith.prime_grid(petersson.window_scale(K), args.y_min, args.y_max)
+    K = args.k
+    primes = arith.prime_grid(petersson.window_scale(K), args.y_min, args.y_max)
     signs = (1, -1) if sign == "both" else (sign,)
     outputs = [
         (f"sign {s:+d}", petersson.harmonic_series(
-            K, primes, phi, s, span=span, tail_tol=args.tail_tol, tables=tables,
-            density_normalized=not args.raw,
+            K, primes, phi, s, tail_tol=args.tail_tol, density_normalized=not args.raw
         ))
         for s in signs
     ]
     # the density is odd in the sign, so one evaluation serves both classes
     refs = None
     if not args.raw:
-        ref = np.array(
-            [densities.harmonic_murmuration_density(y, phi, 1, tables) for y in outputs[0][1].y]
-        )
+        ref = densities.harmonic_murmuration_density(outputs[0][1].y, phi, 1)
         refs = [(f"reference density {s:+d}", s * ref) for s in signs]
     _emit_series(args, "petersson", outputs, f"weight aspect, K={K:g}", refs)
     return 0
@@ -345,8 +331,8 @@ def _cmd_symsq(args) -> int:
     phi = _parse_phi(args.phi)
     if args.p_max < 2:
         raise _UsageError("--p-max must be >= 2")
-    primes, tables = arith.prime_grid(1.0, 0.0, args.p_max)
-    ser = petersson.symsq_series(args.k, primes, phi, tail_tol=args.tail_tol, tables=tables)
+    primes = arith.prime_grid(1.0, 0.0, args.p_max)
+    ser = petersson.symsq_series(args.k, primes, phi, tail_tol=args.tail_tol)
     _emit_series(args, "symsq", [("symmetric square", ser)], f"symmetric-square mode, K={args.k:g}")
     return 0
 
@@ -358,9 +344,8 @@ def _cmd_density_ils(args) -> int:
         raise _UsageError("density-ils needs a single sign")
     if args.grid < 2:
         raise _UsageError("--grid must be >= 2")
-    tables = arith.sieve(max(2, densities.admissible_moduli(max(args.y_min, args.y_max), phi).stop))
     ys = np.linspace(args.y_min, args.y_max, args.grid)
-    vals = [densities.harmonic_murmuration_density(float(y), phi, sign, tables) for y in ys]
+    vals = densities.harmonic_murmuration_density(ys, phi, sign)
     emit_csv(f"{args.out}.csv", list(zip(map(float, ys), map(float, vals))), "y,value")
     if args.svg:
         emit_svg(
@@ -374,10 +359,7 @@ def _cmd_density_ils(args) -> int:
 
 
 def _cmd_density_nu(args) -> int:
-    tables = arith.sieve(max(1024, 4 * args.q_max))
-    dist, tail = densities.window_murmuration_density(
-        (args.e_min, args.e_max), args.q_max, args.prefactor, tables
-    )
+    dist, tail = densities.window_murmuration_density((args.e_min, args.e_max), args.q_max, args.prefactor)
     emit_csv(f"{args.out}.csv", [], "y,value", atoms=dist.atoms)
     if args.svg:
         emit_svg(f"{args.out}.svg", [], atoms=dist.atoms, title="atomic murmuration density")
@@ -419,7 +401,7 @@ def _cmd_ingest_run(args) -> int:
     if p_max < 2:
         raise DataError(f"{args.file}: no usable prime coverage")
     phi = _parse_phi(args.phi)
-    primes, _ = arith.prime_grid(1.0, 0.0, p_max)
+    primes = arith.prime_grid(1.0, 0.0, p_max)
     ser = family.murmuration_series(args.x, phi, primes, normalization=args.normalization)
     _emit_series(args, "ingest-run", [("ingested family", ser)], f"ingested family, X={args.x:g}")
     print(f"ingest-run: digest={family.source_digest:016x} records={len(family)}")

@@ -29,12 +29,12 @@ bookkeeping entries, never as narrow approximations.
 from dataclasses import dataclass
 import math
 import operator
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import ArithTables, divisor_sigma, euler_phi, is_squarefree, mobius
-from .errors import AccuracyError, DataError, DomainError
+from .arith import ArithTables, covering, divisor_sigma, euler_phi, is_squarefree, mobius
+from .errors import DataError, DomainError
 from .specfn import WeightFunction, quadrature
 
 _ENDPOINT_SNAP = 1e-12
@@ -73,30 +73,41 @@ class DistributionValue:
 # weight-aspect murmuration density
 
 
+def _moduli_bounds(y, phi: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise (c_lo, c_hi) over an array of y: the integers c with
+    16 pi^2 y / c^2 inside [a, b] are c_lo <= c <= c_hi (none for y <= 0)."""
+    a, b = phi.support
+    y = np.maximum(np.asarray(y, dtype=np.float64), 0.0)
+    c_lo = np.maximum(1, np.ceil(4.0 * math.pi * np.sqrt(y / b) - 1e-12))
+    c_hi = np.where(y > 0, np.floor(4.0 * math.pi * np.sqrt(y / a) + 1e-12), 0)
+    return c_lo, c_hi
+
+
 def admissible_moduli(y: float, phi: WeightFunction) -> range:
     """Integers c with 16 pi^2 y / c^2 inside [a, b], computed analytically."""
-    a, b = phi.support
-    if y <= 0:
-        return range(1, 1)
-    c_lo = max(1, math.ceil(4.0 * math.pi * math.sqrt(y / b) - 1e-12))
-    c_hi = math.floor(4.0 * math.pi * math.sqrt(y / a) + 1e-12)
-    return range(c_lo, c_hi + 1)
+    c_lo, c_hi = _moduli_bounds(y, phi)
+    return range(int(c_lo), int(c_hi) + 1)
 
 
-def harmonic_murmuration_density(
-    y: float, phi: WeightFunction, sign: int, tables: ArithTables
-) -> float:
-    """Closed-form weight-aspect density at y = p / X; exact finite sum."""
+def harmonic_murmuration_density(y, phi: WeightFunction, sign: int, tables: Optional[ArithTables] = None):
+    """Closed-form weight-aspect density at y = p / X; exact finite sum.
+
+    ``y`` is a float (returns a float) or an array (returns an array of
+    its shape); each value adds its terms in ascending c.
+    """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +-1, got {sign}")
-    total = 0.0
-    for c in admissible_moduli(y, phi):
-        if mobius(c, tables) == 0:
-            continue
-        w = phi(16.0 * math.pi**2 * y / c**2)
-        if w != 0.0:
-            total += w / (c * c * euler_phi(c, tables))
-    return sign * 4.0 * math.pi * total
+    ys = np.asarray(y, dtype=np.float64)
+    c_lo, c_hi = _moduli_bounds(ys, phi)
+    c_max = int(c_hi.max(initial=0))
+    tables = covering(tables, c_max)
+    total = np.zeros(ys.shape)
+    for c in range(int(c_lo.min(initial=1)), c_max + 1):
+        live = (c_lo <= c) & (c <= c_hi)
+        if live.any() and mobius(c, tables) != 0:
+            total[live] += phi(16.0 * math.pi**2 * ys[live] / c**2) / (c * c * euler_phi(c, tables))
+    value = sign * 4.0 * math.pi * total
+    return value if value.ndim else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +115,7 @@ def harmonic_murmuration_density(
 
 
 def window_murmuration_density(
-    E, q_max: int, prefactor: float, tables: ArithTables, tail_tol: float = None
+    E, q_max: int, prefactor: float, tables: Optional[ArithTables] = None
 ) -> tuple[DistributionValue, float]:
     """Atomic murmuration density on the window E, plus a certified tail bound.
 
@@ -127,6 +138,7 @@ def window_murmuration_density(
         hi_power = hi**1.5
     except OverflowError:
         raise DomainError(f"E max {hi:g} is too large: its tail bound (max E)^(3/2) overflows") from None
+    tables = covering(tables, q_max)
     locs, masses = [], []
     sqrt_lo, sqrt_hi = math.sqrt(lo), math.sqrt(hi)
     for q in range(1, q_max + 1):
@@ -152,12 +164,6 @@ def window_murmuration_density(
     length = 1.0 / sqrt_lo - 1.0 / sqrt_hi
     const = hi_power * abs(prefactor) * math.pi**2 * math.sqrt(2.0) / 6.0
     tail = const * (length * 2.0 / math.sqrt(q_max) + (2.0 / 3.0) * q_max**-1.5)
-    if tail_tol is not None and tail > tail_tol:
-        raise AccuracyError(
-            f"q_max={q_max} certifies tail {tail:.3e}, above requested {tail_tol:g}",
-            best=None,
-            estimate=tail,
-        )
     locs, masses = np.concatenate(locs), np.concatenate(masses)
     order = np.argsort(locs, kind="stable")
     ordered = tuple(zip(locs[order].tolist(), masses[order].tolist()))

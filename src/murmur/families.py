@@ -23,7 +23,8 @@ record, and (record, p, a(p)) per coefficient row, sorted by (record, p).
 Raw coefficients a(p) are stored; analytic lambda(p) = a(p)/sqrt(p) is
 computed on lookup.  Missing coefficients raise, never read as zero:
 murmuration averages are bias-sensitive.  The source digest is standard
-64-bit FNV-1a of the UTF-8 text with line endings normalized to LF,
+64-bit FNV-1a of the UTF-8 text, without a leading byte-order mark
+and with line endings normalized to LF,
 computed in linear time and bounded memory (``fnv1a64``); its value is
 that of the byte-at-a-time definition.
 """
@@ -35,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import ArithTables, check_prime_grid, sieve
+from .arith import check_prime_grid, is_prime, sieve
 from .errors import CoverageError, DataError, DomainError, WindowError
 from .frame import FamilyRecord, MurmurationSeries
 from .specfn import WeightFunction
@@ -307,6 +308,7 @@ class IngestedFamily:
 
 
 def _normalize_text(raw: bytes) -> str:
+    raw = raw.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark is not text
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -410,20 +412,19 @@ def ingest(path) -> IngestedFamily:
     del rec_col, p_col, ap_col
     order = _sorted_rows(record, p, labels, line_of)
 
-    # One sieve serves the coverage scan and the primality check.  The scan
-    # stops at the first prime missing from `common`, at most the
-    # (|common|+1)-th prime, which Rosser's bound n(ln n + ln ln n), n >= 6,
-    # caps; the primality check trial-divides a p beyond the sieve, so it
-    # only needs sqrt(p).  No single large p can size the sieve.
     distinct, first, carriers = np.unique(p, return_index=True, return_counts=True)
+    composite = first[~is_prime(distinct)]
+    if len(composite):
+        k = composite.min()
+        raise DataError(f"line {line_of(k)}: coefficient at composite p={p[k]}")
+
+    # The coverage scan stops at the first prime missing from `common`, at
+    # most the (|common|+1)-th prime, which Rosser's bound
+    # n(ln n + ln ln n), n >= 6, caps: no single large p can size the sieve.
     common = distinct[carriers == len(labels)]
     n = max(6, len(common) + 1)
     scan_limit = min(int(common[-1]) if len(common) else 2, math.ceil(n * (math.log(n) + math.log(math.log(n)))))
-    tables = sieve(max(2, scan_limit, math.isqrt(int(distinct[-1])) if len(distinct) else 2))
-    composite = [k for q, k in zip(distinct.tolist(), first.tolist()) if not _is_prime(q, tables)]
-    if composite:
-        k = min(composite)
-        raise DataError(f"line {line_of(k)}: coefficient at composite p={p[k]}")
+    tables = sieve(max(2, scan_limit))
 
     scanned = tables.primes[: len(common)]
     mismatch = np.flatnonzero(scanned != common[: len(scanned)])
@@ -439,14 +440,6 @@ def ingest(path) -> IngestedFamily:
         p=p[order],
         ap=ap[order],
     )
-
-
-def _is_prime(p: int, tables: ArithTables) -> bool:
-    """Table lookup up to the sieve limit, trial division by every sieved
-    prime beyond it (valid while the limit is at least sqrt(p))."""
-    if p <= tables.limit:
-        return bool(tables.smallest_prime_factor[p] == p)
-    return bool(np.all(p % tables.primes))
 
 
 def _format_number(x: float) -> str:

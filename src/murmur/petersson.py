@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .arith import ArithTables, check_prime_grid, kloosterman_fast, sieve
+from .arith import ArithTables, check_prime_grid, covering, kloosterman_fast
 from .errors import AccuracyError, DomainError, WindowError
 from .frame import MurmurationSeries
 from .specfn import WeightFunction, bessel_j
@@ -109,9 +109,10 @@ def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, table
     Cutoffs come from one masked search (start at max(1, floor(A/(k-1)))
     with A = 4 pi sqrt(mn), double until the tail bound holds, bisect in
     [C/2, C]).  The only loop is over c, adding the terms of the cells
-    with cutoff >= c in ascending c; ``kloosterman_fast`` reduces n modulo
-    every prime power of c, so the sum taken at the residue n mod c is the
-    term of a direct call.
+    with cutoff >= c in ascending c from one ``kloosterman_fast`` call over
+    their residues n mod c; it reduces n modulo every prime power of c, so
+    the sum taken at the residue is the term of a direct call.  Tables
+    that do not reach the largest cutoff are replaced (``covering``).
     """
     for k in ks:
         if k % 2 != 0 or k < 4:
@@ -147,13 +148,12 @@ def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, table
         ok = _log_tail_bound(k, lgamma_k, A, g0, mid) <= log_tol
         hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1)
     c_max = int(lo.max(initial=0))
-    if tables is None or tables.limit < c_max:
-        tables = sieve(max(2, c_max))
+    tables = covering(tables, c_max)
     total = np.zeros(lo.shape)
     for c in range(1, c_max + 1):
         rows, cols = np.nonzero(lo >= c)
         residues, residue_of = np.unique(ns[cols] % c, return_inverse=True)
-        sums = np.array([kloosterman_fast(m, r, c, tables) for r in residues.tolist()])
+        sums = kloosterman_fast(m, residues, c, tables)
         total[rows, cols] += bessel_j(k[rows, 0] - 1.0, A[cols] / c) * (sums / c)[residue_of]
     value = (ns == m) + 2.0 * math.pi * _phase(k) * total
     return value, np.exp(_log_tail_bound(k, lgamma_k, A, g0, lo)), lo
@@ -174,11 +174,11 @@ def window_scale(K: float) -> float:
         raise DomainError(f"central weight K={K:g} puts the window scale (K-1)^2 beyond float range") from None
 
 
-def weight_window(K: float, phi: WeightFunction, sign: Optional[int], span=None) -> list[int]:
+def weight_window(K: float, phi: WeightFunction, sign: Optional[int]) -> list[int]:
     """Weights k with conductor scale (k-1)^2 inside the window of X = (K-1)^2.
 
     sign +1 keeps k = 0 mod 4, sign -1 keeps k = 2 mod 4, sign None
-    keeps all even k.  ``span`` optionally clips to [k_min, k_max].
+    keeps all even k.
     """
     if sign not in (1, -1, None):
         raise DomainError(f"sign must be +1, -1 or None, got {sign}")
@@ -186,9 +186,6 @@ def weight_window(K: float, phi: WeightFunction, sign: Optional[int], span=None)
     a, b = phi.support
     k_lo = max(4, math.ceil(1.0 + math.sqrt(a * X)))
     k_hi = math.floor(1.0 + math.sqrt(b * X))
-    if span is not None:
-        k_lo = max(k_lo, int(span[0]))
-        k_hi = min(k_hi, int(span[1]))
     step, residue = (2, 0) if sign is None else (4, 0 if sign == 1 else 2)
     return list(range(k_lo + (residue - k_lo) % step, k_hi + 1, step))
 
@@ -225,7 +222,7 @@ def _ratio_bound(num: np.ndarray, num_bound: np.ndarray, den: float, den_bound: 
 
 
 def harmonic_series(
-    K: float, primes: Sequence[int], phi: WeightFunction, sign: int, span=None, tail_tol: float = 1e-12,
+    K: float, primes: Sequence[int], phi: WeightFunction, sign: int, tail_tol: float = 1e-12,
     tables: Optional[ArithTables] = None, density_normalized: bool = True,
 ) -> MurmurationSeries:
     """Harmonic murmuration sampled over a prime grid, y = p / (K-1)^2.
@@ -242,7 +239,7 @@ def harmonic_series(
     if sign not in (1, -1):
         raise DomainError(f"sign must be +-1, got {sign}")
     primes = check_prime_grid(primes).tolist()
-    ks = weight_window(K, phi, sign, span=span)
+    ks = weight_window(K, phi, sign)
     if not ks:
         raise WindowError(f"no weights of sign class {sign:+d} in window at K={K}")
     den, den_bound, num, num_bound = _window_sums(K, ks, primes, phi, tail_tol, tables)

@@ -32,23 +32,19 @@ class WeightFunction:
 
     ``evaluator`` accepts a float or ndarray and returns exact zeros
     outside [a, b]; ``mass`` is its integral over [a, b].
-    ``smoothness_class`` is one of 'bump', 'indicator', 'custom'.
-    Conductor-window weights ('bump', 'indicator') require 0 < a;
-    'custom' weights may straddle the origin, as transform-side test
-    functions do.
+    Conductor-window weights (``bump``, ``indicator``) require 0 < a;
+    transform-side test functions (``shifted_bump``) may straddle the
+    origin.
     """
 
     a: float
     b: float
     evaluator: object
     mass: float
-    smoothness_class: str = "custom"
 
     def __post_init__(self):
         if not self.a < self.b:
             raise DomainError(f"support requires a < b, got [{self.a}, {self.b}]")
-        if self.smoothness_class in ("bump", "indicator") and not self.a > 0:
-            raise DomainError(f"{self.smoothness_class} support must satisfy 0 < a, got a={self.a}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -87,9 +83,7 @@ def bump(a: float, b: float) -> WeightFunction:
     """
     if not 0 < a < b:
         raise DomainError(f"bump requires 0 < a < b, got ({a}, {b})")
-    return WeightFunction(
-        a=a, b=b, evaluator=_bump_evaluator(a, b), mass=_bump_mass(a, b), smoothness_class="bump"
-    )
+    return WeightFunction(a=a, b=b, evaluator=_bump_evaluator(a, b), mass=_bump_mass(a, b))
 
 
 def indicator(a: float, b: float) -> WeightFunction:
@@ -102,7 +96,7 @@ def indicator(a: float, b: float) -> WeightFunction:
         out = np.where((x >= a) & (x <= b), 1.0, 0.0)
         return out if out.ndim else float(out)
 
-    return WeightFunction(a=a, b=b, evaluator=evaluate, mass=b - a, smoothness_class="indicator")
+    return WeightFunction(a=a, b=b, evaluator=evaluate, mass=b - a)
 
 
 def shifted_bump(a: float, b: float) -> WeightFunction:
@@ -144,9 +138,6 @@ def bessel_j(order, x):
 class QuadResult:
     value: float
     error: float
-
-    def __float__(self):
-        return self.value
 
 
 def quadrature(f, interval, tol: float = 1e-9, breakpoints=None) -> QuadResult:

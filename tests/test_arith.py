@@ -15,6 +15,23 @@ import oracles
 # sieve and multiplicative functions
 
 
+def test_is_prime_matches_trial_division():
+    assert np.flatnonzero(arith.is_prime(np.arange(5001))).tolist() == oracles.naive_primes(5000)
+    near = [2**31 - 1, 2**31 - 19, 2**31 - 2, 2**31 - 3, 2**31 + 1, 46337**2, 46337 * 46349, 2**31 + 11]
+    expect = [all(v % d for d in range(2, math.isqrt(v) + 1)) for v in near]
+    assert arith.is_prime(near).tolist() == expect == [True, True, False, False, False, False, False, True]
+    assert arith.is_prime([-7, 0, 1]).tolist() == [False, False, False]
+    assert arith.is_prime([]).tolist() == []
+
+
+def test_covering_reuses_tables_that_reach():
+    small = arith.sieve(100)
+    assert arith.covering(small, 100) is small
+    assert arith.covering(small, 101).limit == 101
+    assert arith.covering(None, 0).limit == 2
+    assert arith.covering(None, 37).primes.tolist() == oracles.naive_primes(37)
+
+
 def test_sieve_small_prime_lists():
     assert list(arith.sieve(10).primes) == [2, 3, 5, 7]
     assert list(arith.sieve(2).primes) == [2]
@@ -150,6 +167,24 @@ def test_unit_inverse_tables_exact():
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 400))
 def test_kloosterman_fast_equals_direct(tables, m, n, c):
     assert abs(arith.kloosterman_fast(m, n, c, tables) - arith.kloosterman_direct(m, n, c)) < 1e-9
+
+
+@pytest.mark.parametrize("c", [1, 2, 6, 8, 9, 97, 243, 360, 1024, 3125, 4099])
+def test_kloosterman_array_call_equals_scalar_calls(tables, c):
+    # one call per modulus over many n: each entry is the scalar call, bit for bit,
+    # also across the blocks that split a long unit sum (300 rows at c = 4099)
+    rng = np.random.default_rng(c)
+    ns = np.concatenate([[0, 1, -1, c, c + 1, 2**31 - 1, -(2**31)], rng.integers(-10**9, 10**9, 293)])
+    for m in (1, 5, -12):
+        fast = arith.kloosterman_fast(m, ns, c, tables)
+        direct = arith.kloosterman_direct(m, ns, c)
+        assert fast.shape == direct.shape == ns.shape
+        assert np.array_equal(fast, [arith.kloosterman_fast(m, n, c, tables) for n in ns.tolist()])
+        assert np.array_equal(direct, [arith.kloosterman_direct(m, n, c) for n in ns.tolist()])
+    grid = ns[:6].reshape(2, 3)
+    assert np.array_equal(arith.kloosterman_fast(1, grid, c, tables), arith.kloosterman_fast(1, ns[:6], c, tables).reshape(2, 3))
+    assert type(arith.kloosterman_fast(1, 3, c, tables)) is float
+    assert type(arith.kloosterman_direct(1, 3, c)) is float
 
 
 @settings(max_examples=100, deadline=None)

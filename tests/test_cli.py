@@ -215,6 +215,24 @@ def test_ingest_run_rejects_invalid_utf8(tmp_path, capsys, newline):
     assert not any(p.name.startswith("run") for p in tmp_path.iterdir())
 
 
+def test_ingest_run_drops_a_leading_bom(tmp_path, capsys):
+    # a UTF-8 byte-order mark once failed as "line 1: expected header"
+    runs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / f"{name}.txt").write_bytes(prefix + GOOD_FAMILY.encode("utf-8"))
+        code = run_cli(["ingest-run", "--file", str(tmp_path / f"{name}.txt"), "--x", "10",
+                        "--out", str(tmp_path / name)])
+        assert code == 0
+        runs.append(((tmp_path / f"{name}.csv").read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert "digest=" in runs[1][1]
+    # the mark does not shift line numbers: a bad byte on line 3 is still reported there
+    bad = b"\xef\xbb\xbf" + GOOD_FAMILY.encode("utf-8").replace(b"a,10,1", b"a,10,1\xff")
+    (tmp_path / "bad.txt").write_bytes(bad)
+    assert run_cli(["ingest-run", "--file", str(tmp_path / "bad.txt"), "--x", "10", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: line 3: not valid UTF-8\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -229,6 +247,8 @@ def test_options_a_command_does_not_read_are_usage_errors(tmp_path):
     assert run_cli(["dirichlet", "--x", "100", "--quad-tol", "1e-3", "--out", out]) == 1
     assert run_cli(["density-nu", "--e-min", "0.5", "--e-max", "5", "--tail-tol", "1e-3", "--out", out]) == 1
     assert run_cli(["old-kernel", "--phi", "bump", "1", "2", "--out", out]) == 1
+    # --k-window silently averaged only part of its span; it is gone
+    assert run_cli(["petersson", "--k", "66", "--k-window", "60", "72", "--out", out]) == 1
 
 
 def test_benchmark_argv_still_parses():
@@ -276,7 +296,6 @@ def test_non_finite_float_options_are_usage_errors(tmp_path, argv, capsys):
     [
         ["petersson", "--k", "1e200"],
         ["symsq", "--k", "1e200"],
-        ["petersson", "--k-window", "4", "1e300"],
         ["density-nu", "--e-min", "0.5", "--e-max", "1e300", "--q-max", "10"],
         ["old-kernel", "--x-max", "1e308", "--grid", "3"],
     ],
@@ -330,9 +349,9 @@ def test_exit_data(tmp_path):
 
 
 def test_exit_accuracy(tmp_path):
-    # k = 4 cannot certify the default tail tolerance within budget
+    # k = 4, the one weight of the window, cannot certify the default tail tolerance within budget
     code = run_cli([
-        "petersson", "--k-window", "4", "4", "--k", "5",
+        "petersson", "--k", "5",
         "--phi", "indicator", "0.5", "1.5", "--sign", "+1",
         "--y-min", "0.3", "--y-max", "0.9", "--out", str(tmp_path / "acc"),
     ])

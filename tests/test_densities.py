@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from murmur import arith, densities, specfn
-from murmur.errors import AccuracyError, DataError, DomainError
+from murmur.errors import DataError, DomainError
 
 import oracles
 
@@ -54,6 +54,39 @@ def test_admissible_moduli_match_bruteforce_scan(tables):
         }
         brute = {c for c in range(1, 10_000) if BUMP(16 * PI**2 * y / c**2) != 0.0}
         assert analytic == brute
+
+
+@pytest.mark.parametrize("phi", [BUMP, specfn.indicator(1.0, 2.0), specfn.indicator(0.5, 3.0)], ids=["bump", "ind-1-2", "ind-0.5-3"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_harmonic_density_array_equals_scalar_calls(tables, phi, sign):
+    # y from below the support to c <= 31, including every support edge a c^2/(16 pi^2), b c^2/(16 pi^2)
+    edges = [e * c**2 / (16 * PI**2) for e in phi.support for c in range(1, 13)]
+    ys = np.concatenate([[-1.0, 0.0], np.linspace(0.0, 3.0, 241), edges])
+    array = densities.harmonic_murmuration_density(ys, phi, sign)
+    scalar = [densities.harmonic_murmuration_density(y, phi, sign, tables) for y in ys.tolist()]
+    assert np.array_equal(array, scalar)
+
+    def term_by_term(y):
+        total = 0.0
+        for c in densities.admissible_moduli(y, phi):
+            if arith.mobius(c, tables) != 0:
+                total += phi(16.0 * PI**2 * y / c**2) / (c * c * arith.euler_phi(c, tables))
+        return sign * 4.0 * PI * total
+
+    assert scalar == [term_by_term(y) for y in ys.tolist()]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(densities.harmonic_murmuration_density(ys[:6].reshape(2, 3), phi, sign), array[:6].reshape(2, 3))
+
+
+def test_densities_size_their_own_tables(tables):
+    # no tables, or tables too short for the moduli: each density covers what it reads
+    dist, tail = densities.window_murmuration_density((0.5, 9.0), 10, 1.0)
+    ref, ref_tail = densities.window_murmuration_density((0.5, 9.0), 10, 1.0, tables)
+    assert dist.atoms == ref.atoms and len(dist.atoms) > 10 and tail == ref_tail
+    assert densities.window_murmuration_density((0.5, 9.0), 10, 1.0, arith.sieve(5))[0].atoms == ref.atoms
+    short = densities.harmonic_murmuration_density(0.1, BUMP, 1, arith.sieve(2))
+    assert short == densities.harmonic_murmuration_density(0.1, BUMP, 1, tables) == 0.4919490255240065
+    assert densities.harmonic_murmuration_density(0.1, BUMP, 1) == short
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +151,6 @@ def test_nu_tail_certified_by_doubling(tables):
     d1, tail1 = densities.window_murmuration_density((0.5, 9.0), 100, 1.0, tables)
     d2, _ = densities.window_murmuration_density((0.5, 9.0), 200, 1.0, tables)
     assert abs(d2.total_atom_mass() - d1.total_atom_mass()) <= tail1
-
-
-def test_nu_accuracy_error(tables):
-    with pytest.raises(AccuracyError):
-        densities.window_murmuration_density((0.5, 9.0), 10, 1.0, tables, tail_tol=1e-12)
 
 
 def test_nu_validation(tables):

@@ -248,6 +248,17 @@ def test_ingest_rejects_composite_prime(tmp_path):
         families.ingest(write(tmp_path, GOOD + f"11a,{2**31},0\n"))
 
 
+def test_ingest_composite_error_names_line_and_prime(tmp_path):
+    for extra, message in (
+        ("37a,7,-1\n11a,4,1\n", "line 13: coefficient at composite p=4"),
+        ("11a,1000001,0\n", "line 12: coefficient at composite p=1000001"),
+        ("11a,9,1\n37a,2147483647,1\n37a,2147483646,1\n", "line 12: coefficient at composite p=9"),
+    ):
+        with pytest.raises(DataError) as err:
+            families.ingest(write(tmp_path, GOOD + extra))
+        assert str(err.value) == message
+
+
 def test_ingest_sieve_bounded_by_input_size(tmp_path, monkeypatch):
     # every record carries the prime 2^31 - 1; coverage still stops at 5
     real_sieve = families.sieve
