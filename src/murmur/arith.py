@@ -29,6 +29,7 @@ from .errors import AccuracyError, DomainError, SizeError, WindowError
 _MAX_MODULUS = 2**31
 _IMAG_TOL = 1e-9
 _UNIT_BLOCK = 1 << 20  # unit-sum terms per vectorised block: bounds the temporaries
+_CACHED_MODULI = 2048  # unit and angle tables are cached for moduli up to this
 
 
 @dataclass(frozen=True)
@@ -242,23 +243,28 @@ def _phi_of(modulus: int) -> int:
     return phi
 
 
-def _build_unit_tables(modulus: int) -> tuple[np.ndarray, np.ndarray]:
+def _build_unit_tables(modulus: int) -> tuple[np.ndarray, ...]:
+    """The units d of Z/cZ, their inverses, and the cosine and sine of every
+    angle j * (2 pi / c), j < c: the float expression the unit sums gather."""
     d = np.arange(1, modulus, dtype=np.int64)
     units = d[np.gcd(d, modulus) == 1]
     inv = _powmod_vec(units, _phi_of(modulus) - 1, modulus)
-    units.flags.writeable = False
-    inv.flags.writeable = False
-    return units, inv
+    angle = np.arange(modulus) * (2.0 * math.pi / modulus)
+    tables = units, inv, np.cos(angle), np.sin(angle)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-@lru_cache(maxsize=4096)
-def _cached_unit_tables(modulus: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=_CACHED_MODULI)
+def _cached_unit_tables(modulus: int) -> tuple[np.ndarray, ...]:
     return _build_unit_tables(modulus)
 
 
-def _unit_tables(modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    # caching unbounded moduli would hold ~16*c bytes each; cap the cache
-    if modulus <= 4096:
+def _unit_tables(modulus: int) -> tuple[np.ndarray, ...]:
+    # tables hold up to 32*c bytes per modulus c: caching every c <= 2048
+    # holds at most about 55 MB
+    if modulus <= _CACHED_MODULI:
         return _cached_unit_tables(modulus)
     return _build_unit_tables(modulus)
 
@@ -272,15 +278,15 @@ def _unit_cosine_sum(m: int, n: np.ndarray, modulus: int) -> np.ndarray:
     """
     if modulus == 1:
         return np.ones(n.shape)
-    units, inv = _unit_tables(modulus)
+    units, inv, cos, sin = _unit_tables(modulus)
     rows = n.reshape(-1, 1) % modulus
     real, imag = np.empty(len(rows)), np.empty(len(rows))
     step = max(1, _UNIT_BLOCK // len(units))
     for lo in range(0, len(rows), step):
         num = (m % modulus) * units + rows[lo : lo + step] * inv
-        ang = (num % modulus) * (2.0 * math.pi / modulus)
-        real[lo : lo + step] = np.cos(ang).sum(axis=1)
-        imag[lo : lo + step] = np.sin(ang).sum(axis=1)
+        num %= modulus
+        real[lo : lo + step] = cos[num].sum(axis=1)
+        imag[lo : lo + step] = sin[num].sum(axis=1)
     worst = float(np.abs(imag).max(initial=0.0))
     if worst > _IMAG_TOL:
         raise AccuracyError(

@@ -22,11 +22,19 @@ An ingested family is stored as columns: conductor and root number per
 record, and (record, p, a(p)) per coefficient row, sorted by (record, p).
 Raw coefficients a(p) are stored; analytic lambda(p) = a(p)/sqrt(p) is
 computed on lookup.  Missing coefficients raise, never read as zero:
-murmuration averages are bias-sensitive.  The source digest is standard
-64-bit FNV-1a of the UTF-8 text, without a leading byte-order mark
-and with line endings normalized to LF,
-computed in linear time and bounded memory (``fnv1a64``); its value is
-that of the byte-at-a-time definition.
+murmuration averages are bias-sensitive.  Numerals (conductor, p, a(p))
+are ASCII without '_': Python's int() and float() would also read '1_0'
+and non-ASCII digits.  The source digest is standard 64-bit FNV-1a of
+the UTF-8 text, without a leading byte-order mark and with line endings
+normalized to LF, computed in linear time and bounded memory
+(``fnv1a64``); its value is that of the byte-at-a-time definition.
+
+Memory follows the input: ``ingest`` keeps the text (the file's bytes
+are freed once digested and decoded), the lines of one block of about
+``_BLOCK_CHARS`` characters at a time, and typed columns of 20 bytes per
+coefficient row, sorted by (record, p) once at the end; ``write_family``
+formats ``_WRITE_ROWS`` rows per write, so its memory does not grow with
+the family.
 """
 
 from dataclasses import dataclass
@@ -51,6 +59,11 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # ingest keeps 2 <= p < 2^31, so (record << 31) | p orders rows by (record, p)
 _P_BITS = 31
+_P_LIMIT = 1 << _P_BITS
+# ingest's columns, one entry per coefficient row in file order
+_ROW = np.dtype([("record", np.int32), ("p", np.int32), ("ap", np.float64), ("line", np.int32)])
+_BLOCK_CHARS = 1 << 14  # text per line block of ingest: bounds the per-line objects
+_WRITE_ROWS = 1 << 13  # rows per write of write_family: bounds the formatted text
 
 
 def fnv1a64(data: bytes) -> int:
@@ -123,21 +136,43 @@ def fundamental_discriminants(X: float, phi: WeightFunction) -> dict[int, np.nda
     return classes
 
 
-def _legendre_table(p: int, squares: np.ndarray) -> np.ndarray:
-    """chi(r) = (r|p) for r in [0, p), as int8; p = 2 uses the mod-8 rule.
+def _legendre_tables(primes: list[int], span: int):
+    """For each prime p of the ascending list, an int8 buffer whose first
+    ``span`` entries are (n|p), n < span, and (-1|p); p = 2 uses the mod-8
+    rule.  The buffer, and every work array, is allocated once and reused.
 
-    ``squares`` holds r*r for r = 1, 2, ... up to at least (p - 1)/2; their
-    residues are exactly the quadratic residues mod an odd prime p.
+    For odd p the quadratic residues are exactly the r*r mod p, r <= (p-1)/2.
+    Each is r*r - p*floor(r*r/p), the quotient taken in float64 (r*r is
+    exact below 2^53) and corrected by +-p, with no integer division.  The
+    table of one period is then tiled over [0, span) by doubling copies.
     """
-    if p == 2:
-        table = np.zeros(8, dtype=np.int8)
-        table[[1, 7]] = 1
-        table[[3, 5]] = -1
-        return table
-    table = np.full(p, -1, dtype=np.int8)
-    table[squares[: (p - 1) // 2] % p] = 1
-    table[0] = 0
-    return table
+    half = (primes[-1] - 1) // 2
+    squares = np.arange(1, half + 1, dtype=np.float64) ** 2
+    quotient, index = np.empty(half), np.empty(half, dtype=np.intp)
+    tiled = np.empty(max(span, primes[-1], 8), dtype=np.int8)
+    for p in primes:
+        if p == 2:
+            period = 8
+            tiled[:period] = (0, 1, 0, -1, 0, -1, 0, 1)
+        else:
+            period, h = p, (p - 1) // 2
+            rem = quotient[:h]
+            np.multiply(squares[:h], 1.0 / p, out=rem)
+            np.floor(rem, out=rem)
+            rem *= -p
+            rem += squares[:h]
+            rem[rem < 0] += p
+            rem[rem >= p] -= p
+            index[:h] = rem
+            tiled[:period] = -1
+            tiled[index[:h]] = 1
+            tiled[0] = 0
+        filled = period
+        while filled < span:
+            step = min(filled, span - filled)
+            tiled[filled : filled + step] = tiled[:step]
+            filled += step
+        yield tiled, int(tiled[period - 1])
 
 
 def quadratic_series(
@@ -152,8 +187,8 @@ def quadratic_series(
     Vectorized over the family: for fixed p the character value is the
     Legendre symbol of d mod p (mod 8 for p = 2), so one residue table
     per prime serves the whole family.  The table, tiled over [0, max|d|],
-    gives (|d| | p) by a gather; (d|p) = (-1|p)(|d| | p) for d < 0, and
-    (-1|p) is the table's last entry.
+    gives (|d| | p) by a gather; (d|p) = (-1|p)(|d| | p) for d < 0, so
+    the class sum is negated after the dot when (-1|p) = -1.
     """
     if not classes or any(c not in (1, -1) for c in classes):
         raise DomainError(f"parity classes must be +-1, got {tuple(classes)}")
@@ -171,16 +206,14 @@ def quadratic_series(
             raise WindowError(f"window weights vanish on the whole family at X={X}")
         family.append((cls, absd[keep], weights[keep], float(weights[keep].sum())))
     span = max(int(absd[-1]) for _, absd, _, _ in family) + 1
-    squares = np.arange(1, (int(grid[-1]) - 1) // 2 + 1, dtype=np.int64) ** 2
     values = np.empty((len(family), len(grid)), dtype=np.float64)
-    for i, p in enumerate(grid.tolist()):
-        table = _legendre_table(p, squares)
-        residues = np.resize(table, span)  # residues[n] = table[n mod len(table)]
+    primes = grid.tolist()
+    for i, (p, (residues, minus_one)) in enumerate(zip(primes, _legendre_tables(primes, span))):
         for j, (cls, absd, weights, den) in enumerate(family):
-            chi = residues[absd]
-            if cls == -1 and table[-1] == -1:
-                chi = -chi
-            v = float(np.dot(weights, chi)) / den
+            v = float(np.dot(weights, residues[absd]))
+            if cls == -1 and minus_one == -1:
+                v = 0.0 - v  # the dot of the negated characters, +0.0 included
+            v /= den
             if normalization == "raw_sqrtp":
                 v *= math.sqrt(p)
             values[j, i] = v
@@ -218,8 +251,9 @@ class IngestedFamily:
     """Externally computed family as columns, plus provenance checksum.
 
     ``labels``, ``conductor`` and ``root_number`` hold one entry per
-    record, in file order; ``record`` (an index into ``labels``), ``p``
-    and ``ap`` hold one entry per coefficient row, sorted by (record, p).
+    record, in file order; ``record`` (an index into ``labels``) and ``p``,
+    both int32, and ``ap`` hold one entry per coefficient row, sorted by
+    (record, p).
     """
 
     source_digest: int
@@ -237,7 +271,7 @@ class IngestedFamily:
 
     @cached_property
     def _keys(self) -> np.ndarray:
-        return (self.record << _P_BITS) | self.p
+        return (self.record.astype(np.int64) << _P_BITS) | self.p
 
     @cached_property
     def records(self) -> tuple:
@@ -256,7 +290,7 @@ class IngestedFamily:
 
     def coefficient(self, label: str, p: int) -> float:
         i = self._index.get(label)
-        if i is not None and 0 <= p < 2**_P_BITS and p == int(p):
+        if i is not None and 0 <= p < _P_LIMIT and p == int(p):
             key = (i << _P_BITS) | int(p)
             row = int(np.searchsorted(self._keys, key))
             if row < len(self._keys) and self._keys[row] == key:
@@ -269,8 +303,9 @@ class IngestedFamily:
         """Expectation of the prime coefficient at every prime of the grid.
 
         One contraction of the (records in window x grid) block of
-        coefficients, each prime's sum a ``math.fsum``: the values of
-        ``frame.murmuration_series`` on ``records``, bit for bit.
+        coefficients, each prime's sum a ``math.fsum`` over its column:
+        the values of ``frame.murmuration_series`` on ``records``, bit for
+        bit.
         """
         grid = check_prime_grid(primes)
         _check_normalization(normalization)
@@ -283,7 +318,7 @@ class IngestedFamily:
         weights = weights[in_window]
         keys = (in_window[:, None] << _P_BITS) | grid
         rows = np.searchsorted(self._keys, keys)
-        found = (grid < 2**_P_BITS) & (rows < len(self._keys))
+        found = (grid < _P_LIMIT) & (rows < len(self._keys))
         found[found] = self._keys[rows[found]] == keys[found]
         if not np.all(found):
             j, i = np.argwhere(~found.T)[0]  # the first miss in (prime, record) order
@@ -294,10 +329,10 @@ class IngestedFamily:
         if normalization == "analytic":
             block = block / np.sqrt(grid)
         den = math.fsum(weights.tolist())
-        columns = (weights[:, None] * block).T.tolist()
+        block = weights[:, None] * block
         return MurmurationSeries(
             y=grid / X,
-            value=np.array([math.fsum(column) / den for column in columns], dtype=np.float64),
+            value=np.array([math.fsum(column.tolist()) / den for column in block.T], dtype=np.float64),
             count=np.full(len(grid), len(in_window), dtype=np.int64),
             window_scale=X,
             normalization=normalization,
@@ -307,15 +342,55 @@ class IngestedFamily:
         return len(self.labels)
 
 
-def _normalize_text(raw: bytes) -> str:
+def _normalize_bytes(raw: bytes) -> bytes:
+    """The file without a leading UTF-8 byte-order mark and with every line
+    break (CRLF or a lone CR) as LF: the bytes the digest reads.  A file
+    that needs neither change comes back as the same object, uncopied."""
     raw = raw.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark is not text
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw
+
+
+def _decode(data: bytes) -> str:
+    """The text of normalized bytes; a byte sequence that is not UTF-8 is a
+    DataError naming its line."""
     try:
-        text = raw.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = raw[: exc.start]  # line breaks as normalized below: LF, CRLF or a lone CR
-        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        line_no = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"line {line_no}: not valid UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _line_blocks(text: str, start: int):
+    """Consecutive pieces of text[start:], each about _BLOCK_CHARS long and
+    cut at a line break (the break itself dropped), so that the pieces'
+    ``split("\n")`` lists, concatenated, are text[start:].split("\n").
+    Yields nothing when start is past the end of text."""
+    while start + _BLOCK_CHARS < len(text):
+        cut = text.rfind("\n", start, start + _BLOCK_CHARS)
+        if cut < 0:  # one line longer than a block
+            cut = text.find("\n", start + _BLOCK_CHARS)
+            if cut < 0:
+                break
+        yield text[start:cut]
+        start = cut + 1
+    if start <= len(text):
+        yield text[start:]
+
+
+def _next_line(text: str, start: int) -> tuple[str, int]:
+    """The line of text that begins at start, and where the next one begins."""
+    end = text.find("\n", start)
+    if end < 0:
+        end = len(text)
+    return text[start:end], end + 1
+
+
+def _is_numeral(token: str) -> bool:
+    """int() and float() also read '1_0' and non-ASCII digits such as
+    U+0663; a numeral in a family file is ASCII and has no '_'."""
+    return token.isascii() and "_" not in token
 
 
 def _parse_number(token: str, line_no: int, what: str) -> float:
@@ -328,95 +403,130 @@ def _parse_number(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def _sorted_rows(record, p, labels: list, line_of) -> np.ndarray:
+def _sort_order(rows: np.ndarray, labels: list) -> np.ndarray:
     """Order of the coefficient rows, given in file order, by (record, p);
-    raises the DataError of the first duplicate row in the file.
-    ``line_of(k)`` is the file line of row k."""
-    record, p = np.asarray(record, dtype=np.int64), np.asarray(p, dtype=np.int64)
-    order = np.lexsort((p, record))  # stable: equal pairs keep file order
-    r, q = record[order], p[order]
-    repeats = order[1:][(r[1:] == r[:-1]) & (q[1:] == q[:-1])]
+    raises the DataError of the first duplicate row in the file."""
+    keys = (rows["record"].astype(np.int64) << _P_BITS) | rows["p"]
+    order = np.argsort(keys, kind="stable")  # equal pairs keep file order
+    keys = keys[order]
+    repeats = order[1:][keys[1:] == keys[:-1]]
     if len(repeats):
-        k = repeats.min()
-        raise DataError(f"line {line_of(k)}: duplicate coefficient for ({labels[record[k]]!r}, {p[k]})")
+        line, record, p = (int(rows[name][repeats.min()]) for name in ("line", "record", "p"))
+        raise DataError(f"line {line}: duplicate coefficient for ({labels[record]!r}, {p})")
     return order
 
 
+def _store(rows: np.ndarray, filled: int, block) -> int:
+    """Copy a block's rows, one list per column of ``rows``, into rows from
+    row ``filled`` on; returns the new count of filled rows."""
+    end = filled + len(block[0])
+    for name, values in zip(_ROW.names, block):
+        rows[name][filled:end] = values
+    return end
+
+
 def ingest(path) -> IngestedFamily:
-    """Parse and validate a murmur-family v1 file."""
+    """Parse and validate a murmur-family v1 file.
+
+    The text is read in blocks of whole lines; each block's coefficient
+    rows go into typed columns (record, p, a(p) and the line number, 20
+    bytes a row), sorted by (record, p) once at the end.  The digest is
+    taken from the file's bytes, normalized as text.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    text = _normalize_text(raw)
-    digest = fnv1a64(text.encode("utf-8"))
-    lines = text.split("\n")
-    if not lines or lines[0].strip() != FAMILY_MAGIC:
+        data = _normalize_bytes(fh.read())
+    digest = fnv1a64(data)
+    text = _decode(data)
+    del data
+    line, pos = _next_line(text, 0)
+    if line.strip() != FAMILY_MAGIC:
         raise DataError(f"line 1: expected header {FAMILY_MAGIC!r}")
-    if len(lines) < 2 or lines[1].strip() != "label,conductor,root_number":
+    line, pos = _next_line(text, pos)  # "" past the end of the text
+    if line.strip() != "label,conductor,root_number":
         raise DataError("line 2: expected column header 'label,conductor,root_number'")
 
     index = {}
     conductors, roots = [], []
-    i = 2
-    while i < len(lines) and lines[i].strip() != "":
-        parts = lines[i].split(",")
+    line_no = 3
+    while pos <= len(text):
+        line, pos = _next_line(text, pos)
+        if line.strip() == "":
+            break
+        parts = line.split(",")
         if len(parts) != 3:
-            raise DataError(f"line {i + 1}: expected 'label,conductor,root_number'")
+            raise DataError(f"line {line_no}: expected 'label,conductor,root_number'")
         label = parts[0].strip()
         if label in index:
-            raise DataError(f"line {i + 1}: duplicate label {label!r}")
-        conductor = _parse_number(parts[1].strip(), i + 1, "conductor")
+            raise DataError(f"line {line_no}: duplicate label {label!r}")
+        token = parts[1].strip()
+        if not _is_numeral(token):
+            raise DataError(f"line {line_no}: cannot parse conductor from {token!r}")
+        conductor = _parse_number(token, line_no, "conductor")
         if not conductor > 0:
-            raise DataError(f"line {i + 1}: conductor must be positive, got {parts[1].strip()}")
+            raise DataError(f"line {line_no}: conductor must be positive, got {token}")
         root_token = parts[2].strip()
         if root_token not in ("1", "-1", "+1"):
-            raise DataError(f"line {i + 1}: root number must be 1 or -1, got {root_token!r}")
+            raise DataError(f"line {line_no}: root number must be 1 or -1, got {root_token!r}")
         index[label] = len(conductors)
         conductors.append(conductor)
         roots.append(int(root_token))
-        i += 1
-    i += 1  # blank separator
+        line_no += 1
+    line_no += 1  # blank separator
     labels = list(index)
 
-    start = i
-
-    def line_of(row: int) -> int:
-        return [j + 1 for j in range(start, len(lines)) if lines[j].strip()][row]
-
-    rec_col, p_col, ap_col = [], [], []
+    rows = np.empty(text.count("\n", pos) + 1, dtype=_ROW)  # one line or more per row
+    filled = 0
+    block = ([], [], [], [])
     try:
-        for i in range(start, len(lines)):
-            line = lines[i].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"line {i + 1}: expected 'label,p,ap'")
-            label, p_token, ap_token = parts
-            record = index.get(label.strip())
-            if record is None:
-                raise DataError(f"line {i + 1}: coefficient for unknown label {label.strip()!r}")
-            try:
-                p = int(p_token)  # int() and float() ignore surrounding whitespace
-            except ValueError:
-                raise DataError(f"line {i + 1}: cannot parse prime from {p_token.strip()!r}") from None
-            if not 2 <= p < 2**_P_BITS:
-                raise DataError(f"line {i + 1}: prime must be in [2, 2^31), got {p}")
-            ap_col.append(_parse_number(ap_token, i + 1, "coefficient"))
-            rec_col.append(record)
-            p_col.append(p)
+        for chunk in _line_blocks(text, pos):
+            # int() and float() take a stray '_' or non-ASCII digit: check
+            # each numeral only in a block that holds such a character
+            plain = chunk.isascii() and "_" not in chunk
+            lines = chunk.split("\n")
+            block = ([], [], [], [])
+            rec_col, p_col, ap_col, line_col = block
+            for k, line in enumerate(lines, line_no):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 3:
+                    raise DataError(f"line {k}: expected 'label,p,ap'")
+                label, p_token, ap_token = parts
+                record = index.get(label.strip())
+                if record is None:
+                    raise DataError(f"line {k}: coefficient for unknown label {label.strip()!r}")
+                try:
+                    if not (plain or _is_numeral(p_token)):
+                        raise ValueError(p_token)
+                    p = int(p_token)  # int() and float() ignore surrounding whitespace
+                except ValueError:
+                    raise DataError(f"line {k}: cannot parse prime from {p_token.strip()!r}") from None
+                if not 2 <= p < _P_LIMIT:
+                    raise DataError(f"line {k}: prime must be in [2, 2^31), got {p}")
+                if not (plain or _is_numeral(ap_token)):
+                    raise DataError(f"line {k}: cannot parse coefficient from {ap_token.strip()!r}")
+                ap_col.append(_parse_number(ap_token, k, "coefficient"))
+                rec_col.append(record)
+                p_col.append(p)
+                line_col.append(k)
+            filled = _store(rows, filled, block)
+            line_no += len(lines)
     except DataError:
         # a duplicate on an earlier line is the first error in the file
-        _sorted_rows(rec_col, p_col, labels, line_of)
+        _sort_order(rows[: _store(rows, filled, block)], labels)
         raise
-    record, p, ap = np.array(rec_col, dtype=np.int64), np.array(p_col, dtype=np.int64), np.array(ap_col)
-    del rec_col, p_col, ap_col
-    order = _sorted_rows(record, p, labels, line_of)
+    del text
+    rows = rows[:filled]
+    order = _sort_order(rows, labels)
 
-    distinct, first, carriers = np.unique(p, return_index=True, return_counts=True)
-    composite = first[~is_prime(distinct)]
-    if len(composite):
-        k = composite.min()
-        raise DataError(f"line {line_of(k)}: coefficient at composite p={p[k]}")
+    distinct, carriers = np.unique(rows["p"], return_counts=True)
+    composite = np.isin(rows["p"], distinct[~is_prime(distinct)])
+    if np.any(composite):
+        line, p = (int(rows[name][np.argmax(composite)]) for name in ("line", "p"))  # the first in the file
+        raise DataError(f"line {line}: coefficient at composite p={p}")
+    record, p, ap = (rows[name][order] for name in ("record", "p", "ap"))
+    del rows, order
 
     # The coverage scan stops at the first prime missing from `common`, at
     # most the (|common|+1)-th prime, which Rosser's bound
@@ -436,9 +546,9 @@ def ingest(path) -> IngestedFamily:
         labels=tuple(labels),
         conductor=np.array(conductors, dtype=np.float64),
         root_number=np.array(roots, dtype=np.int64),
-        record=record[order],
-        p=p[order],
-        ap=ap[order],
+        record=record,
+        p=p,
+        ap=ap,
     )
 
 
@@ -449,18 +559,17 @@ def _format_number(x: float) -> str:
 
 
 def write_family(family: IngestedFamily, path) -> None:
-    """Write the canonical byte representation of an ingested family."""
+    """Write the canonical byte representation of an ingested family,
+    _WRITE_ROWS records or coefficient rows per write."""
     labels = family.labels
-    lines = [FAMILY_MAGIC, "label,conductor,root_number"]
-    lines += [
-        f"{label},{_format_number(conductor)},{root}"
-        for label, conductor, root in zip(labels, family.conductor.tolist(), family.root_number.tolist())
-    ]
-    lines.append("")
-    lines += [
-        f"{labels[i]},{p},{_format_number(ap)}"
-        for i, p, ap in zip(family.record.tolist(), family.p.tolist(), family.ap.tolist())
-    ]
-    text = "\n".join(lines) + "\n"
     with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
+        fh.write(f"{FAMILY_MAGIC}\nlabel,conductor,root_number\n".encode("utf-8"))
+        for lo in range(0, len(labels), _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            lines = zip(labels[lo:hi], family.conductor[lo:hi].tolist(), family.root_number[lo:hi].tolist())
+            fh.write("".join(f"{label},{_format_number(n)},{root}\n" for label, n, root in lines).encode("utf-8"))
+        fh.write(b"\n")
+        for lo in range(0, len(family.ap), _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            lines = zip(family.record[lo:hi].tolist(), family.p[lo:hi].tolist(), family.ap[lo:hi].tolist())
+            fh.write("".join(f"{labels[i]},{p},{_format_number(ap)}\n" for i, p, ap in lines).encode("utf-8"))

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: trial division, direct divisor
 enumeration, Euler's criterion, complex exponential sums with exact
 modular inverses, arbitrary-precision power series, dense Simpson
-integration, exact integer q-expansions, and a byte-at-a-time checksum.
-None of it shares code with the library paths it checks.
+integration, exact integer q-expansions, a byte-at-a-time checksum and a
+line-at-a-time family parser.  None of it shares code with the library
+paths it checks; the parser raises the library's ``DataError``.
 """
 
 import cmath
@@ -13,6 +14,8 @@ import math
 
 import mpmath
 import numpy as np
+
+from murmur.errors import DataError
 
 
 def naive_primes(limit):
@@ -260,3 +263,132 @@ def quadratic_class_oracle(X, phi, parity_class, primes, normalization="analytic
             v *= math.sqrt(p)
         values[i] = v
     return values
+
+
+def ingest_oracle(path):
+    """A murmur-family v1 file parsed one line at a time from one list of
+    all its lines, as ``families.ingest`` did before it read line blocks
+    into typed columns; it raises the same ``DataError`` messages.
+
+    Returns a dict: ``digest`` (byte-at-a-time FNV-1a of the normalized
+    text), ``prime_coverage`` (the largest P such that every record has a
+    coefficient at every prime <= P, by trial division), ``labels``,
+    ``conductor`` and ``root_number`` in file order, and ``record``, ``p``
+    and ``ap`` sorted by (record, p).  A numeral (conductor, p, a(p)) is
+    plain ASCII without '_', checked token by token.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.startswith(b"\xef\xbb\xbf"):
+        raw = raw[3:]
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise DataError(f"line {line_no}: not valid UTF-8") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    digest = fnv1a64_oracle(text.encode("utf-8"))
+    lines = text.split("\n")
+
+    def plain(token):
+        return all(ord(ch) < 128 for ch in token) and "_" not in token
+
+    def number(token, line_no, what):
+        try:
+            if not plain(token):
+                raise ValueError(token)
+            value = float(token)
+        except ValueError:
+            raise DataError(f"line {line_no}: cannot parse {what} from {token.strip()!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"line {line_no}: {what} must be finite, got {token.strip()!r}")
+        return value
+
+    if lines[0].strip() != "#murmur-family v1":
+        raise DataError("line 1: expected header '#murmur-family v1'")
+    if len(lines) < 2 or lines[1].strip() != "label,conductor,root_number":
+        raise DataError("line 2: expected column header 'label,conductor,root_number'")
+    index, conductors, roots = {}, [], []
+    i = 2
+    while i < len(lines) and lines[i].strip() != "":
+        parts = lines[i].split(",")
+        if len(parts) != 3:
+            raise DataError(f"line {i + 1}: expected 'label,conductor,root_number'")
+        label = parts[0].strip()
+        if label in index:
+            raise DataError(f"line {i + 1}: duplicate label {label!r}")
+        conductor = number(parts[1].strip(), i + 1, "conductor")
+        if not conductor > 0:
+            raise DataError(f"line {i + 1}: conductor must be positive, got {parts[1].strip()}")
+        root = parts[2].strip()
+        if root not in ("1", "-1", "+1"):
+            raise DataError(f"line {i + 1}: root number must be 1 or -1, got {root!r}")
+        index[label] = len(conductors)
+        conductors.append(conductor)
+        roots.append(int(root))
+        i += 1
+    labels = list(index)
+
+    rows = []  # (record, p, ap, line) in file order
+
+    def first_duplicate():
+        seen = set()
+        for record, p, _, line_no in rows:
+            if (record, p) in seen:
+                raise DataError(f"line {line_no}: duplicate coefficient for ({labels[record]!r}, {p})")
+            seen.add((record, p))
+
+    try:
+        for i in range(i + 1, len(lines)):
+            line = lines[i].strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DataError(f"line {i + 1}: expected 'label,p,ap'")
+            label, p_token, ap_token = parts
+            record = index.get(label.strip())
+            if record is None:
+                raise DataError(f"line {i + 1}: coefficient for unknown label {label.strip()!r}")
+            try:
+                if not plain(p_token):
+                    raise ValueError(p_token)
+                p = int(p_token)
+            except ValueError:
+                raise DataError(f"line {i + 1}: cannot parse prime from {p_token.strip()!r}") from None
+            if not 2 <= p < 2**31:
+                raise DataError(f"line {i + 1}: prime must be in [2, 2^31), got {p}")
+            rows.append((record, p, number(ap_token, i + 1, "coefficient"), i + 1))
+    except DataError:
+        first_duplicate()  # a duplicate on an earlier line is the first error in the file
+        raise
+    first_duplicate()
+
+    def prime(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    verdict = {}
+    for _, p, _, line_no in rows:
+        if verdict.setdefault(p, prime(p)) is False:
+            raise DataError(f"line {line_no}: coefficient at composite p={p}")
+
+    carried = {}
+    for record, p, _, _ in rows:
+        carried.setdefault(p, set()).add(record)
+    coverage, p = 0, 2
+    while labels and len(carried.get(p, ())) == len(labels):
+        coverage, p = p, p + 1
+        while not prime(p):
+            p += 1
+    rows.sort()
+    return {
+        "digest": digest,
+        "prime_coverage": coverage,
+        "labels": tuple(labels),
+        "conductor": np.array(conductors, dtype=np.float64),
+        "root_number": np.array(roots, dtype=np.int64),
+        "record": np.array([r[0] for r in rows], dtype=np.int64),
+        "p": np.array([r[1] for r in rows], dtype=np.int64),
+        "ap": np.array([r[2] for r in rows], dtype=np.float64),
+    }

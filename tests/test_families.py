@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from murmur import arith, families, frame, specfn
+from murmur import arith, cli, families, frame, specfn
 from murmur.errors import CoverageError, DataError, DomainError, WindowError
 
 import oracles
@@ -63,14 +64,11 @@ def test_character_multiplicativity(d, p, q):
 
 
 def test_legendre_table_matches_kronecker():
-    squares = np.arange(1, 49, dtype=np.int64) ** 2  # r*r up to (97 - 1)/2
-    for p in [2, 3, 5, 7, 11, 13, 97]:
-        table = families._legendre_table(p, squares)
-        modulus = 8 if p == 2 else p
-        for d in range(-40, 41):
-            if d == 0:
-                continue
-            assert table[d % modulus] == arith.kronecker(d, p), (d, p)
+    primes = [2, 3, 5, 7, 11, 13, 97]
+    for p, (tiled, minus_one) in zip(primes, families._legendre_tables(primes, 250)):
+        assert minus_one == arith.kronecker(-1, p)
+        for n in range(250):
+            assert tiled[n] == arith.kronecker(n, p), (n, p)
 
 
 def test_quadratic_murmuration_against_double_loop():
@@ -271,6 +269,188 @@ def test_ingest_sieve_bounded_by_input_size(tmp_path, monkeypatch):
     monkeypatch.setattr(families, "sieve", bounded_sieve)
     fam = families.ingest(write(tmp_path, GOOD + "11a,2147483647,1\n37a,2147483647,1\n"))
     assert fam.prime_coverage == 5
+
+
+def test_ingest_rejects_python_only_numerals(tmp_path, capsys):
+    # int() and float() read '_' separators and non-ASCII digits: these once
+    # became conductor 11, a(2) = 10 and p = 3
+    records = "#murmur-family v1\nlabel,conductor,root_number\ne1,11,1\ne2,11,1\n"
+    for text, message in (
+        ("#murmur-family v1\nlabel,conductor,root_number\ne1,1_1,1\n", "line 3: cannot parse conductor from '1_1'"),
+        (records + "\ne1,2,1_0\n", "line 6: cannot parse coefficient from '1_0'"),
+        (records + "\ne2,٣,2\n", "line 6: cannot parse prime from '٣'"),
+        (records + "\ne1,2,1\ne2,2,７\n", "line 7: cannot parse coefficient from '７'"),
+        ("#murmur-family v1\nlabel,conductor,root_number\ne_1,1١,1\n", "line 3: cannot parse conductor from '1١'"),
+    ):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError) as err:
+            families.ingest(path)
+        assert str(err.value) == message
+        assert cli.main(["ingest-run", "--file", str(path), "--x", "10", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # '_' and non-ASCII text stay legal in labels
+    fam = families.ingest(write(tmp_path, "#murmur-family v1\nlabel,conductor,root_number\ne_1,11,1\nε2,11,1\n"
+                                          "\ne_1,2,1\nε2,2,-1e0\n"))
+    assert fam.labels == ("e_1", "ε2")
+    assert fam.ap.tolist() == [1.0, -1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab\n", max_size=40), st.integers(0, 45), st.integers(1, 8))
+def test_line_blocks_split_like_the_text(text, start, size):
+    with mock.patch.object(families, "_BLOCK_CHARS", size):
+        pieces = list(families._line_blocks(text, start))
+    assert [line for piece in pieces for line in piece.split("\n")] == (
+        text[start:].split("\n") if start <= len(text) else []
+    )
+    assert all(len(piece) <= size or "\n" not in piece for piece in pieces)
+
+
+_BAD_TOKENS = ("x", "", "1_1", "٣", "７", "1.5", "-3", "0", "1", "4", "9", "2147483648", "2147483647",
+               "nan", "inf", "-inf", "1e400", "+7", " 7 ", "0x7", "7\u00a0", "1١")
+
+
+def _oracle_family_lines(rng):
+    """A valid family in shuffled row order, with '_' and non-ASCII labels,
+    blank lines and one missing coefficient (coverage stops at 11)."""
+    labels = [f"r{i}" for i in range(8)] + ["r_8", "ε9"]
+    primes = [2, 3, 5, 7, 11, 13, 17, 19]
+    lines = [families.FAMILY_MAGIC, "label,conductor,root_number"]
+    lines += [f"{label},{rng.choice(['11', '37.5', ' 90 ', '1e2'])},{rng.choice(['1', '-1', '+1'])}"
+              for label in labels]
+    lines.append("")
+    rows = [(label, p) for label in labels for p in primes if (label, p) != ("r3", 13)]
+    for k in rng.permutation(len(rows)).tolist():
+        label, p = rows[k]
+        lines.append(f"{label},{p},{rng.choice(['-2', '+3', ' 4 ', '-0.5', '1e-3', '0'])}")
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "  \t"]))
+    return lines
+
+
+def _corrupt(lines, rng):
+    lines = list(lines)
+    first_row = lines.index("") + 1
+    row = int(rng.integers(first_row, len(lines)))
+    record = int(rng.integers(2, first_row - 1))
+    kind = rng.choice(["p", "ap", "conductor", "root", "label", "fields", "dup", "dup_label", "blank",
+                       "header", "truncate", "none"])
+    token = str(rng.choice(_BAD_TOKENS))
+    if kind in ("p", "ap", "label") and lines[row].strip():
+        parts = lines[row].split(",")
+        parts[{"label": 0, "p": 1, "ap": 2}[kind]] = "zz" if kind == "label" else token
+        lines[row] = ",".join(parts)
+    elif kind in ("conductor", "root"):
+        parts = lines[record].split(",")
+        parts[1 if kind == "conductor" else 2] = token if kind == "conductor" else str(rng.choice(["0", "2", "1.0"]))
+        lines[record] = ",".join(parts)
+    elif kind == "fields":
+        at = int(rng.choice([row, record]))
+        lines[at] = lines[at] + ",1" if rng.random() < 0.5 else lines[at].rsplit(",", 1)[0]
+    elif kind == "dup":
+        lines.insert(int(rng.integers(first_row, len(lines) + 1)), lines[row])
+    elif kind == "dup_label":
+        lines[record] = lines[2].split(",")[0] + "," + lines[record].split(",", 1)[1]
+    elif kind == "blank":
+        lines.insert(int(rng.integers(2, len(lines))), "")
+    elif kind == "header":
+        lines[int(rng.integers(0, 2))] += "x"
+    elif kind == "truncate":
+        lines = lines[: int(rng.integers(1, len(lines)))]
+    return lines
+
+
+def _encode_family(lines, rng):
+    text = rng.choice(["\n", "\r\n", "\r"]).join(lines) + rng.choice(["\n", ""])
+    data = text.encode("utf-8")
+    if rng.random() < 0.05:
+        at = int(rng.integers(0, len(data) + 1))
+        data = data[:at] + b"\xff" + data[at:]
+    return (b"\xef\xbb\xbf" if rng.random() < 0.1 else b"") + data
+
+
+def _ingest_outcome(path):
+    try:
+        fam = families.ingest(path)
+    except DataError as err:
+        return str(err)
+    return {"digest": fam.source_digest, "prime_coverage": fam.prime_coverage, "labels": fam.labels,
+            **{name: getattr(fam, name) for name in ("conductor", "root_number", "record", "p", "ap")}}
+
+
+def _oracle_outcome(path):
+    try:
+        return oracles.ingest_oracle(path)
+    except DataError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("block", [7, 64, None], ids=["block7", "block64", "default"])
+def test_ingest_matches_line_oracle(tmp_path, monkeypatch, block):
+    # seeded single-line corruptions give the oracle's DataError, line number
+    # included; clean files give its columns; small blocks cut every section
+    if block:
+        monkeypatch.setattr(families, "_BLOCK_CHARS", block)
+    rng = np.random.default_rng(block or 1)
+    path = tmp_path / "fam.txt"
+    errors = 0
+    for case in range(150):
+        lines = _oracle_family_lines(rng)
+        path.write_bytes(_encode_family(_corrupt(lines, rng) if case else lines, rng))
+        got, want = _ingest_outcome(path), _oracle_outcome(path)
+        if isinstance(want, str):
+            errors += 1
+            assert got == want, (case, path.read_bytes())
+            continue
+        assert not isinstance(got, str), (case, got)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), (case, name)
+    assert 50 < errors < 150
+
+
+@pytest.fixture(scope="module")
+def big_family(tmp_path_factory):
+    """A canonical family of 1800 records x 100 primes with float a(p),
+    about 5.2 MB in 180,000 coefficient rows."""
+    rng = np.random.default_rng(5)
+    primes = arith.sieve(541).primes
+    labels = [f"e{i:04d}" for i in range(1800)]
+    lines = [families.FAMILY_MAGIC, "label,conductor,root_number"]
+    lines += [f"{label},{c},{r}" for label, c, r in zip(labels, rng.integers(11, 400, 1800).tolist(),
+                                                        rng.choice([-1, 1], 1800).tolist())]
+    lines.append("")
+    ap = (rng.normal(0.0, 1.5, size=(1800, len(primes))) * np.sqrt(primes)).tolist()
+    lines += [f"{label},{p},{a!r}" for label, row in zip(labels, ap) for p, a in zip(primes.tolist(), row)]
+    path = tmp_path_factory.mktemp("big") / "family.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert path.stat().st_size >= 5 * 10**6
+    return path
+
+
+def test_ingest_memory_follows_the_file(big_family):
+    # the list of lines and per-row Python lists once peaked at 8x this file
+    tracemalloc.start()
+    try:
+        fam = families.ingest(big_family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fam.ap) == 180_000
+    assert peak <= 6 * big_family.stat().st_size
+
+
+def test_write_family_memory_is_bounded(big_family, tmp_path):
+    # building every line and the joined text once peaked at 35 MB here
+    fam = families.ingest(big_family)
+    tracemalloc.start()
+    try:
+        families.write_family(fam, tmp_path / "out.txt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert (tmp_path / "out.txt").read_bytes() == big_family.read_bytes()
 
 
 def test_missing_coefficient_is_loud(tmp_path):
