@@ -1,7 +1,11 @@
 """Exact integer kernels: sieve tables and prime grids, multiplicative
-functions, Kronecker symbols, and Kloosterman sums.  ``covering`` is the
-one rule that sizes the sieve tables a reader needs, and ``is_prime`` the
-one prime test.
+functions, and Kloosterman sums.  ``covering`` is the one rule that sizes
+the sieve tables a reader needs, and ``is_prime`` the one prime test.
+
+``ArithTables`` owns the multiplicative facts over [0, limit]: the
+squarefree mask (mu(n)^2), phi, sigma and tau.  Each is a read-only array
+built from the sieve the first time it is read, so a sieve that serves
+only a prime grid builds none of them.
 
 Kloosterman sums S(m, n; c) are evaluated two independent ways:
 
@@ -17,7 +21,7 @@ on dense grids rather than trusting the combination rule.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
 from typing import Optional
 
@@ -38,13 +42,59 @@ class ArithTables:
 
     ``smallest_prime_factor[n]`` is defined for 0 <= n <= limit (entries
     below 2 are 0) and ``primes`` is the ascending array of primes
-    <= limit.  Arrays are marked read-only so tables can be shared
-    freely across threads.
+    <= limit.  The multiplicative tables below are indexed by n in
+    [0, limit] and built on first access.  Arrays are marked read-only
+    so tables can be shared freely.
     """
 
     limit: int
     smallest_prime_factor: np.ndarray
     primes: np.ndarray
+
+    @cached_property
+    def squarefree(self) -> np.ndarray:
+        """Boolean mask of the squarefree n, i.e. mu(n)^2 (False at 0):
+        p^2 crossed out for every prime p <= sqrt(limit)."""
+        mask = np.ones(self.limit + 1, dtype=bool)
+        mask[0] = False
+        for p in self.primes[: np.searchsorted(self.primes, math.isqrt(self.limit), "right")].tolist():
+            mask[p * p :: p * p] = False
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def euler_phi(self) -> np.ndarray:
+        """Euler's totient phi(n), int64."""
+        return self._by_smallest_factor(lambda f, p, m: f[m] * np.where(m % p == 0, p, p - 1))
+
+    @cached_property
+    def divisor_sigma(self) -> np.ndarray:
+        """Sum of divisors sigma(n), int64."""
+        return self._by_smallest_factor(lambda f, p, m: f[m] * (p + 1) - np.where(m % p == 0, p * f[m // p], 0))
+
+    @cached_property
+    def divisor_count(self) -> np.ndarray:
+        """Number of divisors tau(n), int64."""
+        return self._by_smallest_factor(lambda f, p, m: 2 * f[m] - np.where(m % p == 0, f[m // p], 0))
+
+    def _by_smallest_factor(self, rule) -> np.ndarray:
+        """The int64 table f with f(0) = 0, f(1) = 1 and, for n >= 2,
+        f(n) = rule(f, p, m) where p = spf(n) and m = n / p.
+
+        For multiplicative f the rule needs only f(m) and, when p | m,
+        f(m / p).  As m <= n / 2, each block [lo, 2 lo) of n is one numpy
+        pass that reads finished entries only.
+        """
+        f = np.zeros(self.limit + 1, dtype=np.int64)
+        f[1] = 1
+        lo = 2
+        while lo <= self.limit:
+            hi = min(2 * lo, self.limit + 1)
+            p = self.smallest_prime_factor[lo:hi].astype(np.int64)
+            f[lo:hi] = rule(f, p, np.arange(lo, hi) // p)
+            lo = hi
+        f.flags.writeable = False
+        return f
 
 
 def sieve(limit: int) -> ArithTables:
@@ -138,74 +188,9 @@ def factorize(n: int, tables: ArithTables) -> list[tuple[int, int]]:
     return out
 
 
-def mobius(n: int, tables: ArithTables) -> int:
-    """Moebius mu(n): 0 unless n is squarefree, else (-1)^(#prime factors)."""
-    fac = factorize(n, tables)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def euler_phi(n: int, tables: ArithTables) -> int:
-    """Euler totient via the factorization of n."""
-    phi = 1
-    for p, e in factorize(n, tables):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
-def divisor_sigma(n: int, tables: ArithTables) -> int:
-    """Sum of divisors sigma(n) = prod (p^(e+1) - 1)/(p - 1)."""
-    sig = 1
-    for p, e in factorize(n, tables):
-        sig *= (p ** (e + 1) - 1) // (p - 1)
-    return sig
-
-
-def divisor_count(n: int, tables: ArithTables) -> int:
-    """Number of divisors tau(n)."""
-    tau = 1
-    for _, e in factorize(n, tables):
-        tau *= e + 1
-    return tau
-
-
 def is_squarefree(n: int, tables: ArithTables) -> bool:
-    return all(e == 1 for _, e in factorize(n, tables))
-
-
-def kronecker(d: int, n: int) -> int:
-    """Kronecker symbol (d|n), extended to all integer pairs.
-
-    Fully multiplicative in n; for odd prime n it is the Legendre
-    symbol, (d|2) is 0 for even d and +-1 by d mod 8, (d|-1) is the
-    sign of d, and (d|0) is 1 only for d = +-1.
-    """
-    if n == 0:
-        return 1 if d in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if d < 0:
-            result = -result
-    while n % 2 == 0:
-        if d % 2 == 0:
-            return 0
-        n //= 2
-        if d % 8 in (3, 5):
-            result = -result
-    # n odd and positive from here; standard Jacobi reduction
-    d %= n
-    while d != 0:
-        while d % 2 == 0:
-            d //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        d, n = n, d
-        if d % 4 == 3 and n % 4 == 3:
-            result = -result
-        d %= n
-    return result if n == 1 else 0
+    _check_range(n, tables)
+    return bool(tables.squarefree[n])
 
 
 # ---------------------------------------------------------------------------
@@ -225,30 +210,12 @@ def _powmod_vec(base: np.ndarray, exponent: int, modulus: int) -> np.ndarray:
     return result
 
 
-def _phi_of(modulus: int) -> int:
-    """Totient by trial division; independent of any sieve table."""
-    phi = 1
-    n = modulus
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            phi *= (p - 1) * p ** (e - 1)
-        p += 1 if p == 2 else 2
-    if n > 1:
-        phi *= n - 1
-    return phi
-
-
 def _build_unit_tables(modulus: int) -> tuple[np.ndarray, ...]:
     """The units d of Z/cZ, their inverses, and the cosine and sine of every
     angle j * (2 pi / c), j < c: the float expression the unit sums gather."""
     d = np.arange(1, modulus, dtype=np.int64)
     units = d[np.gcd(d, modulus) == 1]
-    inv = _powmod_vec(units, _phi_of(modulus) - 1, modulus)
+    inv = _powmod_vec(units, len(units) - 1, modulus)  # d^(phi(c) - 1) = 1/d
     angle = np.arange(modulus) * (2.0 * math.pi / modulus)
     tables = units, inv, np.cos(angle), np.sin(angle)
     for table in tables:
@@ -334,5 +301,6 @@ def kloosterman_fast(m: int, n, c: int, tables: ArithTables):
 
 def weil_bound(m: int, n: int, c: int, tables: ArithTables) -> float:
     """tau(c) * sqrt(gcd(m, n, c)) * sqrt(c), the Weil bound for |S(m,n;c)|."""
+    _check_range(c, tables)
     g = math.gcd(math.gcd(m, n), c)
-    return divisor_count(c, tables) * math.sqrt(g) * math.sqrt(c)
+    return int(tables.divisor_count[c]) * math.sqrt(g) * math.sqrt(c)

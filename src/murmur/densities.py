@@ -22,6 +22,11 @@ Two murmuration densities are provided:
   candidates.  The zeta-type prefactor is a free parameter (default 1);
   all structural statements about the atoms are prefactor-free.
 
+Both densities read mu^2, phi and sigma from the sieve tables of
+``arith`` (``squarefree``, ``euler_phi``, ``divisor_sigma``), which
+cover every modulus they sum over; products of table entries are taken
+in Python ints.
+
 Orthogonal-symmetry kernels carry their delta atoms as explicit
 bookkeeping entries, never as narrow approximations.
 """
@@ -33,11 +38,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import ArithTables, covering, divisor_sigma, euler_phi, is_squarefree, mobius
+from .arith import ArithTables, covering
 from .errors import DataError, DomainError
 from .specfn import WeightFunction, quadrature
 
 _ENDPOINT_SNAP = 1e-12
+_PAIRING_TOL = 1e-9  # quadrature tolerance of one_level_pairing
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,10 @@ class DistributionValue:
     def total_atom_mass(self) -> float:
         return math.fsum(m for _, m in self.atoms)
 
-    def atom_at(self, location: float, tol: float = 0.0):
+    def atom_at(self, location: float):
+        """The atom (location, mass) exactly at ``location``, else None."""
         for loc, mass in self.atoms:
-            if abs(loc - location) <= tol:
+            if loc == location:
                 return (loc, mass)
         return None
 
@@ -83,12 +90,6 @@ def _moduli_bounds(y, phi: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
     return c_lo, c_hi
 
 
-def admissible_moduli(y: float, phi: WeightFunction) -> range:
-    """Integers c with 16 pi^2 y / c^2 inside [a, b], computed analytically."""
-    c_lo, c_hi = _moduli_bounds(y, phi)
-    return range(int(c_lo), int(c_hi) + 1)
-
-
 def harmonic_murmuration_density(y, phi: WeightFunction, sign: int, tables: Optional[ArithTables] = None):
     """Closed-form weight-aspect density at y = p / X; exact finite sum.
 
@@ -101,11 +102,12 @@ def harmonic_murmuration_density(y, phi: WeightFunction, sign: int, tables: Opti
     c_lo, c_hi = _moduli_bounds(ys, phi)
     c_max = int(c_hi.max(initial=0))
     tables = covering(tables, c_max)
+    squarefree, totient = tables.squarefree, tables.euler_phi
     total = np.zeros(ys.shape)
     for c in range(int(c_lo.min(initial=1)), c_max + 1):
         live = (c_lo <= c) & (c <= c_hi)
-        if live.any() and mobius(c, tables) != 0:
-            total[live] += phi(16.0 * math.pi**2 * ys[live] / c**2) / (c * c * euler_phi(c, tables))
+        if live.any() and squarefree[c]:
+            total[live] += phi(16.0 * math.pi**2 * ys[live] / c**2) / (c * c * int(totient[c]))
     value = sign * 4.0 * math.pi * total
     return value if value.ndim else float(value)
 
@@ -139,12 +141,12 @@ def window_murmuration_density(
     except OverflowError:
         raise DomainError(f"E max {hi:g} is too large: its tail bound (max E)^(3/2) overflows") from None
     tables = covering(tables, q_max)
+    totient, sigma = tables.euler_phi, tables.divisor_sigma
     locs, masses = [], []
     sqrt_lo, sqrt_hi = math.sqrt(lo), math.sqrt(hi)
-    for q in range(1, q_max + 1):
-        if not is_squarefree(q, tables):
-            continue
-        base = prefactor * 1.0 / (euler_phi(q, tables) ** 2 * divisor_sigma(q, tables))
+    for q in np.flatnonzero(tables.squarefree[: q_max + 1]).tolist():
+        # in Python ints: phi(q)^2 sigma(q) passes 2^63 for prime q above about 2.1e6
+        base = prefactor * 1.0 / (int(totient[q]) ** 2 * int(sigma[q]))
         a = np.arange(max(1, math.floor(q / sqrt_hi)), math.ceil(q / sqrt_lo) + 2)
         a = a[np.gcd(a, q) == 1]
         # float_power calls libm pow, as Python's ** does: r * r can differ in the last ulp
@@ -206,7 +208,7 @@ def so_kernel_fourier(parity: str) -> DistributionValue:
     raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-def one_level_pairing(phi_hat: WeightFunction, parity: str, tol: float = 1e-9) -> float:
+def one_level_pairing(phi_hat: WeightFunction, parity: str) -> float:
     """Pair a transform-side test function against the Fourier SO kernel.
 
     Computes the atom contributions plus the quadrature of the
@@ -220,6 +222,6 @@ def one_level_pairing(phi_hat: WeightFunction, parity: str, tol: float = 1e-9) -
     atom_part = math.fsum(mass * float(phi_hat(loc)) for loc, mass in kernel.atoms)
     breaks = [-1.0, 1.0]
     result = quadrature(
-        lambda x: float(phi_hat(x)) * kernel.continuous(x), (a, b), tol=tol, breakpoints=breaks
+        lambda x: float(phi_hat(x)) * kernel.continuous(x), (a, b), tol=_PAIRING_TOL, breakpoints=breaks
     )
     return atom_part + result.value

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import check_prime_grid, is_prime, sieve
+from .arith import check_prime_grid, covering, is_prime, sieve
 from .errors import CoverageError, DataError, DomainError, WindowError
 from .frame import FamilyRecord, MurmurationSeries
 from .specfn import WeightFunction
@@ -104,27 +104,21 @@ def _check_normalization(normalization: str) -> None:
 # quadratic characters
 
 
-def _squarefree_mask(limit: int) -> np.ndarray:
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[0] = False
-    for k in range(2, math.isqrt(limit) + 1):
-        mask[k * k :: k * k] = False
-    return mask
-
-
 def fundamental_discriminants(X: float, phi: WeightFunction) -> dict[int, np.ndarray]:
     """Fundamental discriminants d with |d|/X inside supp(phi), per sign
     class (keys +1 and -1), each an int64 array in ascending |d|.
 
     d is fundamental when d = 1 mod 4 is squarefree, or d = 4m with
-    m = 2, 3 mod 4 squarefree.
+    m = 2, 3 mod 4 squarefree.  Squarefreeness is read from the sieve
+    tables up to max |d|, so a window beyond the sieve's size raises
+    SizeError before anything of that size is allocated.
     """
     if X < 3:
         raise DomainError(f"X must be >= 3, got {X}")
     a, b = phi.support
     lo = max(3, math.ceil(a * X))
     hi = max(lo - 1, math.floor(b * X))
-    sf = _squarefree_mask(hi)
+    sf = covering(None, hi).squarefree
     absd = np.arange(lo, hi + 1, dtype=np.int64)
     classes = {}
     for sign in (1, -1):

@@ -22,6 +22,8 @@ from .arith import check_prime_grid
 from .errors import DataError, DomainError, WindowError
 from .specfn import WeightFunction
 
+_PEAK_TOP_FRACTION = 0.5  # peak_location fits the samples above this share of the maximum
+
 
 @dataclass(frozen=True)
 class FamilyRecord:
@@ -196,20 +198,21 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
 # series comparison helpers
 
 
-def peak_location(y: np.ndarray, value: np.ndarray, top_fraction: float = 0.5) -> float:
+def peak_location(y: np.ndarray, value: np.ndarray) -> float:
     """Peak abscissa of a sampled curve by |value|.
 
     Fits a least-squares parabola through the contiguous samples around
-    the discrete maximum that stay above ``top_fraction`` of it.  Applied
-    identically to an empirical series and a reference curve on the same
-    grid, discretization bias largely cancels.
+    the discrete maximum that stay above half of it
+    (``_PEAK_TOP_FRACTION``).  Applied identically to an empirical series
+    and a reference curve on the same grid, discretization bias largely
+    cancels.
     """
     y = np.asarray(y, dtype=np.float64)
     v = np.abs(np.asarray(value, dtype=np.float64))
     if len(y) == 0:
         raise DomainError("cannot locate the peak of an empty series")
     i = int(np.argmax(v))
-    threshold = top_fraction * v[i]
+    threshold = _PEAK_TOP_FRACTION * v[i]
     lo = i
     while lo > 0 and v[lo - 1] >= threshold:
         lo -= 1

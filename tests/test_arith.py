@@ -60,75 +60,45 @@ def test_sieve_tables_immutable(tables):
         tables.primes[0] = 4
 
 
-def test_mobius_values(tables):
-    assert arith.mobius(1, tables) == 1
-    assert arith.mobius(4, tables) == 0
-    assert arith.mobius(30, tables) == -1
-    for n in range(1, 200):
-        assert arith.mobius(n, tables) == oracles.mobius_naive(n)
+@pytest.fixture(scope="module")
+def small_tables():
+    return arith.sieve(1000)
 
 
-def test_phi_sigma_against_divisor_enumeration(tables):
-    assert arith.euler_phi(1, tables) == 1
-    assert arith.divisor_sigma(1, tables) == 1
-    assert arith.euler_phi(12, tables) == 4
-    assert arith.divisor_sigma(12, tables) == 28
-    for n in range(1, 150):
-        assert arith.divisor_sigma(n, tables) == sum(oracles.divisors(n))
-        assert arith.euler_phi(n, tables) == oracles.phi_naive(n)
-        assert arith.divisor_count(n, tables) == len(oracles.divisors(n))
+def test_mobius_values(small_tables):
+    # mu enters the densities only squared: its owner is the squarefree mask
+    mask = small_tables.squarefree
+    assert mask.dtype == bool and len(mask) == small_tables.limit + 1
+    assert not mask[0] and not mask.flags.writeable
+    assert [n for n in range(1, small_tables.limit + 1) if mask[n] != (oracles.mobius_naive(n) != 0)] == []
 
 
-def test_is_squarefree(tables):
-    assert not arith.is_squarefree(18, tables)
-    assert arith.is_squarefree(30, tables)
+def test_phi_sigma_against_divisor_enumeration(small_tables):
+    phi, sigma, tau = small_tables.euler_phi, small_tables.divisor_sigma, small_tables.divisor_count
+    for table in (phi, sigma, tau):
+        assert table.dtype == np.int64 and len(table) == small_tables.limit + 1
+        assert not table.flags.writeable
+    assert (phi[1], sigma[1], tau[1]) == (1, 1, 1)
+    assert (phi[12], sigma[12], tau[12]) == (4, 28, 6)
+    for n in range(1, small_tables.limit + 1):
+        divisors = oracles.divisors(n)
+        assert (phi[n], sigma[n], tau[n]) == (oracles.phi_naive(n), sum(divisors), len(divisors)), n
 
 
-def test_table_range_errors(tables):
-    with pytest.raises(DomainError):
-        arith.mobius(tables.limit + 1, tables)
+def test_is_squarefree(small_tables):
+    assert not arith.is_squarefree(18, small_tables)
+    assert arith.is_squarefree(30, small_tables)
+    for n in range(1, small_tables.limit + 1):
+        trial = all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
+        assert arith.is_squarefree(n, small_tables) == trial, n
 
 
-# ---------------------------------------------------------------------------
-# Kronecker symbol
-
-
-def test_kronecker_trivia():
-    assert arith.kronecker(5, 1) == 1
-    assert arith.kronecker(5, 5) == 0
-    assert arith.kronecker(0, 1) == 1
-    assert arith.kronecker(0, 7) == 0
-    assert arith.kronecker(-1, 0) == 1
-    assert arith.kronecker(3, 0) == 0
-
-
-def test_kronecker_against_residue_table_oracle():
-    # quadratic-residue brute force at odd prime bottoms, including (-7|3)
-    assert arith.kronecker(-7, 3) == oracles.legendre_euler(-7, 3)
-    for p in [3, 5, 7, 11, 13]:
-        residues = {(r * r) % p for r in range(1, p)}
-        for d in range(-30, 31):
-            expect = 0 if d % p == 0 else (1 if d % p in residues else -1)
-            assert arith.kronecker(d, p) == expect, (d, p)
-
-
-@settings(max_examples=300)
-@given(st.integers(-500, 500), st.integers(-200, 200))
-def test_kronecker_matches_definition_oracle(d, n):
-    assert arith.kronecker(d, n) == oracles.kronecker_oracle(d, n)
-
-
-@given(st.integers(-100, 100), st.integers(1, 60))
-def test_kronecker_multiplicative_in_bottom(d, n):
-    for m in range(1, 20):
-        assert arith.kronecker(d, m * n) == arith.kronecker(d, m) * arith.kronecker(d, n)
-
-
-@given(st.sampled_from([5, 8, -7, -8, 12, 13, -3, -4, 17]), st.integers(1, 300))
-def test_kronecker_periodicity(d, n):
-    # period |d| once d = 0, 1 mod 4
-    assert d % 4 in (0, 1)
-    assert arith.kronecker(d, n) == arith.kronecker(d, n + abs(d))
+def test_table_range_errors(small_tables):
+    for n in (0, -1, small_tables.limit + 1):
+        with pytest.raises(DomainError):
+            arith.is_squarefree(n, small_tables)
+        with pytest.raises(DomainError):
+            arith.weil_bound(1, 1, n, small_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +116,7 @@ def test_kloosterman_examples(tables):
 def test_kloosterman_ramanujan_case(tables):
     # S(0, 0; c) counts the units
     for c in [1, 2, 6, 12, 30, 100]:
-        assert abs(arith.kloosterman_fast(0, 0, c, tables) - arith.euler_phi(c, tables)) < 1e-9
+        assert abs(arith.kloosterman_fast(0, 0, c, tables) - oracles.phi_naive(c)) < 1e-9
 
 
 def test_kloosterman_against_complex_oracle(tables):

@@ -366,6 +366,15 @@ def test_exit_window(tmp_path):
     assert code == 4
 
 
+def test_dirichlet_window_beyond_sieve_is_size_error(tmp_path, capped_run):
+    # the prime grid (3, 5) passes, but |d| reaches 6e9: this once allocated a 6 GB squarefree mask
+    argv = ["dirichlet", "--x", "3e9", "--y-min", "1e-9", "--y-max", "2e-9", "--out", str(tmp_path / "big")]
+    result = capped_run(f"import sys, murmur.cli\nsys.exit(murmur.cli.main({argv!r}))")
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [f"error: sieve limit 6000000000 exceeds supported size {2**31 - 1}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_module_entrypoint_smoke(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "murmur", "old-kernel", "--parity", "even",

@@ -43,6 +43,19 @@ def test_enumerate_requires_scale():
         families.fundamental_discriminants(2.0, PHI)
 
 
+def test_enumerate_window_beyond_sieve_raises_size_error(capped_run):
+    result = capped_run(
+        "from murmur import families, specfn\n"
+        "from murmur.errors import SizeError\n"
+        "try:\n"
+        "    families.fundamental_discriminants(3e9, specfn.indicator(1.0, 2.0))\n"
+        "except SizeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"sieve limit 6000000000 exceeds supported size {2**31 - 1}\n"
+
+
 def test_parity_classes_and_lambda():
     for cls, ds in families.fundamental_discriminants(50.0, PHI).items():
         assert ds.dtype == np.int64
@@ -50,25 +63,31 @@ def test_parity_classes_and_lambda():
         assert np.all(np.diff(np.abs(ds)) > 0)
         for d in ds.tolist():
             for p in [2, 3, 5, 7]:
-                lam = arith.kronecker(d, p)
+                lam = oracles.kronecker_oracle(d, p)
                 assert lam in (-1, 0, 1)
                 assert (lam == 0) == (d % p == 0)
 
 
 @settings(max_examples=40)
-@given(st.sampled_from([5, 8, -7, -8, 13, -11, 12, -4]), st.sampled_from([3, 5, 7, 11, 13]),
-       st.sampled_from([2, 3, 5, 7]))
-def test_character_multiplicativity(d, p, q):
-    if math.gcd(p * q, 1) == 1:
-        assert arith.kronecker(d, p * q) == arith.kronecker(d, p) * arith.kronecker(d, q)
+@given(st.sampled_from([5, 8, -7, -8, 13, -11, 12, -4]), st.sampled_from([5, 8, -7, -8, 13, -11, 12, -4]),
+       st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_character_multiplicativity(d, e, p):
+    # the family's (d|p) for negative d is (-1|p)(|d| | p): the table must be a character in d
+    (tiled, minus_one), = families._legendre_tables([p], 200)
+
+    def chi(n):
+        return int(tiled[abs(n)]) * (minus_one if n < 0 else 1)
+
+    assert chi(d * e) == chi(d) * chi(e)
+    assert chi(d) == oracles.kronecker_oracle(d, p)
 
 
 def test_legendre_table_matches_kronecker():
     primes = [2, 3, 5, 7, 11, 13, 97]
     for p, (tiled, minus_one) in zip(primes, families._legendre_tables(primes, 250)):
-        assert minus_one == arith.kronecker(-1, p)
+        assert minus_one == oracles.kronecker_oracle(-1, p)
         for n in range(250):
-            assert tiled[n] == arith.kronecker(n, p), (n, p)
+            assert tiled[n] == oracles.kronecker_oracle(n, p), (n, p)
 
 
 def test_quadratic_murmuration_against_double_loop():
@@ -77,7 +96,7 @@ def test_quadratic_murmuration_against_double_loop():
         ser = families.quadratic_murmuration(50.0, PHI, cls, primes)
         ds = families.fundamental_discriminants(50.0, PHI)[cls].tolist()
         for i, p in enumerate(primes):
-            expect = sum(arith.kronecker(d, p) for d in ds) / len(ds)
+            expect = sum(oracles.kronecker_oracle(d, p) for d in ds) / len(ds)
             assert abs(ser.value[i] - expect) < 1e-12
         assert ser.count[0] == len(ds)
 

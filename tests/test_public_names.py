@@ -1,0 +1,40 @@
+"""Every public module-level function and class of the library has a
+reader outside its own definition: library code, scripts, the benchmark
+harness or the acceptance suite.  A name only the unit tests call is
+test code living in the library."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "murmur").glob("*.py"))
+READERS = LIBRARY + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"
+]
+
+
+def _references(path):
+    """(name, line) of each identifier, attribute and imported name in the file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+def test_every_public_library_name_has_a_reader():
+    readers = {}
+    for path in READERS:
+        for name, line in _references(path):
+            readers.setdefault(name, set()).add((path, line))
+    orphans = [
+        f"{path.stem}.{node.name}"
+        for path in LIBRARY
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not readers.get(node.name, set()) - {(path, node.lineno)}
+    ]
+    assert orphans == []
