@@ -108,11 +108,8 @@ def sieve(limit: int) -> ArithTables:
         if spf[i] == 0:
             block = spf[i * i :: i]
             block[block == 0] = i
-    n = np.arange(limit + 1, dtype=np.int32)
-    unmarked = (spf == 0) & (n >= 2)
-    spf[unmarked] = n[unmarked]
-    primes = np.flatnonzero(spf == n)
-    primes = primes[primes >= 2].astype(np.int64)
+    primes = np.flatnonzero(spf == 0)[2:]  # the unmarked n >= 2
+    spf[primes] = primes
     spf.flags.writeable = False
     primes.flags.writeable = False
     return ArithTables(limit=limit, smallest_prime_factor=spf, primes=primes)

@@ -56,17 +56,13 @@ def emit_csv(path, rows, header, atoms=()) -> None:
             fh.write(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) + "\n")
 
 
-def _svg_path(points, width, height, pad, x_range, y_range) -> str:
+def _pixels(width, height, pad, x_range, y_range):
+    """The map from a data point (x, y) to its SVG pixel coordinates."""
     x0, x1 = x_range
     y0, y1 = y_range
     sx = (width - 2 * pad) / (x1 - x0) if x1 > x0 else 1.0
     sy = (height - 2 * pad) / (y1 - y0) if y1 > y0 else 1.0
-    coords = []
-    for x, y in points:
-        px = pad + (x - x0) * sx
-        py = height - pad - (y - y0) * sy
-        coords.append(f"{px:.2f},{py:.2f}")
-    return " ".join(coords)
+    return lambda x, y: (pad + (x - x0) * sx, height - pad - (y - y0) * sy)
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
@@ -112,16 +108,14 @@ def emit_svg(path, overlays, atoms=(), title="") -> None:
         fy = y_range[0] + (y_range[1] - y_range[0]) * i / 4
         py = height - pad - (height - 2 * pad) * i / 4
         parts.append(f'<text x="{pad - 8}" y="{py:.2f}" font-size="12" text-anchor="end">{fy:g}</text>')
+    to_pixels = _pixels(width, height, pad, x_range, y_range)
     for (label, xs, ys), color in zip(overlays, _SVG_COLORS):
-        pts = _svg_path(zip(xs, ys), width, height, pad, x_range, y_range)
+        pts = " ".join("{:.2f},{:.2f}".format(*to_pixels(x, y)) for x, y in zip(xs, ys))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
     for loc, mass in atoms:
-        (spike,) = [_svg_path([(loc, 0.0), (loc, mass)], width, height, pad, x_range, y_range)]
-        a, b = spike.split(" ")
-        x1, y1 = a.split(",")
-        x2, y2 = b.split(",")
+        (x1, y1), (x2, y2) = to_pixels(loc, 0.0), to_pixels(loc, mass)
         parts.append(
-            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#d62728" stroke-width="2"/>'
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="#d62728" stroke-width="2"/>'
         )
     if title:
         parts.append(f'<text x="{width / 2}" y="30" font-size="16" text-anchor="middle">{title}</text>')
@@ -193,9 +187,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bins", type=int, default=200, help="y-bins for the series (>=1)")
     p.add_argument("--y-min", type=_finite_float, default=0.05)
     p.add_argument("--y-max", type=_finite_float, default=1.0)
-    p.add_argument(
-        "--normalization", choices=("analytic", "raw_sqrtp"), default="raw_sqrtp"
-    )
+    p.add_argument("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
 
     p = subs.add_parser("petersson", help="weight-aspect harmonic murmuration series")
     _add_common(p)
@@ -241,9 +233,7 @@ def build_parser() -> _Parser:
     _add_phi(p)
     p.add_argument("--file", required=True, help="murmur-family v1 input file")
     p.add_argument("--x", type=_finite_float, required=True)
-    p.add_argument(
-        "--normalization", choices=("analytic", "raw_sqrtp"), default="raw_sqrtp"
-    )
+    p.add_argument("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
     p.add_argument("--p-max", type=int, default=None, help="largest prime sampled (default: coverage)")
     return parser
 

@@ -45,12 +45,11 @@ from typing import Sequence
 import numpy as np
 
 from .arith import check_prime_grid, covering, is_prime, sieve
-from .errors import CoverageError, DataError, DomainError, WindowError
-from .frame import FamilyRecord, MurmurationSeries
+from .errors import CoverageError, DataError, DomainError
+from .frame import FamilyRecord, MurmurationSeries, check_normalization, window, window_series
 from .specfn import WeightFunction
 
 FAMILY_MAGIC = "#murmur-family v1"
-_NORMALIZATIONS = ("analytic", "raw_sqrtp")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -95,11 +94,6 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _check_normalization(normalization: str) -> None:
-    if normalization not in _NORMALIZATIONS:
-        raise DomainError(f"unknown normalization {normalization!r}")
-
-
 # ---------------------------------------------------------------------------
 # quadratic characters
 
@@ -109,24 +103,27 @@ def fundamental_discriminants(X: float, phi: WeightFunction) -> dict[int, np.nda
     class (keys +1 and -1), each an int64 array in ascending |d|.
 
     d is fundamental when d = 1 mod 4 is squarefree, or d = 4m with
-    m = 2, 3 mod 4 squarefree.  Squarefreeness is read from the sieve
-    tables up to max |d|, so a window beyond the sieve's size raises
-    SizeError before anything of that size is allocated.
+    m = 2, 3 mod 4 squarefree: for sign s, |d| = s mod 4 or |d| = 4|m| with
+    |m| = 2, 3s mod 4, read from strided slices of the sieve's squarefree
+    mask.  A window beyond the sieve's size raises SizeError before
+    anything of that size is allocated.
     """
-    if X < 3:
-        raise DomainError(f"X must be >= 3, got {X}")
+    if not 3 <= X < math.inf:
+        raise DomainError(f"X must be >= 3 and finite, got {X}")
     a, b = phi.support
     lo = max(3, math.ceil(a * X))
     hi = max(lo - 1, math.floor(b * X))
     sf = covering(None, hi).squarefree
-    absd = np.arange(lo, hi + 1, dtype=np.int64)
     classes = {}
     for sign in (1, -1):
-        d = sign * absd
-        mod4 = d % 4  # numpy % matches python semantics for negatives
-        m = d // 4
-        fund = ((mod4 == 1) & sf[absd]) | ((mod4 == 0) & np.isin(m % 4, (2, 3)) & sf[np.abs(m)])
-        classes[sign] = d[fund]
+        fund = np.zeros(hi + 1, dtype=bool)
+        fund[sign % 4 :: 4] = sf[sign % 4 :: 4]
+        for m in (2, 3 * sign % 4):
+            view = fund[4 * m :: 16]
+            view[:] = sf[m::4][: len(view)]
+        fund[:lo] = False
+        absd = np.flatnonzero(fund)
+        classes[sign] = absd if sign == 1 else -absd
     return classes
 
 
@@ -186,19 +183,14 @@ def quadratic_series(
     """
     if not classes or any(c not in (1, -1) for c in classes):
         raise DomainError(f"parity classes must be +-1, got {tuple(classes)}")
-    _check_normalization(normalization)
+    check_normalization(normalization)
     grid = check_prime_grid(primes)
     discriminants = fundamental_discriminants(X, phi)
     family = []
     for cls in classes:
         absd = np.abs(discriminants[cls])
-        if len(absd) == 0:
-            raise WindowError(f"no fundamental discriminants of sign {cls} in window at X={X}")
-        weights = np.asarray(phi(absd / X), dtype=np.float64)
-        keep = weights != 0.0
-        if not np.any(keep):
-            raise WindowError(f"window weights vanish on the whole family at X={X}")
-        family.append((cls, absd[keep], weights[keep], float(weights[keep].sum())))
+        members, weights = window(absd, X, phi)
+        family.append((cls, absd[members], weights, float(weights.sum())))
     span = max(int(absd[-1]) for _, absd, _, _ in family) + 1
     values = np.empty((len(family), len(grid)), dtype=np.float64)
     primes = grid.tolist()
@@ -296,21 +288,14 @@ class IngestedFamily:
     ) -> MurmurationSeries:
         """Expectation of the prime coefficient at every prime of the grid.
 
-        One contraction of the (records in window x grid) block of
-        coefficients, each prime's sum a ``math.fsum`` over its column:
-        the values of ``frame.murmuration_series`` on ``records``, bit for
-        bit.
+        The (records in window x grid) block of coefficients is gathered
+        from the columns and contracted by ``frame.window_series``: the
+        values of ``frame.murmuration_series`` on ``records``, bit for bit.
         """
         grid = check_prime_grid(primes)
-        _check_normalization(normalization)
-        if not X > 0:
-            raise DomainError(f"window scale X must be positive, got {X}")
-        weights = np.asarray(phi(self.conductor / X), dtype=np.float64)
-        in_window = np.flatnonzero(weights != 0.0)
-        if len(in_window) == 0:
-            raise WindowError(f"no family members in window at X={X}")
-        weights = weights[in_window]
-        keys = (in_window[:, None] << _P_BITS) | grid
+        check_normalization(normalization)
+        in_window, weights = window(self.conductor, X, phi)
+        keys = (in_window[:, None] << _P_BITS) | grid  # member-major, so ascending
         rows = np.searchsorted(self._keys, keys)
         found = (grid < _P_LIMIT) & (rows < len(self._keys))
         found[found] = self._keys[rows[found]] == keys[found]
@@ -322,15 +307,7 @@ class IngestedFamily:
         block = self.ap[rows]
         if normalization == "analytic":
             block = block / np.sqrt(grid)
-        den = math.fsum(weights.tolist())
-        block = weights[:, None] * block
-        return MurmurationSeries(
-            y=grid / X,
-            value=np.array([math.fsum(column.tolist()) / den for column in block.T], dtype=np.float64),
-            count=np.full(len(grid), len(in_window), dtype=np.int64),
-            window_scale=X,
-            normalization=normalization,
-        )
+        return window_series(X, grid, weights, block, normalization)
 
     def __len__(self):
         return len(self.labels)

@@ -1,5 +1,5 @@
-"""Family averaging: weighted sums over conductor windows, expectations,
-and murmuration series on prime grids.
+"""Family averaging: the conductor window, expectations, and murmuration
+series on prime grids.
 
 A family is any sequence of FamilyRecord.  The expectation of f over the
 window is
@@ -7,9 +7,10 @@ window is
     E[f; X] = sum_r Phi(N_r / X) f(r) / sum_r Phi(N_r / X),
 
 so records whose conductor ratio falls outside supp(Phi) contribute
-exactly nothing and constants pass through unchanged.  A murmuration
-series samples E[lambda(p); X] (or E[lambda(p) sqrt(p); X] in raw
-normalization) at each prime of a grid, keyed by y = p / X.
+exactly nothing and constants pass through unchanged.  ``window`` owns
+this rule for all three engines.  A murmuration series samples
+E[lambda(p); X] (or E[lambda(p) sqrt(p); X] in raw normalization) at
+each prime of a grid, keyed by y = p / X.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from .arith import check_prime_grid
 from .errors import DataError, DomainError, WindowError
 from .specfn import WeightFunction
 
+NORMALIZATIONS = ("analytic", "raw_sqrtp")  # lambda(p), and a(p) = lambda(p) sqrt(p)
 _PEAK_TOP_FRACTION = 0.5  # peak_location fits the samples above this share of the maximum
 
 
@@ -86,24 +88,51 @@ class MurmurationSeries:
         return len(self.y)
 
 
+def check_normalization(normalization: str) -> None:
+    if normalization not in NORMALIZATIONS:
+        raise DomainError(f"unknown normalization {normalization!r}")
+
+
+def window(conductors, X: float, phi: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The members of the conductor window and their weights: the ascending
+    indices i with Phi(N_i / X) != 0 into ``conductors``, and those weights
+    as float64.  DomainError unless 0 < X < inf; WindowError when no
+    member has a nonzero weight."""
+    if not 0 < X < math.inf:
+        raise DomainError(f"window scale X must be positive and finite, got {X}")
+    weights = np.asarray(phi(np.asarray(conductors, dtype=np.float64) / X), dtype=np.float64)
+    members = np.flatnonzero(weights)
+    if len(members) == 0:
+        raise WindowError(f"no family members in window at X={X}")
+    return members, weights[members]
+
+
+def window_series(
+    X: float, grid: np.ndarray, weights: np.ndarray, block: np.ndarray, normalization: str
+) -> MurmurationSeries:
+    """Weighted means of a (member x prime) block of coefficients, one per
+    prime of the int64 ``grid``, each numerator and the denominator a
+    ``math.fsum``."""
+    den = math.fsum(weights.tolist())
+    block = weights[:, None] * block
+    return MurmurationSeries(
+        y=grid / X,
+        value=np.array([math.fsum(column.tolist()) / den for column in block.T], dtype=np.float64),
+        count=np.full(len(grid), len(weights), dtype=np.int64),
+        window_scale=X,
+        normalization=normalization,
+    )
+
+
 def expectation(family: Sequence[FamilyRecord], f, X: float, phi: WeightFunction) -> float:
     """Weighted average of f over the conductor window.
 
-    Computed as one pass accumulating numerator and denominator with the
-    same weights in the same order, so f == 1 yields exactly 1.0.
+    Numerator and denominator are ``math.fsum``s of the same weights, so
+    f == 1 yields exactly 1.0.
     """
-    if not X > 0:
-        raise DomainError(f"window scale X must be positive, got {X}")
-    num = 0.0
-    den = 0.0
-    for rec in family:
-        w = phi(rec.conductor / X)
-        if w != 0.0:
-            den += w
-            num += w * f(rec)
-    if den == 0.0:
-        raise WindowError(f"no family members in window at X={X}")
-    return num / den
+    members, weights = window([rec.conductor for rec in family], X, phi)
+    num = math.fsum(w * f(family[i]) for i, w in zip(members.tolist(), weights.tolist()))
+    return num / math.fsum(weights.tolist())
 
 
 def murmuration_series(
@@ -113,34 +142,15 @@ def murmuration_series(
     primes: Sequence[int],
     normalization: str = "analytic",
 ) -> MurmurationSeries:
-    """Expectation of the prime coefficient at every prime of the grid."""
-    primes = check_prime_grid(primes).tolist()
-    if not 0 < X < math.inf:
-        raise DomainError(f"window scale X must be positive and finite, got {X}")
-    in_window = []
-    weights = []
-    for rec in family:
-        w = phi(rec.conductor / X)
-        if w != 0.0:
-            in_window.append(rec)
-            weights.append(w)
-    if not in_window:
-        raise WindowError(f"no family members in window at X={X}")
-    den = math.fsum(weights)
-    count = len(in_window)
+    """Expectation of the prime coefficient at every prime of the grid.
 
-    def value_at(p: int) -> float:
-        num = math.fsum(
-            w * rec.coefficient(p, normalization) for w, rec in zip(weights, in_window)
-        )
-        return num / den
-
-    values = np.fromiter(map(value_at, primes), dtype=np.float64, count=len(primes))
-    ys = np.asarray(primes, dtype=np.float64) / X
-    counts = np.full(len(primes), count, dtype=np.int64)
-    return MurmurationSeries(
-        y=ys, value=values, count=counts, window_scale=X, normalization=normalization
-    )
+    The block is read prime by prime, so a missing coefficient raises at
+    the first (prime, record) pair that lacks one.
+    """
+    grid = check_prime_grid(primes)
+    members, weights = window([rec.conductor for rec in family], X, phi)
+    columns = [[family[i].coefficient(p, normalization) for i in members.tolist()] for p in grid.tolist()]
+    return window_series(X, grid, weights, np.array(columns, dtype=np.float64).T, normalization)
 
 
 def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> MurmurationSeries:
@@ -160,9 +170,19 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
         lo, hi = map(float, y_range)
     if not lo < hi:
         raise DomainError(f"empty bin range [{lo}, {hi}]")
-    edges = np.linspace(lo, hi, bins + 1)
+    step = (hi - lo) / bins
+
+    def edge(b):  # np.linspace(lo, hi, bins + 1)[b], without the array
+        return np.where(b < bins, b * step + lo, hi)
+
     in_range = np.flatnonzero((series.y >= lo) & (series.y <= hi))
-    idx = np.clip(np.searchsorted(edges, series.y[in_range], side="right") - 1, 0, bins - 1)
+    y = series.y[in_range]
+    # the last bin b <= bins - 1 with edge(b) <= y: a floor, then corrections
+    idx = np.clip(np.floor((y - lo) / step), 0, bins - 1).astype(np.int64)
+    while np.any(over := edge(idx) > y):
+        idx[over] -= 1
+    while np.any(under := (idx < bins - 1) & (edge(idx + 1) <= y)):
+        idx[under] += 1
     # a stable sort keeps each bin's samples in series order, so every bin
     # sums the same elements in the same order as a per-bin mask would
     order = np.argsort(idx, kind="stable")
@@ -172,7 +192,7 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
     for b, sel in zip(occupied.tolist(), np.split(in_range[order], starts[1:])):
         v = series.value[sel]
         c = series.count[sel].astype(np.float64)
-        ys.append(0.5 * (edges[b] + edges[b + 1]))
+        ys.append(0.5 * (edge(b) + edge(b + 1)))
         vals.append(float(np.sum(v * c) / np.sum(c)))
         cnts.append(int(np.sum(series.count[sel])))
         errs.append(float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else math.nan)

@@ -16,11 +16,12 @@ O(weights x n).
 Weight-aspect murmuration averages aggregate these values over a
 window of weights.  Inside this engine the conductor scale of a
 weight-k form is (k-1)^2, which puts the empirical series on the same
-y-axis as the closed-form density Phi(16 pi^2 y / c^2).  Each weight
-enters the aggregation with an extra factor (k-1): the harmonic weight
-of a single form is proportional to 1/((k-1) L(1, Sym^2 f)), so the
-(k-1) restores the pure inverse-special-value weighting that the
-closed-form density describes.  ``harmonic_series`` (n = p) and
+y-axis as the closed-form density Phi(16 pi^2 y / c^2); ``frame.window``,
+the window rule of every engine, weighs each k by Phi((k-1)^2 / X).
+Each weight enters the aggregation with an extra factor (k-1): the
+harmonic weight of a single form is proportional to
+1/((k-1) L(1, Sym^2 f)), so the (k-1) restores the pure
+inverse-special-value weighting that the closed-form density describes.  ``harmonic_series`` (n = p) and
 ``symsq_series`` (n = p^2) are the two front-ends of one window sum.
 
 The raw window ratio r(p) is tied to the closed-form density by an
@@ -46,7 +47,7 @@ import numpy as np
 
 from .arith import ArithTables, check_prime_grid, covering, kloosterman_fast
 from .errors import AccuracyError, DomainError, WindowError
-from .frame import MurmurationSeries
+from .frame import MurmurationSeries, window
 from .specfn import WeightFunction, bessel_j
 
 _CUTOFF_BUDGET = 200_000
@@ -197,14 +198,15 @@ def _window_sums(K: float, ks: Sequence[int], ns: Sequence[int], phi: WeightFunc
     sum_k |Phi((k-1)^2/X)| (k-1) tail_k: A(1) and its bound, then arrays
     of A(n) and its bound over ``ns``.
 
-    One ``_deltas`` pass covers n = 1 and every n of ``ns``; rows are
-    weighted and added in ascending k.  WindowError when A(1) vanishes.
+    ``frame.window`` keeps the k with Phi((k-1)^2/X) != 0; one ``_deltas``
+    pass covers n = 1 and every n of ``ns``; rows are weighted and added
+    in ascending k.  WindowError when A(1) vanishes.
     """
-    X = window_scale(K)
-    weights = [float(phi((k - 1.0) ** 2 / X)) for k in ks]
-    window = [k for w, k in zip(weights, ks) if w != 0.0]
-    coef = [w * (k - 1.0) for w, k in zip(weights, ks) if w != 0.0]
-    value, tail, _ = _deltas(window, 1, [1, *ns], tail_tol, tables)
+    ks = np.asarray(ks)
+    members, weights = window((ks - 1.0) ** 2, window_scale(K), phi)
+    ks = ks[members]
+    coef = weights * (ks - 1.0)
+    value, tail, _ = _deltas(ks.tolist(), 1, [1, *ns], tail_tol, tables)
     start = np.zeros(len(ns) + 1)
     total = sum((c * row for c, row in zip(coef, value)), start)
     bound = sum((abs(c) * row for c, row in zip(coef, tail)), start)

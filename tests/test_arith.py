@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def test_sieve_spf_divides(tables):
     n = np.arange(2, tables.limit + 1)
     spf = tables.smallest_prime_factor[2:]
     assert np.all(n % spf == 0)
+
+
+def test_sieve_temporaries_are_small():
+    # an int32 arange and two boolean masks beside the table once peaked at 10.6 bytes per entry
+    limit = 10**7
+    tracemalloc.start()
+    try:
+        tables = arith.sieve(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tables.primes) == 664_579
+    assert peak <= 7 * limit
 
 
 def test_sieve_rejects_bad_limits():

@@ -375,6 +375,19 @@ def test_dirichlet_window_beyond_sieve_is_size_error(tmp_path, capped_run):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_dirichlet_bin_edges_follow_the_samples(tmp_path, capped_run):
+    # np.linspace once asked for 74.5 GiB of bin edges here and died with a MemoryError traceback
+    argv = ["dirichlet", "--x", "2000", "--bins", "10000000000", "--out", str(tmp_path / "d")]
+    result = capped_run(f"import sys, murmur.cli\nsys.exit(murmur.cli.main({argv!r}))")
+    assert result.returncode == 0, result.stderr
+    rows = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1, ndmin=2)
+    # bins of width 0.95e-10 hold one prime each
+    y = np.array(arith.prime_grid(2000.0, 0.05, 1.0)) / 2000.0
+    assert len(rows) == len(y)
+    assert np.all(np.abs(rows[:, 0] - y) <= 0.95e-10)
+    assert len(set(rows[:, 2].tolist())) == 1
+
+
 def test_module_entrypoint_smoke(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "murmur", "old-kernel", "--parity", "even",

@@ -26,16 +26,26 @@ def test_enumerate_small_window():
 
 
 def test_enumerate_matches_bruteforce_scan():
-    # X = 3 covers |d| from 3 upward
+    # X = 3 covers |d| from 3 upward; each class in ascending |d|
     for X in [3.0, 10.0, 100.0, 1000.0]:
-        got = sorted(np.concatenate(list(families.fundamental_discriminants(X, PHI).values())).tolist())
-        brute = sorted(
-            s * n
-            for n in range(max(3, math.ceil(X)), math.floor(2 * X) + 1)
-            for s in (1, -1)
-            if oracles.is_fundamental_naive(s * n)
-        )
-        assert got == brute, X
+        classes = families.fundamental_discriminants(X, PHI)
+        for s in (1, -1):
+            brute = [s * n for n in range(max(3, math.ceil(X)), math.floor(2 * X) + 1)
+                     if oracles.is_fundamental_naive(s * n)]
+            assert classes[s].dtype == np.int64
+            assert classes[s].tolist() == brute, (X, s)
+
+
+def test_enumerate_memory_follows_the_mask():
+    # int64 candidate arrays and their residues once peaked at 57.9 MB here
+    tracemalloc.start()
+    try:
+        classes = families.fundamental_discriminants(1e6, PHI)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(classes[1]) + len(classes[-1]) > 0.6 * 10**6
+    assert peak <= 30 * 10**6
 
 
 def test_enumerate_requires_scale():
@@ -527,6 +537,24 @@ def test_ingested_series_errors_match_frame_path(tmp_path):
             fam.murmuration_series(10.0, PHI, grid)
     with pytest.raises(DomainError, match="normalization"):
         fam.murmuration_series(10.0, PHI, [2], normalization="bogus")
+
+
+@pytest.mark.parametrize("X", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("producer", ["expectation", "frame_series", "ingested_series", "quadratic_series",
+                                      "fundamental_discriminants"])
+def test_window_producers_reject_a_bad_scale(tmp_path, producer, X):
+    # nan once escaped quadratic_series and fundamental_discriminants as a bare ValueError and inf as an
+    # OverflowError; inf was a WindowError of expectation and IngestedFamily.murmuration_series
+    fam = families.ingest(write(tmp_path, GOOD))
+    calls = {
+        "expectation": lambda: frame.expectation(fam.records, lambda r: 1.0, X, PHI),
+        "frame_series": lambda: frame.murmuration_series(fam.records, X, PHI, [2, 3]),
+        "ingested_series": lambda: fam.murmuration_series(X, PHI, [2, 3]),
+        "quadratic_series": lambda: families.quadratic_series(X, PHI, (1, -1), [2, 3]),
+        "fundamental_discriminants": lambda: families.fundamental_discriminants(X, PHI),
+    }
+    with pytest.raises(DomainError):
+        calls[producer]()
 
 
 def test_line_ending_normalization(tmp_path):
