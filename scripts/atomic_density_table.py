@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from murmur import cli, densities
 
 
@@ -27,13 +29,14 @@ class Config:
 def run(cfg: Config) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     dist, tail = densities.window_murmuration_density((cfg.e_min, cfg.e_max), cfg.q_max, 1.0)
-    cli.emit_csv(cfg.out_dir / "atoms.csv", [], "y,value", atoms=dist.atoms)
-    cli.emit_svg(cfg.out_dir / "atoms.svg", [], atoms=dist.atoms, title="atomic density")
-    heaviest = sorted(dist.atoms, key=lambda lm: -lm[1])[: cfg.top]
-    print(f"{len(dist.atoms)} atoms on [{cfg.e_min:g}, {cfg.e_max:g}], "
+    cli.emit_csv(cfg.out_dir / "atoms.csv", [], "y,value", dist=dist)
+    cli.emit_svg(cfg.out_dir / "atoms.svg", [], dist=dist, title="atomic density")
+    # stable: equal masses keep ascending location order
+    heaviest = np.argsort(-dist.masses, kind="stable")[: cfg.top]
+    print(f"{len(dist.locations)} atoms on [{cfg.e_min:g}, {cfg.e_max:g}], "
           f"total mass {dist.total_atom_mass():.6f}, tail bound {tail:.3g}")
     print(f"{'location':>12}  {'mass':>12}  ratio")
-    for loc, mass in heaviest:
+    for loc, mass in zip(dist.locations[heaviest].tolist(), dist.masses[heaviest].tolist()):
         root = math.sqrt(loc)
         approx = ""
         if abs(root - round(root)) < 1e-9:

@@ -46,11 +46,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def emit_csv(path, rows, header, atoms=()) -> None:
-    """Write `#atom location mass` comment lines, a header, then data rows."""
+def emit_csv(path, rows, header, dist=None) -> None:
+    """Write the atoms of ``dist`` (a DistributionValue, if given) as
+    `#atom location mass` comment lines, a header, then data rows.  The
+    atom lines are streamed, one write per block of the columns."""
     with open(path, "w", newline="\n") as fh:
-        for loc, mass in atoms:
-            fh.write(f"#atom {_fmt(loc)} {_fmt(mass)}\n")
+        for locs, masses in () if dist is None else dist.atom_blocks():
+            # repr of a Python float, as _fmt writes it
+            fh.write("".join(f"#atom {loc!r} {mass!r}\n" for loc, mass in zip(locs.tolist(), masses.tolist())))
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) + "\n")
@@ -68,15 +71,22 @@ def _pixels(width, height, pad, x_range, y_range):
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def emit_svg(path, overlays, atoms=(), title="") -> None:
-    """Self-contained static SVG: one polyline per overlay, atoms as spikes.
+def emit_svg(path, overlays, dist=None, title="") -> None:
+    """Self-contained static SVG: one polyline per overlay, the atoms of
+    ``dist`` (a DistributionValue, if given) as spikes.
 
     ``overlays`` is a list of (label, xs, ys).  Axes are linear and
-    auto-scaled over all overlays and atom locations.
+    auto-scaled over all overlays and atom locations.  The spikes are
+    streamed, one write per block of the columns.
     """
     width, height, pad = 1200, 600, 60
-    xs_all = [x for _, xs, _ in overlays for x in xs] + [loc for loc, _ in atoms]
-    ys_all = [y for _, _, ys in overlays for y in ys] + [m for _, m in atoms] + [0.0]
+    xs_all = [x for _, xs, _ in overlays for x in xs]
+    ys_all = [y for _, _, ys in overlays for y in ys]
+    if dist is not None and len(dist.locations):
+        # the locations are sorted: their ends are their extremes
+        xs_all += [float(dist.locations[0]), float(dist.locations[-1])]
+        ys_all += [float(dist.masses.min()), float(dist.masses.max())]
+    ys_all.append(0.0)
     if not xs_all:
         raise DataError("nothing to plot")
     x_range = (min(xs_all), max(xs_all))
@@ -112,22 +122,27 @@ def emit_svg(path, overlays, atoms=(), title="") -> None:
     for (label, xs, ys), color in zip(overlays, _SVG_COLORS):
         pts = " ".join("{:.2f},{:.2f}".format(*to_pixels(x, y)) for x, y in zip(xs, ys))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
-    for loc, mass in atoms:
-        (x1, y1), (x2, y2) = to_pixels(loc, 0.0), to_pixels(loc, mass)
-        parts.append(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="#d62728" stroke-width="2"/>'
-        )
+    tail = []
     if title:
-        parts.append(f'<text x="{width / 2}" y="30" font-size="16" text-anchor="middle">{title}</text>')
+        tail.append(f'<text x="{width / 2}" y="30" font-size="16" text-anchor="middle">{title}</text>')
     legend_y = 50
     for (label, _, _), color in zip(overlays, _SVG_COLORS):
-        parts.append(
+        tail.append(
             f'<text x="{width - pad - 200}" y="{legend_y}" font-size="12" fill="{color}">{label}</text>'
         )
         legend_y += 16
-    parts.append("</svg>")
+    tail.append("</svg>")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
+        # elementwise float64 arithmetic: the same bits as to_pixels on each Python float
+        _, base = to_pixels(0.0, 0.0)
+        for locs, masses in () if dist is None else dist.atom_blocks():
+            xs, tops = to_pixels(locs, masses)
+            fh.write("".join(
+                f'<line x1="{x:.2f}" y1="{base:.2f}" x2="{x:.2f}" y2="{top:.2f}" stroke="#d62728" stroke-width="2"/>\n'
+                for x, top in zip(xs.tolist(), tops.tolist())
+            ))
+        fh.write("\n".join(tail) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +365,12 @@ def _cmd_density_ils(args) -> int:
 
 def _cmd_density_nu(args) -> int:
     dist, tail = densities.window_murmuration_density((args.e_min, args.e_max), args.q_max, args.prefactor)
-    emit_csv(f"{args.out}.csv", [], "y,value", atoms=dist.atoms)
+    emit_csv(f"{args.out}.csv", [], "y,value", dist=dist)
     if args.svg:
-        emit_svg(f"{args.out}.svg", [], atoms=dist.atoms, title="atomic murmuration density")
+        emit_svg(f"{args.out}.svg", [], dist=dist, title="atomic murmuration density")
     total = dist.total_atom_mass()
     print(
-        f"density-nu: atoms={len(dist.atoms)} total-mass={total:.6g} tail-bound={tail:.3g}"
+        f"density-nu: atoms={len(dist.locations)} total-mass={total:.6g} tail-bound={tail:.3g}"
     )
     return 0
 
@@ -370,16 +385,16 @@ def _cmd_old_kernel(args) -> int:
         raise _UsageError(f"--x-max {args.x_max:g} is too large: the grid width 2*x_max overflows")
     xs = np.linspace(-args.x_max, args.x_max, args.grid)
     vals = [dist.continuous(float(x)) for x in xs]
-    emit_csv(f"{args.out}.csv", list(zip(map(float, xs), map(float, vals))), "y,value", atoms=dist.atoms)
+    emit_csv(f"{args.out}.csv", list(zip(map(float, xs), map(float, vals))), "y,value", dist=dist)
     if args.svg:
         emit_svg(
             f"{args.out}.svg",
             [(f"SO {args.parity}{' hat' if args.hat else ''}", list(map(float, xs)), list(map(float, vals)))],
-            atoms=dist.atoms,
+            dist=dist,
             title="one-level-density kernel",
         )
     i = int(np.argmax(np.abs(vals)))
-    print(f"old-kernel: peak x={xs[i]:.6g} value={vals[i]:.6g} atoms={len(dist.atoms)}")
+    print(f"old-kernel: peak x={xs[i]:.6g} value={vals[i]:.6g} atoms={len(dist.locations)}")
     return 0
 
 

@@ -17,10 +17,15 @@ Two murmuration densities are provided:
 
   at (q/a)^2 for coprime a, q.  An atom sits at an endpoint e of the
   interval when the correctly rounded quotient q^2/a^2 is within
-  _ENDPOINT_SNAP * max(1, |e|) of e, and its mass is halved.  One numpy
-  pass per squarefree q, so the cost is linear in the number of (q, a)
-  candidates.  The zeta-type prefactor is a free parameter (default 1);
-  all structural statements about the atoms are prefactor-free.
+  _ENDPOINT_SNAP * max(1, |e|) of e, and its mass is halved.  The (q, a)
+  candidates are counted in closed form first, and more than the
+  sieve's supported size raises SizeError before anything is built;
+  then one numpy pass runs per squarefree q, over blocks of at most
+  _CANDIDATE_BLOCK candidates a, so the cost is linear in the number of
+  candidates and the temporaries stay bounded.  The atoms come back as
+  two float64 columns (locations, masses), 16 bytes per atom.  The
+  zeta-type prefactor is a free parameter (default 1); all structural
+  statements about the atoms are prefactor-free.
 
 Both densities read mu^2, phi and sigma from the sieve tables of
 ``arith`` (``squarefree``, ``euler_phi``, ``divisor_sigma``), which
@@ -32,47 +37,78 @@ bookkeeping entries, never as narrow approximations.
 """
 
 from dataclasses import dataclass
+import itertools
 import math
-import operator
 from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import ArithTables, covering
-from .errors import DataError, DomainError
+from .arith import _MAX_MODULUS, ArithTables, covering
+from .errors import DataError, DomainError, SizeError
 from .specfn import WeightFunction, quadrature
 
 _ENDPOINT_SNAP = 1e-12
+_CANDIDATE_BLOCK = 1 << 20  # (q, a) candidates per vectorised block: bounds the temporaries
+_ATOM_BLOCK = 1 << 13  # atoms per block of Python floats: bounds the per-atom objects
 _PAIRING_TOL = 1e-9  # quadrature tolerance of one_level_pairing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionValue:
     """A density with an explicit atomic part plus a continuous part.
 
-    ``atoms`` is a sorted tuple of (location, mass); the continuous
-    part must stay finite at atom locations (atoms are never folded
-    into the function).
+    The atoms are two read-only float64 columns of equal length, 16
+    bytes per atom: ``locations``, strictly increasing, and ``masses``,
+    finite (both checked with numpy).  The continuous part must stay
+    finite at atom locations (atoms are never folded into the function).
+    Readers that need Python floats, such as ``total_atom_mass`` and the
+    CLI's ``#atom`` lines, take them from ``atom_blocks``, at most
+    _ATOM_BLOCK atoms at a time; ``atom_at`` bisects the locations.
+    ``atoms`` builds the whole (location, mass) tuple on each access, for
+    small consumers only.  ``window_murmuration_density`` fills the
+    columns from blocks of candidates, after a size guard on their count.
     """
 
-    atoms: tuple
+    locations: np.ndarray
+    masses: np.ndarray
     continuous: Callable[[float], float]
 
     def __post_init__(self):
-        locs = [loc for loc, _ in self.atoms]
-        if not all(map(operator.lt, locs, locs[1:])):
+        for name in ("locations", "masses"):
+            # a read-only view: no copy of a float64 column, and the caller's array keeps its flags
+            column = np.asarray(getattr(self, name), dtype=np.float64).view()
+            if column.ndim != 1:
+                raise DataError(f"atom {name} must be one column, got shape {column.shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        locs, masses = self.locations, self.masses
+        if len(locs) != len(masses):
+            raise DataError(f"{len(locs)} atom locations but {len(masses)} masses")
+        if not np.all(locs[1:] > locs[:-1]):
             raise DataError("atom locations must be distinct and sorted")
-        if not all(math.isfinite(m) for _, m in self.atoms):
+        if not np.all(np.isfinite(masses)):
             raise DataError("atom masses must be finite")
 
+    @property
+    def atoms(self) -> tuple:
+        """The sorted tuple of (location, mass), built on each access."""
+        return tuple(zip(self.locations.tolist(), self.masses.tolist()))
+
+    def atom_blocks(self):
+        """Consecutive (locations, masses) column views of at most _ATOM_BLOCK
+        atoms each, so a reader that needs Python floats holds one block."""
+        for i in range(0, len(self.locations), _ATOM_BLOCK):
+            yield self.locations[i : i + _ATOM_BLOCK], self.masses[i : i + _ATOM_BLOCK]
+
     def total_atom_mass(self) -> float:
-        return math.fsum(m for _, m in self.atoms)
+        """The correctly rounded sum of the masses."""
+        return math.fsum(itertools.chain.from_iterable(m.tolist() for _, m in self.atom_blocks()))
 
     def atom_at(self, location: float):
         """The atom (location, mass) exactly at ``location``, else None."""
-        for loc, mass in self.atoms:
-            if loc == location:
-                return (loc, mass)
+        i = int(np.searchsorted(self.locations, location))
+        if i < len(self.locations) and float(self.locations[i]) == location:
+            return (float(self.locations[i]), float(self.masses[i]))
         return None
 
 
@@ -122,12 +158,16 @@ def window_murmuration_density(
     """Atomic murmuration density on the window E, plus a certified tail bound.
 
     Enumerates coprime pairs (a, q) with q <= q_max squarefree and
-    (q/a)^2 in E, one numpy pass over the candidate a of each q.  An atom
-    sits at an endpoint e of E when the correctly rounded quotient
-    q^2/a^2 lies within _ENDPOINT_SNAP * max(1, |e|) of e; its mass is
-    halved.  The tail bound covers all omitted q > q_max using
-    phi(q) >= sqrt(q/2) and phi(q)*sigma(q) >= q^2 * 6/pi^2 (valid for
-    squarefree q), so each omitted term is at most
+    (q/a)^2 in E, one numpy pass over each block of at most
+    _CANDIDATE_BLOCK candidate a of each q; more candidates in all than
+    the sieve's supported size raise SizeError before the first block.
+    An atom sits at an endpoint e of E when the correctly rounded
+    quotient q^2/a^2 lies within _ENDPOINT_SNAP * max(1, |e|) of e; its
+    mass is halved.  The atoms are returned as columns, and building
+    them holds at most about 32 bytes per atom.  The tail bound covers
+    all omitted q > q_max using phi(q) >= sqrt(q/2) and
+    phi(q)*sigma(q) >= q^2 * 6/pi^2 (valid for squarefree q), so each
+    omitted term is at most
     (max E)^(3/2) * (q * L + 1) * (pi^2 sqrt(2) / 6) / q^(5/2)
     with L the length of the sqrt-reciprocal window.
     """
@@ -142,35 +182,49 @@ def window_murmuration_density(
         raise DomainError(f"E max {hi:g} is too large: its tail bound (max E)^(3/2) overflows") from None
     tables = covering(tables, q_max)
     totient, sigma = tables.euler_phi, tables.divisor_sigma
-    locs, masses = [], []
     sqrt_lo, sqrt_hi = math.sqrt(lo), math.sqrt(hi)
-    for q in np.flatnonzero(tables.squarefree[: q_max + 1]).tolist():
+    # the candidates a of each squarefree q, as a range; counted before any is built
+    ranges = [
+        (q, max(1, math.floor(q / sqrt_hi)), math.ceil(q / sqrt_lo) + 2)
+        for q in np.flatnonzero(tables.squarefree[: q_max + 1]).tolist()
+    ]
+    candidates = sum(stop - start for _, start, stop in ranges)
+    if candidates >= _MAX_MODULUS:
+        raise SizeError(
+            f"{candidates} (q, a) candidates on [{lo:g}, {hi:g}] up to q_max={q_max} "
+            f"exceed supported size {_MAX_MODULUS - 1}"
+        )
+    locs, masses = [], []
+    for q, start, stop in ranges:
         # in Python ints: phi(q)^2 sigma(q) passes 2^63 for prime q above about 2.1e6
         base = prefactor * 1.0 / (int(totient[q]) ** 2 * int(sigma[q]))
-        a = np.arange(max(1, math.floor(q / sqrt_hi)), math.ceil(q / sqrt_lo) + 2)
-        a = a[np.gcd(a, q) == 1]
-        # float_power calls libm pow, as Python's ** does: r * r can differ in the last ulp
-        r = q / a
-        loc = np.float_power(r, 2)
-        ratio = (q * q) / (a * a)
-        at_end = (np.abs(ratio - lo) <= _ENDPOINT_SNAP * max(1.0, abs(lo))) | (
-            np.abs(ratio - hi) <= _ENDPOINT_SNAP * max(1.0, abs(hi))
-        )
-        keep = (loc >= lo - _ENDPOINT_SNAP) & (loc <= hi + _ENDPOINT_SNAP)
-        keep &= at_end | ((lo < loc) & (loc < hi))
-        mass = base * np.float_power(r[keep], 3)
-        mass[at_end[keep]] *= 0.5
-        locs.append(loc[keep])
-        masses.append(mass)
+        for block in range(start, stop, _CANDIDATE_BLOCK):
+            a = np.arange(block, min(block + _CANDIDATE_BLOCK, stop))
+            a = a[np.gcd(a, q) == 1]
+            # float_power calls libm pow, as Python's ** does: r * r can differ in the last ulp
+            r = q / a
+            loc = np.float_power(r, 2)
+            ratio = (q * q) / (a * a)
+            at_end = (np.abs(ratio - lo) <= _ENDPOINT_SNAP * max(1.0, abs(lo))) | (
+                np.abs(ratio - hi) <= _ENDPOINT_SNAP * max(1.0, abs(hi))
+            )
+            keep = (loc >= lo - _ENDPOINT_SNAP) & (loc <= hi + _ENDPOINT_SNAP)
+            keep &= at_end | ((lo < loc) & (loc < hi))
+            mass = base * np.float_power(r[keep], 3)
+            mass[at_end[keep]] *= 0.5
+            locs.append(loc[keep])
+            masses.append(mass)
     # tail over q > q_max
     length = 1.0 / sqrt_lo - 1.0 / sqrt_hi
     const = hi_power * abs(prefactor) * math.pi**2 * math.sqrt(2.0) / 6.0
     tail = const * (length * 2.0 / math.sqrt(q_max) + (2.0 / 3.0) * q_max**-1.5)
-    locs, masses = np.concatenate(locs), np.concatenate(masses)
+    # one column at a time, each block list dropped once joined: at most 32 bytes per atom
+    locs = np.concatenate(locs)
     order = np.argsort(locs, kind="stable")
-    ordered = tuple(zip(locs[order].tolist(), masses[order].tolist()))
-    dist = DistributionValue(atoms=ordered, continuous=lambda x: 0.0)
-    return dist, tail
+    locs = locs[order]
+    masses = np.concatenate(masses)
+    masses = masses[order]
+    return DistributionValue(locs, masses, continuous=lambda x: 0.0), tail
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +239,9 @@ def _sinc2(x):
 def so_kernel(parity: str) -> DistributionValue:
     """W_SO kernel: 1 +- sin(2 pi x)/(2 pi x), odd parity carries atom (0, 1)."""
     if parity == "even":
-        return DistributionValue(atoms=(), continuous=lambda x: float(1.0 + _sinc2(x)))
+        return DistributionValue((), (), continuous=lambda x: float(1.0 + _sinc2(x)))
     if parity == "odd":
-        return DistributionValue(atoms=((0.0, 1.0),), continuous=lambda x: float(1.0 - _sinc2(x)))
+        return DistributionValue((0.0,), (1.0,), continuous=lambda x: float(1.0 - _sinc2(x)))
     raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
@@ -202,9 +256,9 @@ def so_kernel_fourier(parity: str) -> DistributionValue:
         return 1.0 if -1.0 <= y <= 1.0 else 0.0
 
     if parity == "odd":
-        return DistributionValue(atoms=((0.0, 1.0),), continuous=lambda y: 0.5 * box(y))
+        return DistributionValue((0.0,), (1.0,), continuous=lambda y: 0.5 * box(y))
     if parity == "even":
-        return DistributionValue(atoms=((0.0, 1.0),), continuous=lambda y: 0.5 * (2.0 - box(y)))
+        return DistributionValue((0.0,), (1.0,), continuous=lambda y: 0.5 * (2.0 - box(y)))
     raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 

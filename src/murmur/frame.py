@@ -161,6 +161,8 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
     deviation of the per-prime values in the bin over sqrt(#samples)
     (NaN for single-sample bins).  Empty bins are dropped.  A per-sample
     certified ``meta["tail_bound"]`` is binned like the values.
+    DomainError when two occupied bins share a midpoint, as bins narrower
+    than the float spacing of y do.
     """
     if bins < 1:
         raise DomainError("bins must be >= 1")
@@ -200,11 +202,19 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
             bounds.append(float(np.sum(bound[sel] * c) / np.sum(c)))
     if not ys:
         raise WindowError("binning left no occupied bins")
+    ys = np.array(ys)
+    tied = np.flatnonzero(ys[1:] <= ys[:-1])
+    if len(tied):
+        # occupied bins narrower than the float spacing of y get the same midpoint
+        raise DomainError(
+            f"bin width {step:g} is below the float resolution of y near {ys[tied[0]]:g}: "
+            "two occupied bins share a midpoint; use fewer bins"
+        )
     meta = dict(series.meta, bins=bins, bin_range=(lo, hi))
     if bound is not None:
         meta["tail_bound"] = np.array(bounds)
     return MurmurationSeries(
-        y=np.array(ys),
+        y=ys,
         value=np.array(vals),
         count=np.array(cnts),
         window_scale=series.window_scale,

@@ -37,10 +37,26 @@ def test_emit_csv_schema(tmp_path):
 
 def test_emit_csv_atoms_precede_rows(tmp_path):
     path = tmp_path / "atoms.csv"
-    cli.emit_csv(path, [(1.0, 2.0)], "y,value", atoms=[(4.0, 8.0 / 3.0)])
+    cli.emit_csv(path, [(1.0, 2.0)], "y,value", dist=densities.DistributionValue([4.0], [8.0 / 3.0], lambda x: 0.0))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#atom 4.0 ")
     assert lines[1] == "y,value"
+
+
+def test_emit_atoms_streamed_in_blocks(tmp_path, monkeypatch):
+    # one write per block of atoms gives the bytes of one line per atom
+    dist, _ = densities.window_murmuration_density((0.5, 9.0), 40, 1.0)
+    atoms = dist.atoms
+    cli.emit_csv(tmp_path / "a.csv", [], "y,value", dist=dist)
+    cli.emit_svg(tmp_path / "a.svg", [], dist=dist)
+    monkeypatch.setattr(densities, "_ATOM_BLOCK", 3)
+    cli.emit_csv(tmp_path / "b.csv", [], "y,value", dist=dist)
+    cli.emit_svg(tmp_path / "b.svg", [], dist=dist)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+    expect = "".join(f"#atom {loc!r} {mass!r}\n" for loc, mass in atoms) + "y,value\n"
+    assert (tmp_path / "a.csv").read_text() == expect
+    assert (tmp_path / "a.svg").read_text().count('stroke="#d62728" stroke-width="2"/>\n') == len(atoms) > 3
 
 
 def test_emit_svg_two_polylines(tmp_path):
@@ -48,7 +64,7 @@ def test_emit_svg_two_polylines(tmp_path):
     cli.emit_svg(
         path,
         [("a", [0.0, 1.0], [0.0, 1.0]), ("b", [0.0, 1.0], [1.0, 0.0])],
-        atoms=[(0.5, 2.0)],
+        dist=densities.DistributionValue([0.5], [2.0], lambda x: 0.0),
     )
     text = path.read_text()
     assert text.count("<polyline") == 2
@@ -179,6 +195,30 @@ def test_density_nu_atom_count_at_q_max_400(tmp_path):
     assert code == 0
     lines = (tmp_path / "nu.csv").read_text().splitlines()
     assert sum(ln.startswith("#atom") for ln in lines) == 43166
+
+
+def test_density_nu_reads_only_the_atom_columns(tmp_path, monkeypatch):
+    # the (location, mass) tuple view costs a Python object per atom: the command never builds it
+    def refuse(self):
+        raise AssertionError("density-nu read DistributionValue.atoms")
+
+    monkeypatch.setattr(densities.DistributionValue, "atoms", property(refuse))
+    out = tmp_path / "nu"
+    assert run_cli(["density-nu", "--e-min", "0.5", "--e-max", "50", "--q-max", "60", "--svg", "--out", str(out)]) == 0
+    assert (tmp_path / "nu.csv").read_text().count("#atom ") == 965
+    assert (tmp_path / "nu.svg").exists()
+
+
+def test_density_nu_too_many_candidates_is_size_error(tmp_path, capped_run):
+    # about 3e9 candidates a below q / 1e-6: this once died with an uncaught
+    # _ArrayMemoryError traceback ("Unable to allocate 168. MiB") under the cap
+    argv = ["density-nu", "--e-min", "1e-12", "--e-max", "50", "--q-max", "100", "--out", str(tmp_path / "nu")]
+    result = capped_run(f"import sys, murmur.cli\nsys.exit(murmur.cli.main({argv!r}))")
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: 2966999726 (q, a) candidates on [1e-12, 50] up to q_max=100 exceed supported size {2**31 - 1}"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_old_kernel_fourier(tmp_path):

@@ -169,13 +169,58 @@ def test_nu_validation(tables):
 
 
 def test_distribution_value_invariants():
+    zero = lambda x: 0.0
     with pytest.raises(DataError):
-        densities.DistributionValue(atoms=((1.0, 1.0), (0.5, 1.0)), continuous=lambda x: 0.0)
+        densities.DistributionValue([1.0, 0.5], [1.0, 1.0], zero)
     with pytest.raises(DataError, match="distinct"):
-        densities.DistributionValue(atoms=((0.5, 1.0), (1.0, 1.0), (1.0, 2.0)), continuous=lambda x: 0.0)
+        densities.DistributionValue([0.5, 1.0, 1.0], [1.0, 1.0, 2.0], zero)
     with pytest.raises(DataError):
-        densities.DistributionValue(atoms=((1.0, math.inf),), continuous=lambda x: 0.0)
-    assert len(densities.DistributionValue(atoms=((0.5, 1.0), (1.0, 2.0)), continuous=lambda x: 0.0).atoms) == 2
+        densities.DistributionValue([1.0], [math.inf], zero)
+    with pytest.raises(DataError):
+        densities.DistributionValue([0.5, 1.0], [1.0], zero)
+    with pytest.raises(DataError):
+        densities.DistributionValue([[0.5, 1.0]], [[1.0, 2.0]], zero)
+    mine = np.array([0.5, 1.0])
+    dist = densities.DistributionValue(mine, (1.0, 2.0), zero)
+    assert dist.atoms == ((0.5, 1.0), (1.0, 2.0))
+    assert dist.atom_at(1.0) == (1.0, 2.0) and dist.atom_at(0.75) is None and dist.atom_at(2.0) is None
+    assert dist.total_atom_mass() == 3.0
+    # read-only views: no copy, and the caller's array stays writable
+    assert np.shares_memory(dist.locations, mine) and mine.flags.writeable
+    for column in (dist.locations, dist.masses):
+        assert column.dtype == np.float64 and not column.flags.writeable
+
+
+def test_nu_blocks_keep_every_bit(tables, monkeypatch):
+    # blocks of 7 candidates and of 5 atoms give the columns, sum and lookups of one block per q
+    ref, ref_tail = densities.window_murmuration_density((4 / 9, 9.0), 120, 1.0, tables)
+    monkeypatch.setattr(densities, "_CANDIDATE_BLOCK", 7)
+    monkeypatch.setattr(densities, "_ATOM_BLOCK", 5)
+    dist, tail = densities.window_murmuration_density((4 / 9, 9.0), 120, 1.0, tables)
+    assert tail == ref_tail
+    assert dist.locations.tobytes() == ref.locations.tobytes()
+    assert dist.masses.tobytes() == ref.masses.tobytes()
+    assert dist.total_atom_mass() == ref.total_atom_mass() == math.fsum(ref.masses.tolist())
+    assert [len(m) for _, m in dist.atom_blocks()][:2] == [5, 5]
+    for loc, mass in ref.atoms[::97]:
+        assert dist.atom_at(loc) == (loc, mass)
+
+
+def test_nu_memory_per_atom(tables):
+    # the (location, mass) tuples this replaced held 152 bytes per atom; the columns hold 16
+    import tracemalloc
+
+    densities.window_murmuration_density((0.5, 50.0), 800, 1.0, tables)  # builds the sieve tables read
+    tracemalloc.start()
+    try:
+        dist, _ = densities.window_murmuration_density((0.5, 50.0), 800, 1.0, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    atoms = len(dist.locations)
+    assert atoms == 175_789
+    assert dist.locations.nbytes + dist.masses.nbytes == 16 * atoms
+    assert peak <= 64 * atoms, peak / atoms
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,16 @@ def test_bin_series_cost_follows_occupied_bins():
     assert np.allclose(binned.y, [0.1, 0.5, 0.9], atol=1e-6)
 
 
+def test_bin_series_unresolvable_width_is_domain_error():
+    # bins of width 8e-6 at y near 1e16 (float spacing 2) once tied their midpoints
+    # and failed with the misleading DataError "series y values must be strictly increasing"
+    ser = frame.MurmurationSeries(
+        y=1e16 + np.array([0.0, 2.0, 4.0, 6.0]), value=np.ones(4), count=np.ones(4), window_scale=1.0
+    )
+    with pytest.raises(DomainError, match="bin width 8e-06 is below the float resolution of y near 1e[+]16"):
+        frame.bin_series(ser, 10**6, y_range=(1e16, 1e16 + 8))
+    assert list(frame.bin_series(ser, 2, y_range=(1e16, 1e16 + 8)).count) == [2, 2]
+
 def test_peak_location_quadratic_exact():
     ys = np.linspace(0.0, 2.0, 21)
     vals = -((ys - 0.77) ** 2) + 4.0
