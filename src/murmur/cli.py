@@ -1,8 +1,8 @@
 """Command-line driver: run the engines, emit CSV series and SVG overlays.
 
-Exit codes: 0 success, 1 usage, 2 data, 3 accuracy, 4 window.  Output
-is deterministic: identical configuration and input files produce
-byte-identical CSV.
+Exit codes: 0 success, 1 usage, domain or size (out of memory included),
+2 data, 3 accuracy, 4 window.  Output is deterministic: identical
+configuration and input files produce byte-identical CSV.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import arith, densities, families, frame, petersson, specfn
-from .errors import DataError, MurmurError
+from .errors import DataError, MurmurError, SizeError
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -435,6 +435,9 @@ def main(argv=None) -> int:
     except MurmurError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})" if str(exc) else "error: out of memory", file=sys.stderr)
+        return SizeError.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA

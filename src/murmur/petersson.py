@@ -18,11 +18,15 @@ window of weights.  Inside this engine the conductor scale of a
 weight-k form is (k-1)^2, which puts the empirical series on the same
 y-axis as the closed-form density Phi(16 pi^2 y / c^2); ``frame.window``,
 the window rule of every engine, weighs each k by Phi((k-1)^2 / X).
+The weights of a window are the even k >= 4 of its root-number class
+(k = 0 mod 4 for +1, 2 mod 4 for -1, all for the symmetric square) with
+Phi((k-1)^2 / X) != 0, and a series' ``count`` counts exactly them.
 Each weight enters the aggregation with an extra factor (k-1): the
 harmonic weight of a single form is proportional to
 1/((k-1) L(1, Sym^2 f)), so the (k-1) restores the pure
-inverse-special-value weighting that the closed-form density describes.  ``harmonic_series`` (n = p) and
-``symsq_series`` (n = p^2) are the two front-ends of one window sum.
+inverse-special-value weighting that the closed-form density describes.
+``harmonic_series`` (n = p) and ``symsq_series`` (n = p^2) are thin
+front-ends of one window sum.
 
 The raw window ratio r(p) is tied to the closed-form density by an
 exact bookkeeping factor.  Since sum over nu = 3 mod 4 of
@@ -48,7 +52,7 @@ import numpy as np
 from .arith import ArithTables, check_prime_grid, covering, kloosterman_fast
 from .errors import AccuracyError, DomainError, WindowError
 from .frame import MurmurationSeries, window
-from .specfn import WeightFunction, bessel_j
+from .specfn import _BESSEL_MAX_ORDER, WeightFunction, bessel_j
 
 _CUTOFF_BUDGET = 200_000
 
@@ -175,52 +179,55 @@ def window_scale(K: float) -> float:
         raise DomainError(f"central weight K={K:g} puts the window scale (K-1)^2 beyond float range") from None
 
 
-def weight_window(K: float, phi: WeightFunction, sign: Optional[int]) -> list[int]:
-    """Weights k with conductor scale (k-1)^2 inside the window of X = (K-1)^2.
-
-    sign +1 keeps k = 0 mod 4, sign -1 keeps k = 2 mod 4, sign None
-    keeps all even k.
-    """
-    if sign not in (1, -1, None):
-        raise DomainError(f"sign must be +1, -1 or None, got {sign}")
+def _window_series(
+    K: float, primes: Sequence[int], phi: WeightFunction, sign: Optional[int], tail_tol: float,
+    tables: Optional[ArithTables], density_normalized: bool = False,
+) -> MurmurationSeries:
+    """The series of ``harmonic_series`` (sign +-1, n = p) or ``symsq_series``
+    (sign None, n = p^2): the ratios A(n)/A(1) of the window sums
+    A(n) = sum_k Phi((k-1)^2/X) (k-1) Delta_k(1, n), rows added in ascending
+    k, with certified bounds.  DomainError when the window reaches past the
+    supported Bessel order; WindowError when A(1) vanishes."""
+    primes = check_prime_grid(primes).tolist()
     X = window_scale(K)
-    a, b = phi.support
-    k_lo = max(4, math.ceil(1.0 + math.sqrt(a * X)))
-    k_hi = math.floor(1.0 + math.sqrt(b * X))
-    step, residue = (2, 0) if sign is None else (4, 0 if sign == 1 else 2)
-    return list(range(k_lo + (residue - k_lo) % step, k_hi + 1, step))
-
-
-def _window_sums(K: float, ks: Sequence[int], ns: Sequence[int], phi: WeightFunction, tail_tol: float,
-                 tables: Optional[ArithTables]) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """The window sums A(n) = sum_k Phi((k-1)^2/X) (k-1) Delta_k(1, n) over
-    the weights ``ks`` and their certified truncation bounds
-    sum_k |Phi((k-1)^2/X)| (k-1) tail_k: A(1) and its bound, then arrays
-    of A(n) and its bound over ``ns``.
-
-    ``frame.window`` keeps the k with Phi((k-1)^2/X) != 0; one ``_deltas``
-    pass covers n = 1 and every n of ``ns``; rows are weighted and added
-    in ascending k.  WindowError when A(1) vanishes.
-    """
-    ks = np.asarray(ks)
-    members, weights = window((ks - 1.0) ** 2, window_scale(K), phi)
+    # 1 + sqrt(b)|K-1| bounds every k with (k-1)^2/X <= b without forming b*X
+    top = 1.0 + math.sqrt(phi.support[1]) * abs(K - 1.0)
+    step, first = (2, 4) if sign is None else (4, 4 if sign == 1 else 6)
+    last = first + (top - first) // step * step  # the last k of the class up to top; nan if top is inf
+    if not last - 1.0 <= _BESSEL_MAX_ORDER:
+        raise DomainError(f"weight window at K={K:g} reaches order {top - 1.0:.6g}, "
+                          f"past the supported maximum {_BESSEL_MAX_ORDER}")
+    ks = np.arange(first, int(last) + 1, step)
+    members, weights = window((ks - 1.0) ** 2, X, phi)
     ks = ks[members]
     coef = weights * (ks - 1.0)
+    ns = [p * p for p in primes] if sign is None else primes
     value, tail, _ = _deltas(ks.tolist(), 1, [1, *ns], tail_tol, tables)
-    start = np.zeros(len(ns) + 1)
-    total = sum((c * row for c, row in zip(coef, value)), start)
-    bound = sum((abs(c) * row for c, row in zip(coef, tail)), start)
-    if total[0] == 0.0:
+    total = sum(c * row for c, row in zip(coef, value))
+    bound = sum(abs(c) * row for c, row in zip(coef, tail))
+    den, den_bound, num, num_bound = float(total[0]), float(bound[0]), total[1:], bound[1:]
+    if den == 0.0:
         raise WindowError(f"window normalization vanished at K={K}")
-    return float(total[0]), float(bound[0]), total[1:], bound[1:]
-
-
-def _ratio_bound(num: np.ndarray, num_bound: np.ndarray, den: float, den_bound: float) -> np.ndarray:
-    """Certified bound on |num/den - N/D| given |num - N| <= num_bound and
-    |den - D| <= den_bound; infinite unless den_bound < |den|."""
-    if not den_bound < abs(den):
-        return np.full_like(num, math.inf)
-    return (num_bound + np.abs(num / den) * den_bound) / (abs(den) - den_bound)
+    if den_bound < abs(den):
+        bound = (num_bound + np.abs(num / den) * den_bound) / (abs(den) - den_bound)
+    else:
+        bound = np.full_like(num, math.inf)
+    meta = dict(_AGGREGATION_META, weights=tuple(ks.tolist()), sign=sign)
+    boost = 1.0 if sign is None else np.sqrt(primes)  # sqrt(p) in the harmonic series
+    value, bound = num * boost / den, bound * boost
+    if density_normalized:
+        scale = 4.0 * math.pi * np.array(primes, dtype=np.float64) / X
+        value, bound = value * phi.mass / scale, bound * phi.mass / scale
+        meta.update(bridge="mass(Phi)/(4*pi*y)", phi_mass=phi.mass)
+    meta["tail_bound"] = bound
+    return MurmurationSeries(
+        y=np.array(primes, dtype=np.float64) / X,
+        value=value,
+        count=np.full(len(primes), len(ks), dtype=np.int64),
+        window_scale=X,
+        normalization="analytic" if sign is None else "raw_sqrtp",
+        meta=meta,
+    )
 
 
 def harmonic_series(
@@ -240,29 +247,7 @@ def harmonic_series(
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +-1, got {sign}")
-    primes = check_prime_grid(primes).tolist()
-    ks = weight_window(K, phi, sign)
-    if not ks:
-        raise WindowError(f"no weights of sign class {sign:+d} in window at K={K}")
-    den, den_bound, num, num_bound = _window_sums(K, ks, primes, phi, tail_tol, tables)
-    root = np.sqrt(primes)
-    value = num * root / den
-    bound = _ratio_bound(num, num_bound, den, den_bound) * root
-    X = window_scale(K)
-    meta = dict(_AGGREGATION_META, weights=tuple(ks), sign=sign)
-    if density_normalized:
-        scale = 4.0 * math.pi * np.array(primes, dtype=np.float64) / X
-        value, bound = value * phi.mass / scale, bound * phi.mass / scale
-        meta.update(bridge="mass(Phi)/(4*pi*y)", phi_mass=phi.mass)
-    meta["tail_bound"] = bound
-    return MurmurationSeries(
-        y=np.array(primes, dtype=np.float64) / X,
-        value=value,
-        count=np.full(len(primes), len(ks), dtype=np.int64),
-        window_scale=X,
-        normalization="raw_sqrtp",
-        meta=meta,
-    )
+    return _window_series(K, primes, phi, sign, tail_tol, tables, density_normalized)
 
 
 def symsq_series(
@@ -278,18 +263,4 @@ def symsq_series(
     bridge is applied.  ``meta["tail_bound"]`` holds each sample's
     certified truncation bound.
     """
-    primes = check_prime_grid(primes).tolist()
-    ks = weight_window(K, phi, None)
-    if not ks:
-        raise WindowError(f"no weights in window at K={K}")
-    den, den_bound, num, num_bound = _window_sums(K, ks, [p * p for p in primes], phi, tail_tol, tables)
-    bound = _ratio_bound(num, num_bound, den, den_bound)
-    X = window_scale(K)
-    return MurmurationSeries(
-        y=np.array(primes, dtype=np.float64) / X,
-        value=num / den,
-        count=np.full(len(primes), len(ks), dtype=np.int64),
-        window_scale=X,
-        normalization="analytic",
-        meta=dict(_AGGREGATION_META, weights=tuple(ks), sign=None, tail_bound=bound),
-    )
+    return _window_series(K, primes, phi, None, tail_tol, tables)

@@ -221,6 +221,22 @@ def test_density_nu_too_many_candidates_is_size_error(tmp_path, capped_run):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_density_nu_out_of_memory_is_one_error_line(tmp_path, capped_run):
+    # the size guard passes these 938,247,537 candidates, but their atoms outgrow a
+    # 600 MB address space: this once died with an _ArrayMemoryError traceback
+    argv = ["density-nu", "--e-min", "1e-11", "--e-max", "50", "--q-max", "100", "--out", str(tmp_path / "nu")]
+    cap = 600 * 10**6
+    result = capped_run(
+        "import resource, sys, murmur.cli\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        f"sys.exit(murmur.cli.main({argv!r}))"
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_old_kernel_fourier(tmp_path):
     out = tmp_path / "ok"
     code = run_cli(["old-kernel", "--parity", "odd", "--hat", "--out", str(out), "--svg"])
@@ -347,6 +363,27 @@ def test_huge_finite_float_options_exit_1(tmp_path, argv, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        # these two once died with a MemoryError traceback under the cap, building
+        # the lgamma list of 7e7 weights and the weight list of 7e11
+        pytest.param(["symsq", "--k", "1e8", "--phi", "bump", "1", "2"], "K=1e+08 reaches order 1.41421e+08",
+                     id="symsq --k 1e8"),
+        pytest.param(["symsq", "--k", "1e12"], "K=1e+12 reaches order 1.41421e+12", id="symsq --k 1e12"),
+        pytest.param(["petersson", "--k", "400"], "K=400 reaches order 564.271", id="petersson --k 400"),
+    ],
+)
+def test_weight_window_past_bessel_order_is_one_error_line(tmp_path, capped_run, argv, order):
+    argv = argv + ["--out", str(tmp_path / "o")]
+    result = capped_run(f"import sys, murmur.cli\nsys.exit(murmur.cli.main({argv!r}))")
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"error: weight window at {order}, past the supported maximum {specfn._BESSEL_MAX_ORDER}"
+    ]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_density_ils_sieve_covers_y_max(tmp_path):

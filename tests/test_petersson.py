@@ -103,7 +103,6 @@ def test_harmonic_series_is_one_bessel_call_per_modulus(tables, monkeypatch):
     K = 40.0
     phi = specfn.indicator(1.0, 2.0)
     primes = arith.prime_grid(petersson.window_scale(K), 0.004, 0.055)
-    ks = petersson.weight_window(K, phi, 1)
     sizes = []
 
     def spy(order, x):
@@ -111,7 +110,7 @@ def test_harmonic_series_is_one_bessel_call_per_modulus(tables, monkeypatch):
         return specfn.bessel_j(order, x)
 
     monkeypatch.setattr(petersson, "bessel_j", spy)
-    petersson.harmonic_series(K, primes, phi, 1, tables=tables)
+    ks = list(petersson.harmonic_series(K, primes, phi, 1, tables=tables).meta["weights"])
     monkeypatch.undo()
     _, _, cutoff = petersson._deltas(ks, 1, [1, *primes], 1e-12, tables)
     assert len(sizes) == cutoff.max() > 1
@@ -122,35 +121,77 @@ def test_harmonic_series_is_one_bessel_call_per_modulus(tables, monkeypatch):
 # weight-aspect aggregation
 
 
-def test_weight_window_sign_classes():
-    ks_plus = petersson.weight_window(60.0, BUMP, 1)
-    ks_minus = petersson.weight_window(60.0, BUMP, -1)
+def test_weight_window_sign_classes(tables):
+    ks_plus = list(petersson.harmonic_series(60.0, [2], BUMP, 1, tables=tables).meta["weights"])
+    ks_minus = list(petersson.harmonic_series(60.0, [2], BUMP, -1, tables=tables).meta["weights"])
     assert all(k % 4 == 0 for k in ks_plus)
     assert all(k % 4 == 2 for k in ks_minus)
     assert ks_plus and ks_minus
-    both = petersson.weight_window(60.0, BUMP, None)
+    both = list(petersson.symsq_series(60.0, [2], BUMP, tables=tables).meta["weights"])
     assert sorted(ks_plus + ks_minus) == both
     X = 59.0**2
     for k in both:
-        assert BUMP.support[0] <= (k - 1) ** 2 / X <= BUMP.support[1]
+        assert BUMP.support[0] < (k - 1) ** 2 / X < BUMP.support[1]
 
 
 @pytest.mark.parametrize("K", [math.inf, -math.inf, math.nan, 1e200])
 def test_weight_window_rejects_non_finite_k(K):
     # K = inf once escaped as OverflowError from math.ceil, K = 1e200 from (K-1)^2
+    for sign in (1, -1):
+        with pytest.raises(DomainError):
+            petersson.harmonic_series(K, [2], BUMP, sign)
     with pytest.raises(DomainError):
-        petersson.weight_window(K, BUMP, None)
+        petersson.symsq_series(K, [2], BUMP)
     with pytest.raises(DomainError):
         petersson.window_scale(K)
+
+
+def test_series_count_only_the_weights_they_sum(tables):
+    # k = 100 (k = 24 for the symmetric square) puts (k-1)^2/X at the bump's
+    # endpoint, where Phi = 0: count once said 11 (5) over 10 (4) summed weights
+    def nonzero(K, residues):
+        X = (K - 1.0) ** 2
+        return tuple(k for k in range(4, 1000, 2) if k % 4 in residues and BUMP((k - 1) ** 2 / X) != 0.0)
+
+    plus = petersson.harmonic_series(100.0, [2, 3], BUMP, 1, tables=tables)
+    minus = petersson.harmonic_series(100.0, [2, 3], BUMP, -1, tables=tables)
+    both = petersson.symsq_series(100.0, [2, 3], BUMP, tables=tables)
+    sym = petersson.symsq_series(24.0, [2, 3], BUMP, tables=tables)
+    for series, expect, n in [
+        (plus, nonzero(100.0, (0,)), 10),
+        (minus, nonzero(100.0, (2,)), 10),
+        (both, nonzero(100.0, (0, 2)), 20),
+        (sym, nonzero(24.0, (0, 2)), 4),
+    ]:
+        assert series.meta["weights"] == expect
+        assert len(expect) == n
+        assert series.count.tolist() == [n, n]
+    assert plus.meta["weights"][0] == 104 and sym.meta["weights"][0] == 26
+    # the two sign classes of one K partition the weights of the symmetric square
+    assert not set(plus.meta["weights"]) & set(minus.meta["weights"])
+    assert sorted(plus.meta["weights"] + minus.meta["weights"]) == list(both.meta["weights"])
+
+
+def test_bessel_order_guard_reads_the_last_weight_of_the_class(tables):
+    # at K = 356 the indicator window reaches k - 1 = 502.05: k = 502 (order 501) is
+    # in the -1 class only, so the +1 class, whose last weight is 500, still runs
+    phi = specfn.indicator(1.0, 2.0)
+    past = f"reaches order 502.046, past the supported maximum {specfn._BESSEL_MAX_ORDER}"
+    assert petersson.harmonic_series(356.0, [2], phi, 1, tables=tables).meta["weights"][-1] == 500
+    with pytest.raises(DomainError, match=past):
+        petersson.harmonic_series(356.0, [2], phi, -1, tables=tables)
+    with pytest.raises(DomainError, match=past):
+        petersson.symsq_series(356.0, [2], phi, tables=tables)
 
 
 def test_harmonic_single_weight_reduces_to_hecke(tables):
     # indicator window catching exactly k = 12 (X = 121 puts (k-1)^2/X at 1)
     phi = specfn.indicator(0.9, 1.1)
-    assert petersson.weight_window(12.0, phi, 1) == [12]
     base = petersson.petersson_delta(12, 1, 1, tables=tables)
     for p in [2, 3]:
-        got = petersson.harmonic_series(12.0, [p], phi, 1, tables=tables, density_normalized=False).value[0]
+        series = petersson.harmonic_series(12.0, [p], phi, 1, tables=tables, density_normalized=False)
+        assert series.meta["weights"] == (12,)
+        got = series.value[0]
         expect = petersson.petersson_delta(12, 1, p, tables=tables).value / base.value * math.sqrt(p)
         assert abs(got - expect) < 1e-12
 
@@ -183,8 +224,9 @@ def test_harmonic_gap_prime_is_negligible(tables_big):
 
 def test_symsq_small_prime_negligible_at_high_weight(tables_big):
     phi = specfn.indicator(0.98, 1.02)
-    assert petersson.weight_window(101.0, phi, None) == [100]
-    got = petersson.symsq_series(101.0, [2], phi, tables=tables_big).value[0]
+    series = petersson.symsq_series(101.0, [2], phi, tables=tables_big)
+    assert series.meta["weights"] == (100,)
+    got = series.value[0]
     # delta term absent, every kernel argument deep below the order
     assert abs(got) < 1e-30
 
