@@ -29,7 +29,7 @@ class Config:
 def run(cfg: Config) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     dist, tail = densities.window_murmuration_density((cfg.e_min, cfg.e_max), cfg.q_max, 1.0)
-    cli.emit_csv(cfg.out_dir / "atoms.csv", [], "y,value", dist=dist)
+    cli.emit_csv(cfg.out_dir / "atoms.csv", "y,value", dist=dist)
     cli.emit_svg(cfg.out_dir / "atoms.svg", [], dist=dist, title="atomic density")
     # stable: equal masses keep ascending location order
     heaviest = np.argsort(-dist.masses, kind="stable")[: cfg.top]

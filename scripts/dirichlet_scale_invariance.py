@@ -37,11 +37,7 @@ def run(cfg: Config) -> None:
             b = frame.bin_series(series, cfg.bins, y_range=(cfg.y_min, cfg.y_max))
             binned[(X, cls)] = b
             tag = "plus" if cls == 1 else "minus"
-            cli.emit_csv(
-                cfg.out_dir / f"X{int(X)}_{tag}.csv",
-                [(float(y), float(v), int(c)) for y, v, c in zip(b.y, b.value, b.count)],
-                "y,value,count",
-            )
+            cli.emit_csv(cfg.out_dir / f"X{int(X)}_{tag}.csv", "y,value,count", (b.y, b.value, b.count))
     for cls, tag in ((1, "+"), (-1, "-")):
         b1, b2 = binned[(cfg.x, cls)], binned[(2 * cfg.x, cls)]
         se = np.sqrt(b1.stderr**2 + b2.stderr**2)
@@ -50,15 +46,14 @@ def run(cfg: Config) -> None:
     bp, bm = binned[(cfg.x, 1)], binned[(cfg.x, -1)]
     sep = float(np.mean(np.abs(bp.value - bm.value) > 3.0 * np.sqrt(bp.stderr**2 + bm.stderr**2)))
     print(f"sign classes distinguishable in {100 * sep:.1f}% of bins at X={cfg.x:g}")
+    bp2, bm2 = binned[(2 * cfg.x, 1)], binned[(2 * cfg.x, -1)]
     cli.emit_svg(
         cfg.out_dir / "overlay.svg",
         [
-            ("sign + at X", list(map(float, bp.y)), list(map(float, bp.value))),
-            ("sign - at X", list(map(float, bm.y)), list(map(float, bm.value))),
-            ("sign + at 2X", list(map(float, binned[(2 * cfg.x, 1)].y)),
-             list(map(float, binned[(2 * cfg.x, 1)].value))),
-            ("sign - at 2X", list(map(float, binned[(2 * cfg.x, -1)].y)),
-             list(map(float, binned[(2 * cfg.x, -1)].value))),
+            ("sign + at X", bp.y, bp.value),
+            ("sign - at X", bm.y, bm.value),
+            ("sign + at 2X", bp2.y, bp2.value),
+            ("sign - at 2X", bm2.y, bm2.value),
         ],
         title=f"quadratic characters, X={cfg.x:g} vs {2 * cfg.x:g}",
     )

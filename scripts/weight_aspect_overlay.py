@@ -38,17 +38,10 @@ def run(cfg: Config) -> None:
         ) / abs(frame.peak_location(series.y, ref))
         resid = frame.shape_residual(series.value[support], ref[support])
         stem = cfg.out_dir / f"K{int(K)}"
-        cli.emit_csv(
-            f"{stem}.csv",
-            [(float(y), float(v), int(c)) for y, v, c in zip(series.y, series.value, series.count)],
-            "y,value,count",
-        )
+        cli.emit_csv(f"{stem}.csv", "y,value,count", (series.y, series.value, series.count))
         cli.emit_svg(
             f"{stem}.svg",
-            [
-                ("empirical", list(map(float, series.y)), list(map(float, series.value))),
-                ("density", list(map(float, series.y)), list(map(float, ref))),
-            ],
+            [("empirical", series.y, series.value), ("density", series.y, ref)],
             title=f"weight aspect K={K:g}, sign {cfg.sign:+d}",
         )
         print(f"K={K:6g}: {len(primes):4d} primes, peak offset {100 * peak_err:5.2f}%, L2 residual {resid:.4f}")

@@ -1,8 +1,13 @@
 """Command-line driver: run the engines, emit CSV series and SVG overlays.
 
-Exit codes: 0 success, 1 usage, domain or size (out of memory included),
-2 data, 3 accuracy, 4 window.  Output is deterministic: identical
-configuration and input files produce byte-identical CSV.
+Every command writes its files through one writer: ``<out>.csv`` (and
+``<out>-minus.csv`` for the minus sign class) from numpy columns, each
+value as its shortest round-trip repr, and ``<out>.svg`` with --svg.
+Exit codes: 0 success, 1 usage, domain or size (out of memory included;
+an integer option below its bound, such as --bins 0, --grid 1 or
+--p-max 1, and a reversed sampling range are usage errors), 2 data,
+3 accuracy, 4 window.  Output is deterministic: identical configuration
+and input files produce byte-identical CSV.
 """
 
 import argparse
@@ -41,22 +46,32 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _fmt(x) -> str:
-    # shortest round-trip decimal, so determinism is byte-testable
-    return repr(float(x))
+def _int_at_least(low: int):
+    """argparse type of an integer option with the lower bound ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
-def emit_csv(path, rows, header, dist=None) -> None:
+def emit_csv(path, header, columns=(), dist=None) -> None:
     """Write the atoms of ``dist`` (a DistributionValue, if given) as
-    `#atom location mass` comment lines, a header, then data rows.  The
-    atom lines are streamed, one write per block of the columns."""
+    `#atom location mass` comment lines, a header, then one row per index
+    of the numpy ``columns``.  Every value is the repr of its ``tolist()``
+    value: the shortest round-trip decimal of a float, the digits of an
+    int.  The atom lines are streamed, one write per block of the columns."""
     with open(path, "w", newline="\n") as fh:
         for locs, masses in () if dist is None else dist.atom_blocks():
-            # repr of a Python float, as _fmt writes it
             fh.write("".join(f"#atom {loc!r} {mass!r}\n" for loc, mass in zip(locs.tolist(), masses.tolist())))
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) + "\n")
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in zip(*(col.tolist() for col in columns))))
 
 
 def _pixels(width, height, pad, x_range, y_range):
@@ -68,6 +83,13 @@ def _pixels(width, height, pad, x_range, y_range):
     return lambda x, y: (pad + (x - x0) * sx, height - pad - (y - y0) * sy)
 
 
+def _axis_range(parts):
+    """(min, max) over the values of ``parts``, widened by 1 each way when it is one point or empty."""
+    values = np.concatenate([np.zeros(0), *parts])
+    lo, hi = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
+    return (lo - 1.0, hi + 1.0) if lo == hi else (lo, hi)
+
+
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
@@ -75,26 +97,20 @@ def emit_svg(path, overlays, dist=None, title="") -> None:
     """Self-contained static SVG: one polyline per overlay, the atoms of
     ``dist`` (a DistributionValue, if given) as spikes.
 
-    ``overlays`` is a list of (label, xs, ys).  Axes are linear and
-    auto-scaled over all overlays and atom locations.  The spikes are
-    streamed, one write per block of the columns.
+    ``overlays`` is a list of (label, xs, ys), lists or numpy arrays.  Axes
+    are linear and auto-scaled over all overlays and atom locations; with
+    nothing to plot only the axes are drawn.  The spikes are streamed, one
+    write per block of the columns.
     """
     width, height, pad = 1200, 600, 60
-    xs_all = [x for _, xs, _ in overlays for x in xs]
-    ys_all = [y for _, _, ys in overlays for y in ys]
+    xs_all = [xs for _, xs, _ in overlays]
+    ys_all = [ys for _, _, ys in overlays] + [(0.0,)]
     if dist is not None and len(dist.locations):
         # the locations are sorted: their ends are their extremes
-        xs_all += [float(dist.locations[0]), float(dist.locations[-1])]
-        ys_all += [float(dist.masses.min()), float(dist.masses.max())]
-    ys_all.append(0.0)
-    if not xs_all:
-        raise DataError("nothing to plot")
-    x_range = (min(xs_all), max(xs_all))
-    y_range = (min(ys_all), max(ys_all))
-    if x_range[0] == x_range[1]:
-        x_range = (x_range[0] - 1.0, x_range[1] + 1.0)
-    if y_range[0] == y_range[1]:
-        y_range = (y_range[0] - 1.0, y_range[1] + 1.0)
+        xs_all.append(dist.locations[[0, -1]])
+        ys_all.append((dist.masses.min(), dist.masses.max()))
+    x_range = _axis_range(xs_all)
+    y_range = _axis_range(ys_all)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -118,9 +134,11 @@ def emit_svg(path, overlays, dist=None, title="") -> None:
         fy = y_range[0] + (y_range[1] - y_range[0]) * i / 4
         py = height - pad - (height - 2 * pad) * i / 4
         parts.append(f'<text x="{pad - 8}" y="{py:.2f}" font-size="12" text-anchor="end">{fy:g}</text>')
+    # elementwise float64 arithmetic: the same bits as to_pixels on each Python float
     to_pixels = _pixels(width, height, pad, x_range, y_range)
     for (label, xs, ys), color in zip(overlays, _SVG_COLORS):
-        pts = " ".join("{:.2f},{:.2f}".format(*to_pixels(x, y)) for x, y in zip(xs, ys))
+        pxs, pys = to_pixels(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(pxs.tolist(), pys.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
     tail = []
     if title:
@@ -134,7 +152,6 @@ def emit_svg(path, overlays, dist=None, title="") -> None:
     tail.append("</svg>")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
-        # elementwise float64 arithmetic: the same bits as to_pixels on each Python float
         _, base = to_pixels(0.0, 0.0)
         for locs, masses in () if dist is None else dist.atom_blocks():
             xs, tops = to_pixels(locs, masses)
@@ -199,7 +216,7 @@ def build_parser() -> _Parser:
     _add_phi(p)
     p.add_argument("--x", type=_finite_float, required=True, help="conductor window scale X")
     p.add_argument("--sign", default="+1", help="discriminant sign class: +1, -1 or both")
-    p.add_argument("--bins", type=int, default=200, help="y-bins for the series (>=1)")
+    p.add_argument("--bins", type=_int_at_least(1), default=200, help="y-bins for the series (>=1)")
     p.add_argument("--y-min", type=_finite_float, default=0.05)
     p.add_argument("--y-max", type=_finite_float, default=1.0)
     p.add_argument("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
@@ -219,7 +236,7 @@ def build_parser() -> _Parser:
     _add_phi(p)
     _add_tail_tol(p)
     p.add_argument("--k", type=_finite_float, required=True)
-    p.add_argument("--p-max", type=int, default=97, help="largest prime sampled")
+    p.add_argument("--p-max", type=_int_at_least(2), default=97, help="largest prime sampled")
 
     p = subs.add_parser("density-ils", help="closed-form weight-aspect density")
     _add_common(p)
@@ -227,7 +244,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sign", default="+1")
     p.add_argument("--y-min", type=_finite_float, default=0.004)
     p.add_argument("--y-max", type=_finite_float, default=0.055)
-    p.add_argument("--grid", type=int, default=400, help="number of y samples")
+    p.add_argument("--grid", type=_int_at_least(2), default=400, help="number of y samples")
 
     p = subs.add_parser("density-nu", help="atomic prime-window density on an interval")
     _add_common(p)
@@ -241,7 +258,7 @@ def build_parser() -> _Parser:
     p.add_argument("--parity", choices=("even", "odd"), default="even")
     p.add_argument("--hat", action="store_true", help="emit the Fourier side")
     p.add_argument("--x-max", type=_finite_float, default=3.0)
-    p.add_argument("--grid", type=int, default=601)
+    p.add_argument("--grid", type=_int_at_least(2), default=601)
 
     p = subs.add_parser("ingest-run", help="murmuration series for an ingested family")
     _add_common(p)
@@ -249,16 +266,12 @@ def build_parser() -> _Parser:
     p.add_argument("--file", required=True, help="murmur-family v1 input file")
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
-    p.add_argument("--p-max", type=int, default=None, help="largest prime sampled (default: coverage)")
+    p.add_argument("--p-max", type=_int_at_least(2), default=None, help="largest prime sampled (default: coverage)")
     return parser
 
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _series_rows(series: frame.MurmurationSeries):
-    return [(float(y), float(v), int(c)) for y, v, c in zip(series.y, series.value, series.count)]
 
 
 def _summarize_series(name, series, ref=None):
@@ -274,23 +287,27 @@ def _summarize_series(name, series, ref=None):
     print(msg)
 
 
-def _emit_series(args, name, outputs, title, refs=None) -> None:
-    """Write the series of ``outputs``, a list of (label, series): <out>.csv
-    for the first and <out>-minus.csv for the second (the minus sign class);
-    with --svg one overlay per series and per reference curve of ``refs``
-    ((label, values) or None per series, on its grid); and a ``name`` /
-    ``name-minus`` summary line per series, with its reference residual."""
-    refs = refs or [None] * len(outputs)
-    for i, (_, ser) in enumerate(outputs):
-        emit_csv(f"{args.out}.csv" if i == 0 else f"{args.out}-minus.csv", _series_rows(ser), "y,value,count")
+def _write(args, header, tables, title, overlays=(), dist=None) -> None:
+    """The one writer of a command's files: the columns of the first of
+    ``tables`` to <out>.csv and of the second (the minus sign class) to
+    <out>-minus.csv, each under ``header`` and after the atoms of ``dist``;
+    with --svg the ``overlays`` and the atoms to <out>.svg."""
+    for i, columns in enumerate(tables):
+        emit_csv(f"{args.out}.csv" if i == 0 else f"{args.out}-minus.csv", header, columns, dist)
     if args.svg:
-        overlays = [(label, list(map(float, ser.y)), list(map(float, ser.value))) for label, ser in outputs]
-        overlays += [
-            (ref[0], list(map(float, ser.y)), list(map(float, ref[1])))
-            for (_, ser), ref in zip(outputs, refs)
-            if ref is not None
-        ]
-        emit_svg(f"{args.out}.svg", overlays, title=title)
+        emit_svg(f"{args.out}.svg", overlays, dist, title)
+
+
+def _emit_series(args, name, outputs, title, refs=None) -> None:
+    """Write the series of ``outputs``, a list of (label, series), one CSV
+    each; with --svg one overlay per series and per reference curve of
+    ``refs`` ((label, values) or None per series, on its grid); and a
+    ``name`` / ``name-minus`` summary line per series, with its reference
+    residual."""
+    refs = refs or [None] * len(outputs)
+    overlays = [(label, ser.y, ser.value) for label, ser in outputs]
+    overlays += [(ref[0], ser.y, ref[1]) for (_, ser), ref in zip(outputs, refs) if ref is not None]
+    _write(args, "y,value,count", [(ser.y, ser.value, ser.count) for _, ser in outputs], title, overlays)
     for i, ((_, ser), ref) in enumerate(zip(outputs, refs)):
         _summarize_series(name if i == 0 else f"{name}-minus", ser, None if ref is None else ref[1])
 
@@ -298,8 +315,6 @@ def _emit_series(args, name, outputs, title, refs=None) -> None:
 def _cmd_dirichlet(args) -> int:
     phi = _parse_phi(args.phi)
     sign = _parse_sign(args.sign)
-    if args.bins < 1:
-        raise _UsageError("--bins must be >= 1")
     primes = arith.prime_grid(args.x, args.y_min, args.y_max)
     classes = (1, -1) if sign == "both" else (sign,)
     series = families.quadratic_series(args.x, phi, classes, primes, normalization=args.normalization)
@@ -334,8 +349,6 @@ def _cmd_petersson(args) -> int:
 
 def _cmd_symsq(args) -> int:
     phi = _parse_phi(args.phi)
-    if args.p_max < 2:
-        raise _UsageError("--p-max must be >= 2")
     primes = arith.prime_grid(1.0, 0.0, args.p_max)
     ser = petersson.symsq_series(args.k, primes, phi, tail_tol=args.tail_tol)
     _emit_series(args, "symsq", [("symmetric square", ser)], f"symmetric-square mode, K={args.k:g}")
@@ -347,17 +360,11 @@ def _cmd_density_ils(args) -> int:
     sign = _parse_sign(args.sign)
     if sign == "both":
         raise _UsageError("density-ils needs a single sign")
-    if args.grid < 2:
-        raise _UsageError("--grid must be >= 2")
+    if args.y_min >= args.y_max:
+        raise _UsageError(f"--y-min {args.y_min:g} must be below --y-max {args.y_max:g}")
     ys = np.linspace(args.y_min, args.y_max, args.grid)
     vals = densities.harmonic_murmuration_density(ys, phi, sign)
-    emit_csv(f"{args.out}.csv", list(zip(map(float, ys), map(float, vals))), "y,value")
-    if args.svg:
-        emit_svg(
-            f"{args.out}.svg",
-            [("density", list(map(float, ys)), list(map(float, vals)))],
-            title="weight-aspect murmuration density",
-        )
+    _write(args, "y,value", [(ys, vals)], "weight-aspect murmuration density", [("density", ys, vals)])
     i = int(np.argmax(np.abs(vals)))
     print(f"density-ils: peak y={ys[i]:.6g} value={vals[i]:.6g} samples={len(ys)}")
     return 0
@@ -365,9 +372,7 @@ def _cmd_density_ils(args) -> int:
 
 def _cmd_density_nu(args) -> int:
     dist, tail = densities.window_murmuration_density((args.e_min, args.e_max), args.q_max, args.prefactor)
-    emit_csv(f"{args.out}.csv", [], "y,value", dist=dist)
-    if args.svg:
-        emit_svg(f"{args.out}.svg", [], dist=dist, title="atomic murmuration density")
+    _write(args, "y,value", [()], "atomic murmuration density", dist=dist)
     total = dist.total_atom_mass()
     print(
         f"density-nu: atoms={len(dist.locations)} total-mass={total:.6g} tail-bound={tail:.3g}"
@@ -376,23 +381,17 @@ def _cmd_density_nu(args) -> int:
 
 
 def _cmd_old_kernel(args) -> int:
-    if args.grid < 2:
-        raise _UsageError("--grid must be >= 2")
+    if args.x_max <= 0:
+        raise _UsageError(f"--x-max must be > 0, got {args.x_max:g}")
+    if math.isinf(2.0 * args.x_max):
+        raise _UsageError(f"--x-max {args.x_max:g} is too large: the grid width 2*x_max overflows")
     dist = (
         densities.so_kernel_fourier(args.parity) if args.hat else densities.so_kernel(args.parity)
     )
-    if math.isinf(2.0 * args.x_max):
-        raise _UsageError(f"--x-max {args.x_max:g} is too large: the grid width 2*x_max overflows")
     xs = np.linspace(-args.x_max, args.x_max, args.grid)
-    vals = [dist.continuous(float(x)) for x in xs]
-    emit_csv(f"{args.out}.csv", list(zip(map(float, xs), map(float, vals))), "y,value", dist=dist)
-    if args.svg:
-        emit_svg(
-            f"{args.out}.svg",
-            [(f"SO {args.parity}{' hat' if args.hat else ''}", list(map(float, xs)), list(map(float, vals)))],
-            dist=dist,
-            title="one-level-density kernel",
-        )
+    vals = np.array([dist.continuous(x) for x in xs.tolist()])
+    label = f"SO {args.parity}{' hat' if args.hat else ''}"
+    _write(args, "y,value", [(xs, vals)], "one-level-density kernel", [(label, xs, vals)], dist)
     i = int(np.argmax(np.abs(vals)))
     print(f"old-kernel: peak x={xs[i]:.6g} value={vals[i]:.6g} atoms={len(dist.locations)}")
     return 0

@@ -31,32 +31,58 @@ b,3,2
 
 def test_emit_csv_schema(tmp_path):
     path = tmp_path / "one.csv"
-    cli.emit_csv(path, [(1.0, 0.5, 3)], "y,value,count")
+    cli.emit_csv(path, "y,value,count", (np.array([1.0]), np.array([0.5]), np.array([3])))
     assert path.read_text() == "y,value,count\n1.0,0.5,3\n"
 
 
 def test_emit_csv_atoms_precede_rows(tmp_path):
     path = tmp_path / "atoms.csv"
-    cli.emit_csv(path, [(1.0, 2.0)], "y,value", dist=densities.DistributionValue([4.0], [8.0 / 3.0], lambda x: 0.0))
+    dist = densities.DistributionValue([4.0], [8.0 / 3.0], lambda x: 0.0)
+    cli.emit_csv(path, "y,value", (np.array([1.0]), np.array([2.0])), dist=dist)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#atom 4.0 ")
     assert lines[1] == "y,value"
+
+
+def test_emit_csv_writes_python_reprs_of_numpy_columns(tmp_path):
+    path = tmp_path / "reprs.csv"
+    ys = np.array([0.1 + 0.2, -0.0, 5e-324], dtype=np.float64)
+    counts = np.array([7, 2**40, 1], dtype=np.int64)
+    cli.emit_csv(path, "y,value,count", (ys, -ys, counts))
+    assert path.read_text() == (
+        "y,value,count\n0.30000000000000004,-0.30000000000000004,7\n"
+        "-0.0,0.0,1099511627776\n5e-324,-5e-324,1\n"
+    )
 
 
 def test_emit_atoms_streamed_in_blocks(tmp_path, monkeypatch):
     # one write per block of atoms gives the bytes of one line per atom
     dist, _ = densities.window_murmuration_density((0.5, 9.0), 40, 1.0)
     atoms = dist.atoms
-    cli.emit_csv(tmp_path / "a.csv", [], "y,value", dist=dist)
+    cli.emit_csv(tmp_path / "a.csv", "y,value", dist=dist)
     cli.emit_svg(tmp_path / "a.svg", [], dist=dist)
     monkeypatch.setattr(densities, "_ATOM_BLOCK", 3)
-    cli.emit_csv(tmp_path / "b.csv", [], "y,value", dist=dist)
+    cli.emit_csv(tmp_path / "b.csv", "y,value", dist=dist)
     cli.emit_svg(tmp_path / "b.svg", [], dist=dist)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
     expect = "".join(f"#atom {loc!r} {mass!r}\n" for loc, mass in atoms) + "y,value\n"
     assert (tmp_path / "a.csv").read_text() == expect
     assert (tmp_path / "a.svg").read_text().count('stroke="#d62728" stroke-width="2"/>\n') == len(atoms) > 3
+
+
+def test_emit_svg_same_bytes_for_lists_and_arrays(tmp_path):
+    xs = np.linspace(0.013, 0.97, 41)
+    ys = np.sin(17.0 * xs) / 3.0
+    dist = densities.DistributionValue([0.25, 0.5], [0.125, 2.0 / 3.0], lambda x: 0.0)
+    cli.emit_svg(tmp_path / "arrays.svg", [("a", xs, ys), ("b", xs, -ys)], dist=dist, title="t")
+    cli.emit_svg(
+        tmp_path / "lists.svg",
+        [("a", xs.tolist(), ys.tolist()), ("b", xs.tolist(), (-ys).tolist())],
+        dist=dist,
+        title="t",
+    )
+    assert (tmp_path / "arrays.svg").read_bytes() == (tmp_path / "lists.svg").read_bytes()
 
 
 def test_emit_svg_two_polylines(tmp_path):
@@ -197,6 +223,17 @@ def test_density_nu_atom_count_at_q_max_400(tmp_path):
     assert sum(ln.startswith("#atom") for ln in lines) == 43166
 
 
+def test_density_nu_svg_without_atoms(tmp_path, capsys):
+    # this once wrote nu.csv, then exited 2 with "nothing to plot" and no summary
+    out = tmp_path / "nu"
+    code = run_cli(["density-nu", "--e-min", "1.1", "--e-max", "1.2", "--q-max", "1", "--svg", "--out", str(out)])
+    assert code == 0
+    assert (tmp_path / "nu.csv").read_text() == "y,value\n"
+    svg = (tmp_path / "nu.svg").read_text()
+    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+    assert "atoms=0 " in capsys.readouterr().out
+
+
 def test_density_nu_reads_only_the_atom_columns(tmp_path, monkeypatch):
     # the (location, mass) tuple view costs a Python object per atom: the command never builds it
     def refuse(self):
@@ -305,6 +342,45 @@ def test_options_a_command_does_not_read_are_usage_errors(tmp_path):
     assert run_cli(["old-kernel", "--phi", "bump", "1", "2", "--out", out]) == 1
     # --k-window silently averaged only part of its span; it is gone
     assert run_cli(["petersson", "--k", "66", "--k-window", "60", "72", "--out", out]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dirichlet", "--x", "1000", "--bins", "0"],
+        ["density-ils", "--grid", "1"],
+        ["old-kernel", "--grid", "1"],
+        ["symsq", "--k", "24", "--p-max", "1"],
+        # this once exited 2 with "<file>: no usable prime coverage", blaming the file
+        ["ingest-run", "--file", "FAMILY", "--x", "10", "--p-max", "1"],
+        ["ingest-run", "--file", "FAMILY", "--x", "10", "--p-max", "two"],
+    ],
+    ids=" ".join,
+)
+def test_integer_options_below_their_bound_are_usage_errors(tmp_path, argv, capsys):
+    (tmp_path / "fam.txt").write_text(GOOD_FAMILY)
+    option = argv[-2]
+    argv = [str(tmp_path / "fam.txt") if a == "FAMILY" else a for a in argv]
+    assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert f"argument {option}: expected an integer >= " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.txt"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # these once exited 0, with a descending y column, x running from 3 down
+        # to -3, or a grid of identical x
+        ["density-ils", "--y-min", "0.05", "--y-max", "0.01"],
+        ["density-ils", "--y-min", "0.02", "--y-max", "0.02"],
+        ["old-kernel", "--x-max", "-3"],
+        ["old-kernel", "--x-max", "0"],
+    ],
+    ids=" ".join,
+)
+def test_reversed_sampling_ranges_are_usage_errors(tmp_path, argv):
+    assert run_cli(argv + ["--svg", "--out", str(tmp_path / "o")]) == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_benchmark_argv_still_parses():
