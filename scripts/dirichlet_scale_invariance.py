@@ -4,69 +4,51 @@
 Runs the family at X and 2X, bins both onto a common y-grid, and
 reports how many bins agree within 3 combined standard errors, plus how
 strongly the two discriminant sign classes separate.  The murmuration
-pattern is the part that survives doubling X.
+pattern is the part that survives doubling X.  Writes X<X>.csv and
+X<X>-minus.csv per scale and overlay.svg under --out-dir.
 """
 
-import argparse
-import math
-from dataclasses import dataclass
 from pathlib import Path
+import sys
 
 import numpy as np
 
 from murmur import arith, cli, families, frame, specfn
 
-
-@dataclass
-class Config:
-    x: float = 1e5
-    bins: int = 60
-    y_min: float = 0.05
-    y_max: float = 1.0
-    out_dir: Path = Path("out/dirichlet")
+Y_RANGE = (0.05, 1.0)  # y = p / X
+PHI = specfn.indicator(1.0, 2.0)
 
 
-def run(cfg: Config) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    phi = specfn.indicator(1.0, 2.0)
-    binned = {}
-    for X in (cfg.x, 2 * cfg.x):
-        primes = arith.prime_grid(X, cfg.y_min, cfg.y_max)
-        both = families.quadratic_series(X, phi, (1, -1), primes, normalization="raw_sqrtp")
-        for cls, series in zip((1, -1), both):
-            b = frame.bin_series(series, cfg.bins, y_range=(cfg.y_min, cfg.y_max))
-            binned[(X, cls)] = b
-            tag = "plus" if cls == 1 else "minus"
-            cli.emit_csv(cfg.out_dir / f"X{int(X)}_{tag}.csv", "y,value,count", (b.y, b.value, b.count))
-    for cls, tag in ((1, "+"), (-1, "-")):
-        b1, b2 = binned[(cfg.x, cls)], binned[(2 * cfg.x, cls)]
+def run(args) -> int:
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    binned = {}  # X -> the binned series of the sign classes +1 and -1
+    for X in (args.x, 2 * args.x):
+        primes = arith.prime_grid(X, *Y_RANGE)
+        both = families.quadratic_series(X, PHI, (1, -1), primes, normalization="raw_sqrtp")
+        binned[X] = [frame.bin_series(series, args.bins, y_range=Y_RANGE) for series in both]
+        tables = [(b.y, b.value, b.count) for b in binned[X]]
+        cli.write(args.out_dir / f"X{int(X)}", False, "y,value,count", tables, "")
+    for b1, b2, tag in zip(binned[args.x], binned[2 * args.x], "+-"):
         se = np.sqrt(b1.stderr**2 + b2.stderr**2)
         frac = float(np.mean(np.abs(b1.value - b2.value) <= 3.0 * se))
         print(f"sign {tag}: {100 * frac:.1f}% of bins agree within 3 SE across X -> 2X")
-    bp, bm = binned[(cfg.x, 1)], binned[(cfg.x, -1)]
+    (bp, bm), (bp2, bm2) = binned[args.x], binned[2 * args.x]
     sep = float(np.mean(np.abs(bp.value - bm.value) > 3.0 * np.sqrt(bp.stderr**2 + bm.stderr**2)))
-    print(f"sign classes distinguishable in {100 * sep:.1f}% of bins at X={cfg.x:g}")
-    bp2, bm2 = binned[(2 * cfg.x, 1)], binned[(2 * cfg.x, -1)]
-    cli.emit_svg(
-        cfg.out_dir / "overlay.svg",
-        [
-            ("sign + at X", bp.y, bp.value),
-            ("sign - at X", bm.y, bm.value),
-            ("sign + at 2X", bp2.y, bp2.value),
-            ("sign - at 2X", bm2.y, bm2.value),
-        ],
-        title=f"quadratic characters, X={cfg.x:g} vs {2 * cfg.x:g}",
-    )
+    print(f"sign classes distinguishable in {100 * sep:.1f}% of bins at X={args.x:g}")
+    overlays = [("sign + at X", bp.y, bp.value), ("sign - at X", bm.y, bm.value),
+                ("sign + at 2X", bp2.y, bp2.value), ("sign - at 2X", bm2.y, bm2.value)]
+    title = f"quadratic characters, X={args.x:g} vs {2 * args.x:g}"
+    cli.write(args.out_dir / "overlay", True, "", (), title, overlays)
+    return 0
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--x", type=float, default=1e5)
-    parser.add_argument("--bins", type=int, default=60)
+def main(argv=None) -> int:
+    parser = cli.Parser(description=__doc__)
+    parser.add_argument("--x", type=cli.finite_float, default=1e5)
+    parser.add_argument("--bins", type=cli.int_at_least(1), default=60)
     parser.add_argument("--out-dir", type=Path, default=Path("out/dirichlet"))
-    args = parser.parse_args()
-    run(Config(x=args.x, bins=args.bins, out_dir=args.out_dir))
+    return cli.run(parser, run, argv)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,13 +1,15 @@
 """Command-line driver: run the engines, emit CSV series and SVG overlays.
 
-Every command writes its files through one writer: ``<out>.csv`` (and
-``<out>-minus.csv`` for the minus sign class) from numpy columns, each
-value as its shortest round-trip repr, and ``<out>.svg`` with --svg.
-Exit codes: 0 success, 1 usage, domain or size (out of memory included;
-an integer option below its bound, such as --bins 0, --grid 1 or
---p-max 1, and a reversed sampling range are usage errors), 2 data,
-3 accuracy, 4 window.  Output is deterministic: identical configuration
-and input files produce byte-identical CSV.
+Every command and every script in ``scripts/`` writes its files through
+one writer, ``write``: ``<out>.csv`` (and ``<out>-minus.csv`` for the
+minus sign class) from numpy columns, each value as its shortest
+round-trip repr, and ``<out>.svg`` with --svg.  The scripts share the
+``Parser``, the option types and the exit codes of ``run``: 0 success, 1
+usage, domain or size (out of memory included; an integer option below
+its bound, such as --bins 0, --grid 1 or --p-max 1, and a reversed
+sampling range are usage errors), 2 data, 3 accuracy, 4 window.  Output
+is deterministic: identical configuration and input files produce
+byte-identical CSV.
 """
 
 import argparse
@@ -29,13 +31,14 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 by default; usage errors must map to 1
+class Parser(argparse.ArgumentParser):
+    """The option parser of the CLI and the scripts: a bad option exits 1, not argparse's 2."""
+
     def error(self, message):
         raise _UsageError(message)
 
 
-def _finite_float(text: str) -> float:
+def finite_float(text: str) -> float:
     """argparse type of every float option: nan and inf are usage errors."""
     try:
         value = float(text)
@@ -46,7 +49,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
+def int_at_least(low: int):
     """argparse type of an integer option with the lower bound ``low``."""
 
     def parse(text: str) -> int:
@@ -180,14 +183,14 @@ def _add_phi(sub):
 
 def _add_tail_tol(sub):
     sub.add_argument(
-        "--tail-tol", type=_finite_float, default=1e-12, help="trace-formula tail tolerance (> 0)"
+        "--tail-tol", type=finite_float, default=1e-12, help="trace-formula tail tolerance (> 0)"
     )
 
 
 def _parse_phi(spec) -> specfn.WeightFunction:
     kind, a, b = spec
     try:
-        a, b = _finite_float(a), _finite_float(b)
+        a, b = finite_float(a), finite_float(b)
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"--phi bounds: {exc}") from None
     if kind == "bump":
@@ -207,66 +210,66 @@ def _parse_sign(text):
     raise _UsageError(f"sign must be +1, -1 or both, got {text!r}")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="murmur", description=__doc__)
+def build_parser() -> Parser:
+    parser = Parser(prog="murmur", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("dirichlet", help="quadratic-character murmuration series")
     _add_common(p)
     _add_phi(p)
-    p.add_argument("--x", type=_finite_float, required=True, help="conductor window scale X")
+    p.add_argument("--x", type=finite_float, required=True, help="conductor window scale X")
     p.add_argument("--sign", default="+1", help="discriminant sign class: +1, -1 or both")
-    p.add_argument("--bins", type=_int_at_least(1), default=200, help="y-bins for the series (>=1)")
-    p.add_argument("--y-min", type=_finite_float, default=0.05)
-    p.add_argument("--y-max", type=_finite_float, default=1.0)
+    p.add_argument("--bins", type=int_at_least(1), default=200, help="y-bins for the series (>=1)")
+    p.add_argument("--y-min", type=finite_float, default=0.05)
+    p.add_argument("--y-max", type=finite_float, default=1.0)
     p.add_argument("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
 
     p = subs.add_parser("petersson", help="weight-aspect harmonic murmuration series")
     _add_common(p)
     _add_phi(p)
     _add_tail_tol(p)
-    p.add_argument("--k", type=_finite_float, required=True, help="central weight K (scale X = (K-1)^2)")
+    p.add_argument("--k", type=finite_float, required=True, help="central weight K (scale X = (K-1)^2)")
     p.add_argument("--sign", default="+1")
-    p.add_argument("--y-min", type=_finite_float, default=0.004)
-    p.add_argument("--y-max", type=_finite_float, default=0.055)
+    p.add_argument("--y-min", type=finite_float, default=0.004)
+    p.add_argument("--y-max", type=finite_float, default=0.055)
     p.add_argument("--raw", action="store_true", help="skip the density normalization bridge")
 
     p = subs.add_parser("symsq", help="symmetric-square murmuration series")
     _add_common(p)
     _add_phi(p)
     _add_tail_tol(p)
-    p.add_argument("--k", type=_finite_float, required=True)
-    p.add_argument("--p-max", type=_int_at_least(2), default=97, help="largest prime sampled")
+    p.add_argument("--k", type=finite_float, required=True)
+    p.add_argument("--p-max", type=int_at_least(2), default=97, help="largest prime sampled")
 
     p = subs.add_parser("density-ils", help="closed-form weight-aspect density")
     _add_common(p)
     _add_phi(p)
     p.add_argument("--sign", default="+1")
-    p.add_argument("--y-min", type=_finite_float, default=0.004)
-    p.add_argument("--y-max", type=_finite_float, default=0.055)
-    p.add_argument("--grid", type=_int_at_least(2), default=400, help="number of y samples")
+    p.add_argument("--y-min", type=finite_float, default=0.004)
+    p.add_argument("--y-max", type=finite_float, default=0.055)
+    p.add_argument("--grid", type=int_at_least(2), default=400, help="number of y samples")
 
     p = subs.add_parser("density-nu", help="atomic prime-window density on an interval")
     _add_common(p)
-    p.add_argument("--e-min", type=_finite_float, required=True)
-    p.add_argument("--e-max", type=_finite_float, required=True)
+    p.add_argument("--e-min", type=finite_float, required=True)
+    p.add_argument("--e-max", type=finite_float, required=True)
     p.add_argument("--q-max", type=int, default=500)
-    p.add_argument("--prefactor", type=_finite_float, default=1.0)
+    p.add_argument("--prefactor", type=finite_float, default=1.0)
 
     p = subs.add_parser("old-kernel", help="one-level-density kernels and transforms")
     _add_common(p)
     p.add_argument("--parity", choices=("even", "odd"), default="even")
     p.add_argument("--hat", action="store_true", help="emit the Fourier side")
-    p.add_argument("--x-max", type=_finite_float, default=3.0)
-    p.add_argument("--grid", type=_int_at_least(2), default=601)
+    p.add_argument("--x-max", type=finite_float, default=3.0)
+    p.add_argument("--grid", type=int_at_least(2), default=601)
 
     p = subs.add_parser("ingest-run", help="murmuration series for an ingested family")
     _add_common(p)
     _add_phi(p)
     p.add_argument("--file", required=True, help="murmur-family v1 input file")
-    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--x", type=finite_float, required=True)
     p.add_argument("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
-    p.add_argument("--p-max", type=_int_at_least(2), default=None, help="largest prime sampled (default: coverage)")
+    p.add_argument("--p-max", type=int_at_least(2), default=None, help="largest prime sampled (default: coverage)")
     return parser
 
 
@@ -287,15 +290,15 @@ def _summarize_series(name, series, ref=None):
     print(msg)
 
 
-def _write(args, header, tables, title, overlays=(), dist=None) -> None:
-    """The one writer of a command's files: the columns of the first of
-    ``tables`` to <out>.csv and of the second (the minus sign class) to
-    <out>-minus.csv, each under ``header`` and after the atoms of ``dist``;
-    with --svg the ``overlays`` and the atoms to <out>.svg."""
+def write(out, svg, header, tables, title, overlays=(), dist=None) -> None:
+    """The one writer of the files of every command and script: the columns
+    of the first of ``tables`` to <out>.csv and of the second (the minus sign
+    class) to <out>-minus.csv, each under ``header`` and after the atoms of
+    ``dist``; with ``svg`` the ``overlays`` and the atoms to <out>.svg."""
     for i, columns in enumerate(tables):
-        emit_csv(f"{args.out}.csv" if i == 0 else f"{args.out}-minus.csv", header, columns, dist)
-    if args.svg:
-        emit_svg(f"{args.out}.svg", overlays, dist, title)
+        emit_csv(f"{out}.csv" if i == 0 else f"{out}-minus.csv", header, columns, dist)
+    if svg:
+        emit_svg(f"{out}.svg", overlays, dist, title)
 
 
 def _emit_series(args, name, outputs, title, refs=None) -> None:
@@ -307,7 +310,7 @@ def _emit_series(args, name, outputs, title, refs=None) -> None:
     refs = refs or [None] * len(outputs)
     overlays = [(label, ser.y, ser.value) for label, ser in outputs]
     overlays += [(ref[0], ser.y, ref[1]) for (_, ser), ref in zip(outputs, refs) if ref is not None]
-    _write(args, "y,value,count", [(ser.y, ser.value, ser.count) for _, ser in outputs], title, overlays)
+    write(args.out, args.svg, "y,value,count", [(ser.y, ser.value, ser.count) for _, ser in outputs], title, overlays)
     for i, ((_, ser), ref) in enumerate(zip(outputs, refs)):
         _summarize_series(name if i == 0 else f"{name}-minus", ser, None if ref is None else ref[1])
 
@@ -364,7 +367,7 @@ def _cmd_density_ils(args) -> int:
         raise _UsageError(f"--y-min {args.y_min:g} must be below --y-max {args.y_max:g}")
     ys = np.linspace(args.y_min, args.y_max, args.grid)
     vals = densities.harmonic_murmuration_density(ys, phi, sign)
-    _write(args, "y,value", [(ys, vals)], "weight-aspect murmuration density", [("density", ys, vals)])
+    write(args.out, args.svg, "y,value", [(ys, vals)], "weight-aspect murmuration density", [("density", ys, vals)])
     i = int(np.argmax(np.abs(vals)))
     print(f"density-ils: peak y={ys[i]:.6g} value={vals[i]:.6g} samples={len(ys)}")
     return 0
@@ -372,7 +375,7 @@ def _cmd_density_ils(args) -> int:
 
 def _cmd_density_nu(args) -> int:
     dist, tail = densities.window_murmuration_density((args.e_min, args.e_max), args.q_max, args.prefactor)
-    _write(args, "y,value", [()], "atomic murmuration density", dist=dist)
+    write(args.out, args.svg, "y,value", [()], "atomic murmuration density", dist=dist)
     total = dist.total_atom_mass()
     print(
         f"density-nu: atoms={len(dist.locations)} total-mass={total:.6g} tail-bound={tail:.3g}"
@@ -391,7 +394,7 @@ def _cmd_old_kernel(args) -> int:
     xs = np.linspace(-args.x_max, args.x_max, args.grid)
     vals = np.array([dist.continuous(x) for x in xs.tolist()])
     label = f"SO {args.parity}{' hat' if args.hat else ''}"
-    _write(args, "y,value", [(xs, vals)], "one-level-density kernel", [(label, xs, vals)], dist)
+    write(args.out, args.svg, "y,value", [(xs, vals)], "one-level-density kernel", [(label, xs, vals)], dist)
     i = int(np.argmax(np.abs(vals)))
     print(f"old-kernel: peak x={xs[i]:.6g} value={vals[i]:.6g} atoms={len(dist.locations)}")
     return 0
@@ -423,11 +426,11 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run(parser, command, argv=None) -> int:
+    """``command``'s exit code on the options ``argv`` parsed by ``parser``, or
+    one stderr line and the exit code of the usage, library, memory or i/o error."""
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return command(parser.parse_args(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -440,6 +443,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
+
+
+def main(argv=None) -> int:
+    return run(build_parser(), lambda args: _COMMANDS[args.command](args), argv)
 
 
 if __name__ == "__main__":

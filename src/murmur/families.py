@@ -274,14 +274,23 @@ class IngestedFamily:
             for label, conductor, root in zip(self.labels, self.conductor.tolist(), self.root_number.tolist())
         )
 
+    def _gather(self, members: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """The (member x prime) block of ``ap`` at the record indices ``members``
+        and the primes of ``grid``; CoverageError at the first miss in (prime, record) order."""
+        keys = (members[:, None] << _P_BITS) | grid  # member-major, so ascending
+        rows = np.searchsorted(self._keys, keys)
+        found = (grid < _P_LIMIT) & (rows < len(self._keys))
+        found[found] = self._keys[rows[found]] == keys[found]
+        if not np.all(found):
+            j, i = np.argwhere(~found.T)[0]
+            raise CoverageError(f"no coefficient for record {self.labels[members[i]]!r} at prime {int(grid[j])}")
+        return self.ap[rows]
+
     def coefficient(self, label: str, p: int) -> float:
         i = self._index.get(label)
-        if i is not None and 0 <= p < _P_LIMIT and p == int(p):
-            key = (i << _P_BITS) | int(p)
-            row = int(np.searchsorted(self._keys, key))
-            if row < len(self._keys) and self._keys[row] == key:
-                return float(self.ap[row])
-        raise CoverageError(f"no coefficient for record {label!r} at prime {p}")
+        if i is None or not (0 <= p < _P_LIMIT and p == int(p)):
+            raise CoverageError(f"no coefficient for record {label!r} at prime {p}")
+        return float(self._gather(np.array([i]), np.array([int(p)]))[0, 0])
 
     def murmuration_series(
         self, X: float, phi: WeightFunction, primes: Sequence[int], normalization: str = "analytic"
@@ -295,16 +304,7 @@ class IngestedFamily:
         grid = check_prime_grid(primes)
         check_normalization(normalization)
         in_window, weights = window(self.conductor, X, phi)
-        keys = (in_window[:, None] << _P_BITS) | grid  # member-major, so ascending
-        rows = np.searchsorted(self._keys, keys)
-        found = (grid < _P_LIMIT) & (rows < len(self._keys))
-        found[found] = self._keys[rows[found]] == keys[found]
-        if not np.all(found):
-            j, i = np.argwhere(~found.T)[0]  # the first miss in (prime, record) order
-            raise CoverageError(
-                f"no coefficient for record {self.labels[in_window[i]]!r} at prime {int(grid[j])}"
-            )
-        block = self.ap[rows]
+        block = self._gather(in_window, grid)
         if normalization == "analytic":
             block = block / np.sqrt(grid)
         return window_series(X, grid, weights, block, normalization)

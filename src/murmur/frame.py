@@ -148,6 +148,7 @@ def murmuration_series(
     the first (prime, record) pair that lacks one.
     """
     grid = check_prime_grid(primes)
+    check_normalization(normalization)
     members, weights = window([rec.conductor for rec in family], X, phi)
     columns = [[family[i].coefficient(p, normalization) for i in members.tolist()] for p in grid.tolist()]
     return window_series(X, grid, weights, np.array(columns, dtype=np.float64).T, normalization)

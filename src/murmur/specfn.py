@@ -157,18 +157,14 @@ def quadrature(f, interval, tol: float = 1e-9, breakpoints=None) -> QuadResult:
     if breakpoints:
         pts = sorted(p for p in breakpoints if a < p < b)
         pts = pts or None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
-        try:
-            value, err = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=0.0, limit=400, points=pts)
-        except scipy.integrate.IntegrationWarning as exc:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                value, err = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=0.0, limit=400, points=pts)
-            if err > tol:
-                raise AccuracyError(
-                    f"quadrature did not reach tolerance {tol:g}: {exc}", best=value, estimate=err
-                ) from exc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", scipy.integrate.IntegrationWarning)
+        value, err = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=0.0, limit=400, points=pts)
     if err > tol:
-        raise AccuracyError(f"quadrature error estimate {err:g} exceeds {tol:g}", best=value, estimate=err)
+        warned = [w.message for w in caught if issubclass(w.category, scipy.integrate.IntegrationWarning)]
+        raise AccuracyError(
+            f"quadrature did not reach tolerance {tol:g}: {warned[0]}" if warned
+            else f"quadrature error estimate {err:g} exceeds {tol:g}",
+            best=value, estimate=err,
+        )
     return QuadResult(value=value, error=err)

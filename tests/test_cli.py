@@ -326,6 +326,22 @@ def test_ingest_run_drops_a_leading_bom(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("\n", "family has no records"),
+        ("a,10,1\n\n", "no usable prime coverage"),  # a record without coefficients: coverage 0
+    ],
+    ids=["no records", "no coverage"],
+)
+def test_ingest_run_without_records_or_coverage_is_a_data_error(tmp_path, capsys, body, message):
+    fam = tmp_path / "fam.txt"
+    fam.write_text("#murmur-family v1\nlabel,conductor,root_number\n" + body)
+    assert run_cli(["ingest-run", "--file", str(fam), "--x", "10", "--svg", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {fam}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.txt"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

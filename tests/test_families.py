@@ -539,6 +539,15 @@ def test_ingested_series_errors_match_frame_path(tmp_path):
         fam.murmuration_series(10.0, PHI, [2], normalization="bogus")
 
 
+def test_bad_normalization_is_one_error_on_both_series_paths(tmp_path):
+    # with no record in the window, the records path once raised WindowError and the columns path DomainError
+    fam = families.ingest(write(tmp_path, GOOD))
+    for series in (lambda: frame.murmuration_series(fam.records, 1000.0, PHI, [2], normalization="bogus"),
+                   lambda: fam.murmuration_series(1000.0, PHI, [2], normalization="bogus")):
+        with pytest.raises(DomainError, match="unknown normalization 'bogus'"):
+            series()
+
+
 @pytest.mark.parametrize("X", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("producer", ["expectation", "frame_series", "ingested_series", "quadratic_series",
                                       "fundamental_discriminants"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ def test_quadrature_sinc_against_simpson_oracle():
     ref = oracles.simpson(f, -3.0, 3.0, 40001)
     assert abs(mine.value - ref) < 1e-8
     assert mine.error <= 1e-10
+
+
+def test_quadrature_integrates_once_when_it_warns(monkeypatch):
+    # an IntegrationWarning once made quadrature run scipy.integrate.quad a second time on the same integrand
+    import scipy.integrate
+
+    quad, calls = scipy.integrate.quad, []
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kw: calls.append(args) or quad(*args, **kw))
+    with pytest.raises(AccuracyError, match=r"did not reach tolerance 1e-09: The maximum number of subdivisions \(400\)") as err:
+        specfn.quadrature(lambda x: math.sin(1.0 / x), (0.0, 1.0), tol=1e-9)
+    assert len(calls) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value, error = quad(lambda x: math.sin(1.0 / x), 0.0, 1.0, epsabs=1e-9, epsrel=0.0, limit=400)
+    assert (err.value.best, err.value.estimate) == (value, error)
 
 
 def test_quadrature_error_estimate_and_failure():
