@@ -17,8 +17,8 @@ from murmur import cli, densities
 
 
 def run(args) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     dist, tail = densities.window_murmuration_density((args.e_min, args.e_max), args.q_max, 1.0)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     cli.write(args.out_dir / "atoms", True, "y,value", [()], "atomic density", dist=dist)
     # stable: equal masses keep ascending location order
     heaviest = np.argsort(-dist.masses, kind="stable")[: args.top]

@@ -20,13 +20,13 @@ PHI = specfn.indicator(1.0, 2.0)
 
 
 def run(args) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     binned = {}  # X -> the binned series of the sign classes +1 and -1
     for X in (args.x, 2 * args.x):
         primes = arith.prime_grid(X, *Y_RANGE)
         both = families.quadratic_series(X, PHI, (1, -1), primes, normalization="raw_sqrtp")
         binned[X] = [frame.bin_series(series, args.bins, y_range=Y_RANGE) for series in both]
         tables = [(b.y, b.value, b.count) for b in binned[X]]
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         cli.write(args.out_dir / f"X{int(X)}", False, "y,value,count", tables, "")
     for b1, b2, tag in zip(binned[args.x], binned[2 * args.x], "+-"):
         se = np.sqrt(b1.stderr**2 + b2.stderr**2)

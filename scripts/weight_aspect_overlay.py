@@ -17,7 +17,6 @@ PHI = specfn.bump(1.0, 2.0)
 
 
 def run(args) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     for K in args.weights:
         primes = arith.prime_grid(petersson.window_scale(K), *Y_RANGE)
         series = petersson.harmonic_series(K, primes, PHI, args.sign)
@@ -28,6 +27,7 @@ def run(args) -> int:
         ) / abs(frame.peak_location(series.y, ref))
         resid = frame.shape_residual(series.value[support], ref[support])
         overlays = [("empirical", series.y, series.value), ("density", series.y, ref)]
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         cli.write(args.out_dir / f"K{int(K)}", True, "y,value,count", [(series.y, series.value, series.count)],
                   f"weight aspect K={K:g}, sign {args.sign:+d}", overlays)
         print(f"K={K:6g}: {len(primes):4d} primes, peak offset {100 * peak_err:5.2f}%, L2 residual {resid:.4f}")

@@ -253,7 +253,7 @@ def build_parser() -> Parser:
     _add_common(p)
     p.add_argument("--e-min", type=finite_float, required=True)
     p.add_argument("--e-max", type=finite_float, required=True)
-    p.add_argument("--q-max", type=int, default=500)
+    p.add_argument("--q-max", type=int_at_least(1), default=500)
     p.add_argument("--prefactor", type=finite_float, default=1.0)
 
     p = subs.add_parser("old-kernel", help="one-level-density kernels and transforms")

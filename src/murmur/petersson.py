@@ -9,9 +9,10 @@ with i^k = +1 for k = 0 mod 4 and -1 for k = 2 mod 4 (k odd never
 occurs), truncating the c-sum where a rigorous tail bound built from
 |J_nu(x)| <= (x/2)^nu/nu! * exp(x^2/(4(nu+1))) and the Weil bound
 certifies the remainder.  One kernel evaluates it over a whole
-(weight x n) grid in one pass per modulus c, with one Kloosterman sum
-per residue class n mod c, one Bessel call per c and memory
-O(weights x n).
+(weight x n) grid: ``bessel_j`` evaluates the Bessel factors of every
+(modulus c, cell) pair of the grid in blocks of consecutive c of at most
+2^16 pairs, and a loop over c then reads them and takes one Kloosterman
+sum per residue class n mod c.  Memory is O(weights x n) plus one block.
 
 Weight-aspect murmuration averages aggregate these values over a
 window of weights.  Inside this engine the conductor scale of a
@@ -55,6 +56,7 @@ from .frame import MurmurationSeries, window
 from .specfn import _BESSEL_MAX_ORDER, WeightFunction, bessel_j
 
 _CUTOFF_BUDGET = 200_000
+_BESSEL_BLOCK = 1 << 16  # (modulus, cell) arguments per Bessel evaluation
 
 _AGGREGATION_META = {
     "conductor_scale": "(k-1)^2",
@@ -113,11 +115,14 @@ def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, table
 
     Cutoffs come from one masked search (start at max(1, floor(A/(k-1)))
     with A = 4 pi sqrt(mn), double until the tail bound holds, bisect in
-    [C/2, C]).  The only loop is over c, adding the terms of the cells
-    with cutoff >= c in ascending c from one ``kloosterman_fast`` call over
-    their residues n mod c; it reduces n modulo every prime power of c, so
-    the sum taken at the residue is the term of a direct call.  Tables
-    that do not reach the largest cutoff are replaced (``covering``).
+    [C/2, C]).  Sorted by descending cutoff, the cells with a term at
+    modulus c are a prefix; ``_blocks`` cuts the (c, cell) pairs into
+    blocks of at most ``_BESSEL_BLOCK``, each one ``bessel_j`` call.  The
+    loop over c adds the terms in ascending c, from one
+    ``kloosterman_fast`` call over the residues n mod c of each modulus
+    (or piece of one); it reduces n modulo every prime power of c, so the
+    sum taken at the residue is the term of a direct call.  Tables that do
+    not reach the largest cutoff are replaced (``covering``).
     """
     for k in ks:
         if k % 2 != 0 or k < 4:
@@ -154,14 +159,45 @@ def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, table
         hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1)
     c_max = int(lo.max(initial=0))
     tables = covering(tables, c_max)
-    total = np.zeros(lo.shape)
-    for c in range(1, c_max + 1):
-        rows, cols = np.nonzero(lo >= c)
-        residues, residue_of = np.unique(ns[cols] % c, return_inverse=True)
-        sums = kloosterman_fast(m, residues, c, tables)
-        total[rows, cols] += bessel_j(k[rows, 0] - 1.0, A[cols] / c) * (sums / c)[residue_of]
-    value = (ns == m) + 2.0 * math.pi * _phase(k) * total
+    # cells by descending cutoff, so the cells with a term at modulus c are a prefix
+    cells = np.argsort(-lo, axis=None, kind="stable")
+    rows, cols = np.unravel_index(cells, lo.shape)
+    alive = np.searchsorted(-lo.ravel()[cells], -np.arange(1, c_max + 1), side="right")
+    order, A_cell, n_cell = k[rows, 0] - 1.0, A[cols], ns[cols]
+    total = np.zeros(len(cells))
+    for block in _blocks(alive.tolist(), _BESSEL_BLOCK):
+        bessel = bessel_j(np.concatenate([order[start:end] for _, start, end in block]),
+                          np.concatenate([A_cell[start:end] / c for c, start, end in block]))
+        at = 0
+        for c, start, end in block:
+            residues, residue_of = np.unique(n_cell[start:end] % c, return_inverse=True)
+            sums = kloosterman_fast(m, residues, c, tables)
+            total[start:end] += bessel[at:at + end - start] * (sums / c)[residue_of]
+            at += end - start
+    grid = np.empty(lo.shape)
+    grid.flat[cells] = total
+    value = (ns == m) + 2.0 * math.pi * _phase(k) * grid
     return value, np.exp(_log_tail_bound(k, lgamma_k, A, g0, lo)), lo
+
+
+def _blocks(alive, cap):
+    """The (c, start, end) pieces of the (modulus, cell) pairs, cells
+    start..end-1 of the ``alive[c-1]`` alive at modulus c, in ascending c,
+    grouped into blocks of at most ``cap`` pairs; a modulus with more
+    pairs than fit is split across blocks."""
+    block, room = [], cap
+    for c, count in enumerate(alive, 1):
+        start = 0
+        while start < count:
+            end = min(count, start + room)
+            block.append((c, start, end))
+            room -= end - start
+            start = end
+            if not room:
+                yield block
+                block, room = [], cap
+    if block:
+        yield block
 
 
 # ---------------------------------------------------------------------------

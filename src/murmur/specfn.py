@@ -3,10 +3,13 @@ compactly supported cutoff weights that carry their exact mass, and
 adaptive quadrature.
 
 ``bessel_j`` guards the supported range (order <= 500, argument
-<= 1e5) and evaluates ``scipy.special.jv`` on whole (order x argument)
-grids, so the trace-formula engine gets every weight of a window from
-one call.  Weight masses are closed forms, so no engine integrates at
-run time; ``quadrature`` imports ``scipy.integrate`` on its first call.
+<= 1e5) and gathers its values from one numpy kernel, Miller's backward
+recurrence J_{n-1} = (2n/x) J_n - J_{n+1} normalised by
+J_0 + 2 sum_k J_{2k} = 1, run over every argument of a call at once, so
+the trace-formula engine gets a whole weight window from one call.
+Weight masses are closed forms, so no engine integrates at run time;
+``quadrature`` imports ``scipy.integrate`` on its first call, and it is
+the only code that loads scipy.
 """
 
 from dataclasses import dataclass
@@ -14,12 +17,18 @@ import math
 import warnings
 
 import numpy as np
-import scipy.special
 
 from .errors import AccuracyError, DomainError
 
 _BESSEL_MAX_ORDER = 500
 _BESSEL_MAX_X = 1e5
+_RESCALE = 600  # a recurrence column passing 2^600 is scaled by 2^-600
+_HUGE, _UNHUGE = 2.0**_RESCALE, 2.0**-_RESCALE
+# at or above it the recurrence's (2m/x) 2^600 stays finite for every order
+# below 2^12; below it J_0 = 1, J_1 = x/2, J_2 = x^2/8 and J_n = 0 to rounding
+_TINY_X = 2.0**-400
+# K_1(1/2) - K_0(1/2), the float of scipy.special.k1(0.5) - scipy.special.k0(0.5)
+_K1_MINUS_K0_HALF = 0.732022048775635
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +81,7 @@ def _bump_evaluator(a: float, b: float):
 
 def _bump_mass(a: float, b: float) -> float:
     # integral of exp(1 - 1/(1-t^2)) over [-1, 1] is e^(1/2) (K_1(1/2) - K_0(1/2))
-    return (b - a) / 2 * math.exp(0.5) * float(scipy.special.k1(0.5) - scipy.special.k0(0.5))
+    return (b - a) / 2 * math.exp(0.5) * _K1_MINUS_K0_HALF
 
 
 def bump(a: float, b: float) -> WeightFunction:
@@ -114,9 +123,12 @@ def shifted_bump(a: float, b: float) -> WeightFunction:
 def bessel_j(order, x):
     """J_order(x) for integer order >= 0 and real x >= 0, broadcast over arrays.
 
-    Supported range: order <= 500, x <= 1e5.  Values come from
-    ``scipy.special.jv``; scalar arguments return a float, array
-    arguments an ndarray of the broadcast shape.
+    Supported range: order <= 500, x <= 1e5.  Array values are gathered
+    from one evaluation of ``_bessel_pairs`` over every (order, x) pair of
+    the broadcast, a scalar call runs its one column in ``_column``;
+    scalar arguments return a float, array arguments an ndarray of the
+    broadcast shape.  A value depends on its own order and argument only,
+    never on the other pairs of the call.
     """
     order_arr = np.asarray(order)
     x_arr = np.asarray(x, dtype=np.float64)
@@ -126,8 +138,110 @@ def bessel_j(order, x):
         raise DomainError(f"order {np.max(order_arr)} exceeds supported maximum {_BESSEL_MAX_ORDER}")
     if not np.all((x_arr >= 0.0) & (x_arr <= _BESSEL_MAX_X)):
         raise DomainError(f"argument {x} outside supported range [0, {_BESSEL_MAX_X:g}]")
-    value = scipy.special.jv(order_arr.astype(np.float64), x_arr)
+    if order_arr.ndim == x_arr.ndim == 0 and x_arr >= _TINY_X:
+        return _column(float(x_arr), int(_start_order(order_arr, x_arr)), [int(order_arr)])[0]
+    order_b, x_b = np.broadcast_arrays(order_arr.astype(np.int64), x_arr)
+    value = _bessel_pairs(order_b.ravel(), x_b.ravel()).reshape(order_b.shape)
     return value if value.ndim else float(value)
+
+
+def _start_order(order, x):
+    """The start order m of the recurrence column that gives J_order(x):
+    the even integer at or above t + 30 + 8 * 2^ceil(e/3), with
+    t = max(T, x), 2^(e-1) <= t < 2^e, and T = 2^ceil(log2(order + 1))
+    the order's bucket.  The margin exceeds 30 + 8 t^(1/3), past the
+    turning point t of every order in the bucket by enough that the start
+    error stays below double precision (see the mpmath oracle tests).
+    Every step is exact, and m moves with the order only at powers of
+    two, so a value never depends on the other pairs of a call."""
+    top = np.maximum(np.ldexp(1.0, np.frexp(order)[1]), x)
+    start = np.ceil(top).astype(np.int64) + 30 + np.left_shift(8, -(-np.frexp(top)[1] // 3))
+    return start + start % 2
+
+
+def _column(x, m, orders):
+    """J_n(x) for each n of ``orders`` from one recurrence column of
+    ``_bessel_pairs`` in Python floats, which cost a scalar call far less
+    than numpy steps: the same operations in the same order, hence the
+    same bits."""
+    want, seen = set(orders), {}
+    a, b, s, e = 0.0, 1.0, 0.0, 0
+    for n in range(m, 0, -1):
+        if n in want:
+            seen[n] = (b, e)
+        if n % 2 == 0:
+            s += b
+        a, b = b, 2.0 * n / x * b - a
+        if abs(b) > _HUGE:
+            a, b, s, e = a * _UNHUGE, b * _UNHUGE, s * _UNHUGE, e + 1
+    seen[0] = (b, e)
+    norm = 2.0 * s + b
+    return [math.ldexp(seen[n][0] / norm, _RESCALE * (seen[n][1] - e)) for n in orders]
+
+
+def _bessel_pairs(order, x):
+    """J_order[i](x[i]) over 1-D arrays of supported orders and arguments.
+
+    Each distinct (x, start order) pair is one recurrence column, started
+    at J_m = 1, J_{m+1} = 0 and normalised by J_0 + 2 sum_k J_{2k} = 1.
+    Columns are sorted by descending start order, so step n works on the
+    prefix of the columns that have started.  A column that passes 2^600
+    is scaled by 2^-600, and each value is recorded with the count of
+    scalings it then misses.
+    """
+    value = np.select([order == 0, order == 1, order == 2], [1.0, x / 2.0, x * x / 8.0], 0.0)
+    big = np.flatnonzero(x >= _TINY_X)
+    if not len(big):
+        return value
+    order, x = order[big], x[big]
+    start = _start_order(order, x)
+    by_start = np.lexsort((x, -start))
+    first = np.ones(len(big), dtype=bool)
+    first[1:] = (np.diff(start[by_start]) != 0) | (np.diff(x[by_start]) != 0)
+    xc, mc = x[by_start][first], start[by_start][first]
+    column = np.empty(len(big), dtype=np.int64)
+    column[by_start] = np.cumsum(first) - 1
+    record, missed = np.empty(len(big)), np.empty(len(big), dtype=np.int64)
+    norm, scalings = _columns(xc, mc, order, column, record, missed)
+    value[big] = np.ldexp(record / norm[column], _RESCALE * (missed - scalings[column]))
+    return value
+
+
+def _columns(xc, mc, order, column, record, missed):
+    """The recurrence of ``_bessel_pairs`` over the columns (``xc``, ``mc``)
+    at once: fills ``record``/``missed`` of every pair from its ``column``
+    and returns, per column, J_0 + 2 sum_k J_{2k} and its scaling count."""
+    ncol, top = len(xc), int(mc[0])
+    started = np.searchsorted(-mc, -np.arange(top + 1), side="right").tolist()
+    by_order = np.argsort(order, kind="stable")
+    # the pairs of order n are by_order[bounds[n]:bounds[n + 1]]
+    bounds = np.searchsorted(order[by_order], np.arange(top + 2)).tolist()
+    col_of = column[by_order]
+    a, b, s, w = np.zeros(ncol), np.zeros(ncol), np.zeros(ncol), np.empty(ncol)
+    e = np.zeros(ncol, dtype=np.int64)
+    live = 0
+    for n in range(top, -1, -1):
+        p = started[n]
+        if p > live:
+            b[live:p], live = 1.0, p
+        if bounds[n] < bounds[n + 1]:
+            cells, cols = by_order[bounds[n]:bounds[n + 1]], col_of[bounds[n]:bounds[n + 1]]
+            record[cells], missed[cells] = b[cols], e[cols]
+        if n == 0:
+            break
+        if n % 2 == 0:
+            s[:p] += b[:p]
+        np.divide(2.0 * n, xc[:p], out=w[:p])
+        np.multiply(w[:p], b[:p], out=w[:p])
+        np.subtract(w[:p], a[:p], out=a[:p])
+        a, b = b, a
+        if np.abs(b[:p]).max() > _HUGE:
+            grown = np.flatnonzero(np.abs(b[:p]) > _HUGE)
+            a[grown] *= _UNHUGE
+            b[grown] *= _UNHUGE
+            s[grown] *= _UNHUGE
+            e[grown] += 1
+    return 2.0 * s + b, e
 
 
 # ---------------------------------------------------------------------------

@@ -370,15 +370,19 @@ def test_options_a_command_does_not_read_are_usage_errors(tmp_path):
         # this once exited 2 with "<file>: no usable prime coverage", blaming the file
         ["ingest-run", "--file", "FAMILY", "--x", "10", "--p-max", "1"],
         ["ingest-run", "--file", "FAMILY", "--x", "10", "--p-max", "two"],
+        # this once printed the library's "error: q_max must be >= 1"
+        ["density-nu", "--e-min", "1", "--e-max", "5", "--q-max", "0"],
     ],
     ids=" ".join,
 )
 def test_integer_options_below_their_bound_are_usage_errors(tmp_path, argv, capsys):
     (tmp_path / "fam.txt").write_text(GOOD_FAMILY)
-    option = argv[-2]
+    option, text = argv[-2:]
     argv = [str(tmp_path / "fam.txt") if a == "FAMILY" else a for a in argv]
     assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
-    assert f"argument {option}: expected an integer >= " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {option}: expected an integer >= ")
+    assert err.endswith(f", got {text!r}\n") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.txt"]
 
 
@@ -488,21 +492,29 @@ def test_density_ils_sieve_covers_y_max(tmp_path):
 
 
 def test_commands_leave_scipy_integrate_unimported(tmp_path):
+    # the perfbench commands at small sizes: none loads scipy (the import of
+    # scipy.special once cost every process about 0.3 s for one Bessel call)
+    # or numpy.ma (which scipy imported); only the one-level pairing loads
+    # scipy.integrate
     (tmp_path / "fam.txt").write_text(GOOD_FAMILY)
     out = str(tmp_path / "o")
     argvs = [
-        ["petersson", "--k", "40", "--phi", "bump", "1", "2", "--out", out],
-        ["symsq", "--k", "24", "--p-max", "13", "--out", out],
+        ["petersson", "--k", "40", "--phi", "bump", "1", "2", "--sign", "both", "--svg", "--out", out],
+        ["symsq", "--k", "24", "--p-max", "13", "--phi", "bump", "1", "2", "--out", out],
         ["density-nu", "--e-min", "0.5", "--e-max", "5", "--q-max", "20", "--out", out],
-        ["dirichlet", "--x", "1000", "--bins", "5", "--out", out],
-        ["ingest-run", "--file", str(tmp_path / "fam.txt"), "--x", "10", "--out", out],
+        ["dirichlet", "--x", "1000", "--phi", "indicator", "1", "2", "--sign", "both", "--bins", "5", "--svg",
+         "--out", out],
+        ["ingest-run", "--file", str(tmp_path / "fam.txt"), "--x", "10", "--phi", "indicator", "1", "2",
+         "--out", out],
     ]
     code = f"""
 import sys
 import murmur.cli
+loaded = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma"]
+assert loaded() == [], loaded()
 for argv in {argvs!r}:
     assert murmur.cli.main(argv) == 0, argv
-assert "scipy.integrate" not in sys.modules
+assert loaded() == [], loaded()
 from murmur import densities, specfn
 assert densities.one_level_pairing(specfn.shifted_bump(-0.5, 0.5), "odd") > 1.0
 assert "scipy.integrate" in sys.modules

@@ -99,7 +99,10 @@ def test_deltas_match_scalar_terms(tables):
             assert abs(cell.value - expect) <= cell.cutoff * eps * 2.0 * math.pi * math.fsum(map(abs, terms))
 
 
-def test_harmonic_series_is_one_bessel_call_per_modulus(tables, monkeypatch):
+def test_deltas_evaluate_bessel_in_bounded_blocks(tables, monkeypatch):
+    # every (modulus, cell) argument of a _deltas call is evaluated exactly
+    # once: in one Bessel call while they fit the block cap, else in blocks
+    # of at most the cap, with the same values
     K = 40.0
     phi = specfn.indicator(1.0, 2.0)
     primes = arith.prime_grid(petersson.window_scale(K), 0.004, 0.055)
@@ -111,10 +114,15 @@ def test_harmonic_series_is_one_bessel_call_per_modulus(tables, monkeypatch):
 
     monkeypatch.setattr(petersson, "bessel_j", spy)
     ks = list(petersson.harmonic_series(K, primes, phi, 1, tables=tables).meta["weights"])
-    monkeypatch.undo()
-    _, _, cutoff = petersson._deltas(ks, 1, [1, *primes], 1e-12, tables)
-    assert len(sizes) == cutoff.max() > 1
-    assert max(sizes) <= len(ks) * (len(primes) + 1)
+    value, _, cutoff = petersson._deltas(ks, 1, [1, *primes], 1e-12, tables)
+    pairs = int(cutoff.sum())
+    assert cutoff.max() > 1
+    assert sizes == [pairs, pairs] and pairs <= petersson._BESSEL_BLOCK
+    sizes.clear()
+    monkeypatch.setattr(petersson, "_BESSEL_BLOCK", 50)
+    blocked, _, _ = petersson._deltas(ks, 1, [1, *primes], 1e-12, tables)
+    assert sizes == [50] * (pairs // 50) + [pairs % 50] * (pairs % 50 > 0)
+    assert np.array_equal(blocked, value)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,50 @@ def test_bessel_regime_continuity():
             assert abs(below - above) <= 1e-9 * max(1.0, abs(below))
 
 
+def test_bessel_window_grid_against_mpmath():
+    # the engine's ranges: window orders up to 500, symsq arguments 4 pi p / c up to about 1300
+    import mpmath
+
+    rng = np.random.default_rng(17)
+    order = np.concatenate([rng.integers(0, 501, 150), np.arange(99, 140, 4)])
+    x = np.concatenate([rng.uniform(0.0, 1300.0, 150), 4.0 * math.pi * math.sqrt(97.0) / np.arange(1, 12)])
+    mine = specfn.bessel_j(order, x)
+    ref = [float(mpmath.besselj(int(n), mpmath.mpf(float(v)))) for n, v in zip(order, x)]
+    assert np.max(np.abs(mine - ref)) <= 1e-13
+
+
+def test_bessel_tiny_arguments_against_mpmath():
+    import mpmath
+
+    for x in (1e-300, 2.0**-401, 2.0**-399, 1e-50, 1e-5):
+        order = np.arange(0, 501)
+        mine = specfn.bessel_j(order, x)
+        ref = np.array([float(mpmath.besselj(int(n), mpmath.mpf(x))) for n in order])
+        assert np.all(np.abs(mine - ref) <= 4 * np.finfo(float).eps * np.abs(ref) + 1e-300), x
+
+
+def test_bessel_grid_equals_scalar_calls_across_a_bucket_boundary():
+    # orders 127 and 128 start their recurrences at different orders while
+    # x < 128; each value of a grid (numpy columns) must still be the bits
+    # of its own scalar call (Python floats), whatever else the call holds
+    x = np.concatenate([np.linspace(0.05, 300.0, 97), [1e-3, 127.5, 128.0, 1e4]])
+    assert np.any(specfn._start_order(127, x) != specfn._start_order(128, x))
+    order = np.array([[127], [128], [0], [500]])
+    grid = specfn.bessel_j(order, x)
+    assert np.array_equal(grid, [[specfn.bessel_j(int(n), float(v)) for v in x] for n in order[:, 0]])
+    assert np.array_equal(specfn.bessel_j(order[:2], x[:3]), grid[:2, :3])
+
+
+def test_bump_mass_constant_is_k1_minus_k0_at_one_half():
+    import mpmath
+    import scipy.special
+
+    exact = mpmath.besselk(1, 0.5) - mpmath.besselk(0, 0.5)
+    assert abs(specfn._K1_MINUS_K0_HALF - exact) <= math.ulp(specfn._K1_MINUS_K0_HALF)
+    assert specfn._K1_MINUS_K0_HALF == float(scipy.special.k1(0.5) - scipy.special.k0(0.5))
+    assert specfn.bump(1.0, 2.0).mass == 0.6034501612189381
+
+
 def test_bessel_domain_errors():
     with pytest.raises(DomainError):
         specfn.bessel_j(-1, 1.0)
