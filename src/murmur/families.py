@@ -29,12 +29,18 @@ the UTF-8 text, without a leading byte-order mark and with line endings
 normalized to LF, computed in linear time and bounded memory
 (``fnv1a64``); its value is that of the byte-at-a-time definition.
 
+``ingest`` tokenises the coefficient rows with numpy, one block of about
+``_BLOCK_CHARS`` characters at a time, and converts each distinct label,
+prime and a(p) of a block once; ``write_family`` formats each distinct
+value of each ``_WRITE_ROWS`` rows once.  So the Python work follows the
+distinct tokens: few for integer a(p), about one a(p) per row for floats.
+
 Memory follows the input: ``ingest`` keeps the text (the file's bytes
-are freed once digested and decoded), the lines of one block of about
-``_BLOCK_CHARS`` characters at a time, and typed columns of 20 bytes per
-coefficient row, sorted by (record, p) once at the end; ``write_family``
-formats ``_WRITE_ROWS`` rows per write, so its memory does not grow with
-the family.
+are freed once digested and decoded), one block and its tokeniser's
+arrays at a time, and typed columns of 20 bytes per coefficient row,
+sorted by (record, p) once at the end; ``write_family`` formats
+``_WRITE_ROWS`` rows per write, so its memory does not grow with the
+family.
 """
 
 from dataclasses import dataclass
@@ -61,7 +67,7 @@ _P_BITS = 31
 _P_LIMIT = 1 << _P_BITS
 # ingest's columns, one entry per coefficient row in file order
 _ROW = np.dtype([("record", np.int32), ("p", np.int32), ("ap", np.float64), ("line", np.int32)])
-_BLOCK_CHARS = 1 << 14  # text per line block of ingest: bounds the per-line objects
+_BLOCK_CHARS = 1 << 16  # text per line block of ingest: bounds the tokeniser's temporaries
 _WRITE_ROWS = 1 << 13  # rows per write of write_family: bounds the formatted text
 
 
@@ -290,7 +296,11 @@ class IngestedFamily:
         i = self._index.get(label)
         if i is None or not (0 <= p < _P_LIMIT and p == int(p)):
             raise CoverageError(f"no coefficient for record {label!r} at prime {p}")
-        return float(self._gather(np.array([i]), np.array([int(p)]))[0, 0])
+        key = (i << _P_BITS) | int(p)
+        row = int(np.searchsorted(self._keys, key))
+        if row == len(self._keys) or self._keys[row] != key:
+            raise CoverageError(f"no coefficient for record {label!r} at prime {int(p)}")
+        return float(self.ap[row])
 
     def murmuration_series(
         self, X: float, phi: WeightFunction, primes: Sequence[int], normalization: str = "analytic"
@@ -374,6 +384,130 @@ def _parse_number(token: str, line_no: int, what: str) -> float:
     return value
 
 
+def _label_record(index: dict, token: str, line_no: int) -> int:
+    """The record of a coefficient row's label field."""
+    label = token.strip()
+    record = index.get(label)
+    if record is None:
+        raise DataError(f"line {line_no}: coefficient for unknown label {label!r}")
+    return record
+
+
+def _prime(plain: bool, token: str, line_no: int) -> int:
+    """The prime of a coefficient row's p field; ``plain``: its block is ASCII without '_'."""
+    try:
+        if not (plain or _is_numeral(token)):
+            raise ValueError(token)
+        p = int(token)  # int() and float() ignore surrounding whitespace
+    except ValueError:
+        raise DataError(f"line {line_no}: cannot parse prime from {token.strip()!r}") from None
+    if not 2 <= p < _P_LIMIT:
+        raise DataError(f"line {line_no}: prime must be in [2, 2^31), got {p}")
+    return p
+
+
+def _coefficient(plain: bool, token: str, line_no: int) -> float:
+    """The a(p) of a coefficient row's last field, as ``_prime`` reads p."""
+    token = token.rstrip()  # the end of the line, which the line's strip() drops
+    if not (plain or _is_numeral(token)):
+        raise DataError(f"line {line_no}: cannot parse coefficient from {token.strip()!r}")
+    return _parse_number(token, line_no, "coefficient")
+
+
+# keys of the tokeniser: a field's bytes padded with ',' to whole little-endian words
+_PAD = np.uint64(0x2C2C2C2C2C2C2C2C)
+_LOW = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # the low n bytes of a word
+_KEY_MIX = np.uint64(_FNV_PRIME)  # folds the words of a longer field into one key
+
+
+def _distinct(words: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """np.unique's first indices and inverse over the fields' bytes.  A
+    field is read as whole 8-byte words, padded with ',', which no field
+    holds.  Fields of different word counts k differ, so each k is keyed
+    apart, in about the fields' own bytes.  The key is one uint64, the
+    word or the k words folded into one, which sorts faster than the k
+    words' bytes; should two different fields fold alike, the bytes are
+    the key.  The first index of a token is the least index of its
+    fields.  ``words[i]`` is the block's word from byte i on."""
+    n_words = np.maximum(1, -(-length // 8))
+    firsts, inverse = [np.empty(0, dtype=np.intp)], np.empty(len(start), dtype=np.intp)
+    for k in np.flatnonzero(np.bincount(n_words)).tolist():
+        group = np.flatnonzero(n_words == k)
+        group_start, group_length = start[group], length[group]
+        keys = np.empty((len(group), k), dtype="<u8")
+        for j in range(k):
+            low = _LOW[np.minimum(group_length - 8 * j, 8)]
+            keys[:, j] = (words[group_start + 8 * j] & low) | (_PAD & ~low)
+        folded = keys[:, 0]
+        for column in keys.T[1:]:
+            folded = folded * _KEY_MIX ^ column
+        for key in (folded, keys.view(f"S{8 * k}")[:, 0]):
+            # return_index=True would make np.unique sort stably, which is slower
+            _, group_inverse = np.unique(key, return_inverse=True)
+            first = np.full(group_inverse.max() + 1, len(group))
+            np.minimum.at(first, group_inverse, np.arange(len(group)))
+            if k == 1 or np.array_equal(keys[first[group_inverse]], keys):
+                break
+        inverse[group] = group_inverse + sum(map(len, firsts))
+        firsts.append(group[first])
+    return np.concatenate(firsts), inverse
+
+
+def _coefficient_rows(chunk: str, line_no: int, index: dict):
+    """The columns (record, p, a(p), line) of the coefficient rows in one
+    block of whole lines that starts at line ``line_no``, up to the
+    block's first DataError, and that error (None if there is none).
+
+    A row is a line with two commas; a line with another count is blank
+    or the error.  Each distinct token of a field, found by ``_distinct``
+    on fixed-width keys, is converted once, at its first line, by the
+    function that owns its checks and messages.  The first error is that
+    of the smallest line, and within a line the label's, the prime's, then
+    the coefficient's, as a reader that checks line by line meets them.
+    """
+    raw = chunk.encode("utf-8")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    begin, end = np.concatenate(([0], breaks + 1)), np.append(breaks, len(buf))
+    commas = np.flatnonzero(buf == ord(","))
+    count = np.bincount(np.searchsorted(breaks, commas), minlength=len(begin))
+    errors = []  # (line, field rank, DataError)
+    for k in np.flatnonzero(count != 2).tolist():
+        if raw[begin[k] : end[k]].decode("utf-8").strip():
+            errors.append((line_no + k, 0, DataError(f"line {line_no + k}: expected 'label,p,ap'")))
+            break
+    rows = np.flatnonzero(count == 2)
+    comma = (np.cumsum(count) - count)[rows]  # of each row's first comma
+    first, second = commas[comma], commas[comma + 1]
+    words = np.ndarray(len(raw) + 1, dtype="<u8", buffer=raw + b"," * 8, strides=(1,))
+    # int() and float() take a stray '_' or non-ASCII digit: check each
+    # numeral only in a block that holds such a character
+    one_byte = chunk.isascii()  # then byte offsets are text offsets
+    plain = one_byte and "_" not in chunk
+    fields = (
+        (begin[rows], first, partial(_label_record, index)),
+        (first + 1, second, partial(_prime, plain)),
+        (second + 1, end[rows], partial(_coefficient, plain)),
+    )
+    lines = line_no + rows
+    columns = []
+    for rank, (start, stop, convert) in enumerate(fields, 1):
+        at, inverse = _distinct(words, start, stop - start)
+        spans = zip(start[at].tolist(), stop[at].tolist())
+        tokens = [chunk[s:e] for s, e in spans] if one_byte else [raw[s:e].decode("utf-8") for s, e in spans]
+        values = []
+        for token, line in zip(tokens, lines[at].tolist()):
+            try:
+                values.append(convert(token, line))
+            except DataError as error:
+                values.append(0)
+                errors.append((line, rank, error))
+        columns.append(np.array(values)[inverse])
+    columns.append(lines)
+    line, _, error = min(errors, key=lambda e: e[:2], default=(math.inf, 0, None))
+    return [column[lines < line] for column in columns], error
+
+
 def _sort_order(rows: np.ndarray, labels: list) -> np.ndarray:
     """Order of the coefficient rows, given in file order, by (record, p);
     raises the DataError of the first duplicate row in the file."""
@@ -388,7 +522,7 @@ def _sort_order(rows: np.ndarray, labels: list) -> np.ndarray:
 
 
 def _store(rows: np.ndarray, filled: int, block) -> int:
-    """Copy a block's rows, one list per column of ``rows``, into rows from
+    """Copy a block's rows, one sequence per column of ``rows``, into rows from
     row ``filled`` on; returns the new count of filled rows."""
     end = filled + len(block[0])
     for name, values in zip(_ROW.names, block):
@@ -399,10 +533,12 @@ def _store(rows: np.ndarray, filled: int, block) -> int:
 def ingest(path) -> IngestedFamily:
     """Parse and validate a murmur-family v1 file.
 
-    The text is read in blocks of whole lines; each block's coefficient
-    rows go into typed columns (record, p, a(p) and the line number, 20
-    bytes a row), sorted by (record, p) once at the end.  The digest is
-    taken from the file's bytes, normalized as text.
+    The text is read in blocks of whole lines.  Each block is tokenised
+    with numpy and each distinct label, prime and a(p) in it is converted
+    once (``_coefficient_rows``); its rows go into typed columns (record,
+    p, a(p) and the line number, 20 bytes a row), sorted by (record, p)
+    once at the end.  The digest is taken from the file's bytes,
+    normalized as text.
     """
     with open(path, "rb") as fh:
         data = _normalize_bytes(fh.read())
@@ -447,46 +583,13 @@ def ingest(path) -> IngestedFamily:
 
     rows = np.empty(text.count("\n", pos) + 1, dtype=_ROW)  # one line or more per row
     filled = 0
-    block = ([], [], [], [])
-    try:
-        for chunk in _line_blocks(text, pos):
-            # int() and float() take a stray '_' or non-ASCII digit: check
-            # each numeral only in a block that holds such a character
-            plain = chunk.isascii() and "_" not in chunk
-            lines = chunk.split("\n")
-            block = ([], [], [], [])
-            rec_col, p_col, ap_col, line_col = block
-            for k, line in enumerate(lines, line_no):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise DataError(f"line {k}: expected 'label,p,ap'")
-                label, p_token, ap_token = parts
-                record = index.get(label.strip())
-                if record is None:
-                    raise DataError(f"line {k}: coefficient for unknown label {label.strip()!r}")
-                try:
-                    if not (plain or _is_numeral(p_token)):
-                        raise ValueError(p_token)
-                    p = int(p_token)  # int() and float() ignore surrounding whitespace
-                except ValueError:
-                    raise DataError(f"line {k}: cannot parse prime from {p_token.strip()!r}") from None
-                if not 2 <= p < _P_LIMIT:
-                    raise DataError(f"line {k}: prime must be in [2, 2^31), got {p}")
-                if not (plain or _is_numeral(ap_token)):
-                    raise DataError(f"line {k}: cannot parse coefficient from {ap_token.strip()!r}")
-                ap_col.append(_parse_number(ap_token, k, "coefficient"))
-                rec_col.append(record)
-                p_col.append(p)
-                line_col.append(k)
-            filled = _store(rows, filled, block)
-            line_no += len(lines)
-    except DataError:
-        # a duplicate on an earlier line is the first error in the file
-        _sort_order(rows[: _store(rows, filled, block)], labels)
-        raise
+    for chunk in _line_blocks(text, pos):
+        block, error = _coefficient_rows(chunk, line_no, index)
+        filled = _store(rows, filled, block)
+        if error is not None:
+            _sort_order(rows[:filled], labels)  # a duplicate on an earlier line is the first error in the file
+            raise error
+        line_no += chunk.count("\n") + 1
     del text
     rows = rows[:filled]
     order = _sort_order(rows, labels)
@@ -531,7 +634,8 @@ def _format_number(x: float) -> str:
 
 def write_family(family: IngestedFamily, path) -> None:
     """Write the canonical byte representation of an ingested family,
-    _WRITE_ROWS records or coefficient rows per write."""
+    _WRITE_ROWS records or coefficient rows per write; each distinct
+    label, prime and a(p) of a write is formatted once."""
     labels = family.labels
     with open(path, "wb") as fh:
         fh.write(f"{FAMILY_MAGIC}\nlabel,conductor,root_number\n".encode("utf-8"))
@@ -540,7 +644,13 @@ def write_family(family: IngestedFamily, path) -> None:
             lines = zip(labels[lo:hi], family.conductor[lo:hi].tolist(), family.root_number[lo:hi].tolist())
             fh.write("".join(f"{label},{_format_number(n)},{root}\n" for label, n, root in lines).encode("utf-8"))
         fh.write(b"\n")
+        forms = ((family.record, lambda i: labels[i] + ","), (family.p, lambda p: f"{p},"),
+                 (family.ap, lambda ap: _format_number(ap) + "\n"))
         for lo in range(0, len(family.ap), _WRITE_ROWS):
             hi = lo + _WRITE_ROWS
-            lines = zip(family.record[lo:hi].tolist(), family.p[lo:hi].tolist(), family.ap[lo:hi].tolist())
-            fh.write("".join(f"{labels[i]},{p},{_format_number(ap)}\n" for i, p, ap in lines).encode("utf-8"))
+            pieces = np.empty(3 * len(family.ap[lo:hi]), dtype=object)
+            for j, (column, form) in enumerate(forms):
+                # each distinct value of the block once; -0.0 and 0.0 are one value and both "0"
+                distinct, inverse = np.unique(column[lo:hi], return_inverse=True)
+                pieces[j::3] = np.array([form(v) for v in distinct.tolist()], dtype=object)[inverse]
+            fh.write("".join(pieces.tolist()).encode("utf-8"))

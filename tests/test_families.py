@@ -336,22 +336,29 @@ def test_line_blocks_split_like_the_text(text, start, size):
 
 
 _BAD_TOKENS = ("x", "", "1_1", "٣", "７", "1.5", "-3", "0", "1", "4", "9", "2147483648", "2147483647",
-               "nan", "inf", "-inf", "1e400", "+7", " 7 ", "0x7", "7\u00a0", "1١")
+               "nan", "inf", "-inf", "1e400", "+7", " 7 ", "0x7", "7\u00a0", "1١",
+               # longer than one 8-byte key word; a trailing space, NEL, form feed or unit separator,
+               # which a line's strip() drops only at its end; NUL bytes inside and at the end
+               "-0.50000000000001", "00000000011", "7 ", "7\x85", "7\x0c", "7\x1f", "1\x002", "7\x00")
 
 
 def _oracle_family_lines(rng):
-    """A valid family in shuffled row order, with '_' and non-ASCII labels,
-    blank lines and one missing coefficient (coverage stops at 11)."""
-    labels = [f"r{i}" for i in range(8)] + ["r_8", "ε9"]
+    """A valid family in shuffled row order, with '_', non-ASCII, long and
+    spaced labels, blank lines, labels and a(p) longer than 8 bytes (some
+    alike in their first or their last 8) or followed by whitespace, and
+    one missing coefficient (coverage stops at 11)."""
+    labels = [f"r{i}" for i in range(8)] + ["r_8", "ε9", "curve_label_10", "curve_label_11", "xurve_label_10",
+                                           "  lead13", "in ner14"]
     primes = [2, 3, 5, 7, 11, 13, 17, 19]
     lines = [families.FAMILY_MAGIC, "label,conductor,root_number"]
     lines += [f"{label},{rng.choice(['11', '37.5', ' 90 ', '1e2'])},{rng.choice(['1', '-1', '+1'])}"
               for label in labels]
     lines.append("")
     rows = [(label, p) for label in labels for p in primes if (label, p) != ("r3", 13)]
+    coefficients = ["-2", "+3", " 4 ", "-0.5", "1e-3", "0", "-0.50000000000001", "-0.50000000000002", "5\x85"]
     for k in rng.permutation(len(rows)).tolist():
         label, p = rows[k]
-        lines.append(f"{label},{p},{rng.choice(['-2', '+3', ' 4 ', '-0.5', '1e-3', '0'])}")
+        lines.append(f"{label},{p},{rng.choice(coefficients)}")
         if rng.random() < 0.05:
             lines.append(rng.choice(["", "  \t"]))
     return lines
@@ -438,6 +445,93 @@ def test_ingest_matches_line_oracle(tmp_path, monkeypatch, block):
     assert 50 < errors < 150
 
 
+@pytest.mark.parametrize("field", ["label", "p", "ap"])
+def test_ingest_matches_line_oracle_on_each_bad_token(tmp_path, field):
+    # each token in each field of one row, among rows whose tokens it could be mistaken for
+    rng = np.random.default_rng(3)
+    lines = _oracle_family_lines(rng)
+    row = lines.index("") + 1 + 40
+    path = tmp_path / "fam.txt"
+    for token in _BAD_TOKENS:
+        parts = lines[row].split(",")
+        parts[{"label": 0, "p": 1, "ap": 2}[field]] = token
+        path.write_bytes("\n".join(lines[:row] + [",".join(parts)] + lines[row + 1 :]).encode("utf-8"))
+        got, want = _ingest_outcome(path), _oracle_outcome(path)
+        if isinstance(want, str):
+            assert got == want, token
+            continue
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), (token, name)
+
+
+def test_ingest_tells_apart_fields_that_fold_alike(tmp_path, monkeypatch):
+    # with no mixing, the key of a field longer than 8 bytes is its last word alone:
+    # 'curve_label_10' and 'xurve_label_10' share it and must still be two labels
+    monkeypatch.setattr(families, "_KEY_MIX", np.uint64(0))
+    rng = np.random.default_rng(4)
+    path = tmp_path / "fam.txt"
+    for _ in range(5):
+        path.write_bytes(_encode_family(_oracle_family_lines(rng), rng))
+        got, want = _ingest_outcome(path), _oracle_outcome(path)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        for name, value in want.items():
+            assert np.array_equal(got[name], value), name
+
+
+def _integer_family(tmp_path):
+    """A canonical family of 500 records x the first 100 primes with
+    integer a(p) in the Hasse bound, as write_family writes it."""
+    rng = np.random.default_rng(7)
+    primes = arith.sieve(541).primes
+    ap = rng.integers(-np.floor(2 * np.sqrt(primes)), np.floor(2 * np.sqrt(primes)) + 1, size=(500, len(primes)))
+    lines = [families.FAMILY_MAGIC, "label,conductor,root_number"]
+    lines += [f"e{i:04d},{c},{r}" for i, (c, r) in enumerate(zip(rng.integers(11, 400, 500).tolist(),
+                                                                  rng.choice([-1, 1], 500).tolist()))]
+    lines.append("")
+    lines += [f"e{i:04d},{p},{a}" for i, row in enumerate(ap.tolist()) for p, a in zip(primes.tolist(), row)]
+    return write(tmp_path, "\n".join(lines) + "\n")
+
+
+def _counting(monkeypatch, names):
+    """Count the calls of the families functions ``names``, which keep working."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, real=getattr(families, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(families, name, spy)
+    return calls
+
+
+def test_ingest_converts_each_distinct_token_once_per_block(tmp_path, monkeypatch):
+    # the per-row loop once converted all 3 x 50,000 tokens of this family
+    path = _integer_family(tmp_path)
+    text = path.read_text()
+    distinct = [0, 0, 0]
+    for block in families._line_blocks(text, text.index("\n\n") + 2):
+        for j, tokens in enumerate(zip(*(line.split(",") for line in block.split("\n") if line))):
+            distinct[j] += len(set(tokens))
+    calls = _counting(monkeypatch, ("_label_record", "_prime", "_coefficient"))
+    fam = families.ingest(path)
+    assert len(fam.ap) == 50_000
+    assert 0 < sum(distinct) < len(fam.ap) / 10
+    assert all(c <= d for c, d in zip(calls.values(), distinct)), (calls, distinct)
+
+
+def test_write_family_formats_each_distinct_value_once_per_block(tmp_path, monkeypatch):
+    # the per-row loop once formatted every conductor and all 50,000 a(p)
+    path = _integer_family(tmp_path)
+    fam = families.ingest(path)
+    distinct = sum(len(np.unique(fam.ap[lo : lo + families._WRITE_ROWS]))
+                   for lo in range(0, len(fam.ap), families._WRITE_ROWS))
+    calls = _counting(monkeypatch, ("_format_number",))
+    families.write_family(fam, tmp_path / "out.txt")
+    assert calls["_format_number"] <= len(fam) + distinct < len(fam.ap) / 10
+    assert (tmp_path / "out.txt").read_bytes() == path.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def big_family(tmp_path_factory):
     """A canonical family of 1800 records x 100 primes with float a(p),
@@ -469,6 +563,23 @@ def test_ingest_memory_follows_the_file(big_family):
     assert peak <= 6 * big_family.stat().st_size
 
 
+def test_ingest_memory_follows_the_file_with_one_long_token(tmp_path):
+    # keys padded to the longest field of a block would take about 5,000 rows x 20 KB here
+    path = _integer_family(tmp_path)
+    lines = path.read_text().split("\n")
+    label, p, _ = lines[30_000].split(",")
+    lines[30_000] = f"{label},{p},{'0' * 20_000}7"
+    path.write_text("\n".join(lines))
+    tracemalloc.start()
+    try:
+        fam = families.ingest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fam.coefficient(label, int(p)) == 7.0
+    assert peak <= 6 * path.stat().st_size
+
+
 def test_write_family_memory_is_bounded(big_family, tmp_path):
     # building every line and the joined text once peaked at 35 MB here
     fam = families.ingest(big_family)
@@ -492,6 +603,10 @@ def test_missing_coefficient_is_loud(tmp_path):
         fam.coefficient("11a", 2**31 + 2)
     with pytest.raises(CoverageError):
         fam.coefficient("99z", 2)
+    for p in (2.5, -3):
+        with pytest.raises(CoverageError, match=f"no coefficient for record '11a' at prime {p}$"):
+            fam.coefficient("11a", p)
+    assert fam.coefficient("37a", 5.0) == -2.0
 
 
 def _random_family_text(rng, records, primes):
