@@ -200,6 +200,13 @@ def _parse_phi(spec) -> specfn.WeightFunction:
     raise _UsageError(f"unknown weight kind {kind!r} (expected bump or indicator)")
 
 
+def _y_range(args) -> tuple[float, float]:
+    """(--y-min, --y-max); a reversed or empty sampling range is a usage error."""
+    if args.y_min >= args.y_max:
+        raise _UsageError(f"--y-min {args.y_min:g} must be below --y-max {args.y_max:g}")
+    return args.y_min, args.y_max
+
+
 def _parse_sign(text):
     if text in ("+1", "1", "+"):
         return 1
@@ -318,11 +325,12 @@ def _emit_series(args, name, outputs, title, refs=None) -> None:
 def _cmd_dirichlet(args) -> int:
     phi = _parse_phi(args.phi)
     sign = _parse_sign(args.sign)
-    primes = arith.prime_grid(args.x, args.y_min, args.y_max)
+    y_range = _y_range(args)
+    primes = arith.prime_grid(args.x, *y_range)
     classes = (1, -1) if sign == "both" else (sign,)
     series = families.quadratic_series(args.x, phi, classes, primes, normalization=args.normalization)
     outputs = [
-        (f"sign {cls:+d}", frame.bin_series(ser, args.bins, y_range=(args.y_min, args.y_max)))
+        (f"sign {cls:+d}", frame.bin_series(ser, args.bins, y_range=y_range))
         for cls, ser in zip(classes, series)
     ]
     _emit_series(args, "dirichlet", outputs, f"quadratic family, X={args.x:g}")
@@ -333,7 +341,7 @@ def _cmd_petersson(args) -> int:
     phi = _parse_phi(args.phi)
     sign = _parse_sign(args.sign)
     K = args.k
-    primes = arith.prime_grid(petersson.window_scale(K), args.y_min, args.y_max)
+    primes = arith.prime_grid(petersson.window_scale(K), *_y_range(args))
     signs = (1, -1) if sign == "both" else (sign,)
     outputs = [
         (f"sign {s:+d}", petersson.harmonic_series(
@@ -363,9 +371,7 @@ def _cmd_density_ils(args) -> int:
     sign = _parse_sign(args.sign)
     if sign == "both":
         raise _UsageError("density-ils needs a single sign")
-    if args.y_min >= args.y_max:
-        raise _UsageError(f"--y-min {args.y_min:g} must be below --y-max {args.y_max:g}")
-    ys = np.linspace(args.y_min, args.y_max, args.grid)
+    ys = np.linspace(*_y_range(args), args.grid)
     vals = densities.harmonic_murmuration_density(ys, phi, sign)
     write(args.out, args.svg, "y,value", [(ys, vals)], "weight-aspect murmuration density", [("density", ys, vals)])
     i = int(np.argmax(np.abs(vals)))

@@ -375,7 +375,10 @@ def _is_numeral(token: str) -> bool:
 
 
 def _parse_number(token: str, line_no: int, what: str) -> float:
+    """The finite value of a numeral (``_is_numeral``)."""
     try:
+        if not _is_numeral(token):
+            raise ValueError(token)
         value = float(token)
     except ValueError:
         raise DataError(f"line {line_no}: cannot parse {what} from {token.strip()!r}") from None
@@ -393,10 +396,10 @@ def _label_record(index: dict, token: str, line_no: int) -> int:
     return record
 
 
-def _prime(plain: bool, token: str, line_no: int) -> int:
-    """The prime of a coefficient row's p field; ``plain``: its block is ASCII without '_'."""
+def _prime(token: str, line_no: int) -> int:
+    """The prime of a coefficient row's p field, a numeral (``_is_numeral``)."""
     try:
-        if not (plain or _is_numeral(token)):
+        if not _is_numeral(token):
             raise ValueError(token)
         p = int(token)  # int() and float() ignore surrounding whitespace
     except ValueError:
@@ -406,12 +409,9 @@ def _prime(plain: bool, token: str, line_no: int) -> int:
     return p
 
 
-def _coefficient(plain: bool, token: str, line_no: int) -> float:
-    """The a(p) of a coefficient row's last field, as ``_prime`` reads p."""
-    token = token.rstrip()  # the end of the line, which the line's strip() drops
-    if not (plain or _is_numeral(token)):
-        raise DataError(f"line {line_no}: cannot parse coefficient from {token.strip()!r}")
-    return _parse_number(token, line_no, "coefficient")
+def _coefficient(token: str, line_no: int) -> float:
+    """The a(p) of a coefficient row's last field, without the line's trailing whitespace."""
+    return _parse_number(token.rstrip(), line_no, "coefficient")
 
 
 # keys of the tokeniser: a field's bytes padded with ',' to whole little-endian words
@@ -460,10 +460,11 @@ def _coefficient_rows(chunk: str, line_no: int, index: dict):
 
     A row is a line with two commas; a line with another count is blank
     or the error.  Each distinct token of a field, found by ``_distinct``
-    on fixed-width keys, is converted once, at its first line, by the
-    function that owns its checks and messages.  The first error is that
-    of the smallest line, and within a line the label's, the prime's, then
-    the coefficient's, as a reader that checks line by line meets them.
+    on fixed-width keys, is decoded from the block's bytes and converted
+    once, at its first line, by the function that owns its checks and
+    messages.  The first error is that of the smallest line, and within a
+    line the label's, the prime's, then the coefficient's, as a reader
+    that checks line by line meets them.
     """
     raw = chunk.encode("utf-8")
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -480,23 +481,18 @@ def _coefficient_rows(chunk: str, line_no: int, index: dict):
     comma = (np.cumsum(count) - count)[rows]  # of each row's first comma
     first, second = commas[comma], commas[comma + 1]
     words = np.ndarray(len(raw) + 1, dtype="<u8", buffer=raw + b"," * 8, strides=(1,))
-    # int() and float() take a stray '_' or non-ASCII digit: check each
-    # numeral only in a block that holds such a character
-    one_byte = chunk.isascii()  # then byte offsets are text offsets
-    plain = one_byte and "_" not in chunk
     fields = (
         (begin[rows], first, partial(_label_record, index)),
-        (first + 1, second, partial(_prime, plain)),
-        (second + 1, end[rows], partial(_coefficient, plain)),
+        (first + 1, second, _prime),
+        (second + 1, end[rows], _coefficient),
     )
     lines = line_no + rows
     columns = []
     for rank, (start, stop, convert) in enumerate(fields, 1):
         at, inverse = _distinct(words, start, stop - start)
         spans = zip(start[at].tolist(), stop[at].tolist())
-        tokens = [chunk[s:e] for s, e in spans] if one_byte else [raw[s:e].decode("utf-8") for s, e in spans]
         values = []
-        for token, line in zip(tokens, lines[at].tolist()):
+        for token, line in zip([raw[s:e].decode("utf-8") for s, e in spans], lines[at].tolist()):
             try:
                 values.append(convert(token, line))
             except DataError as error:
@@ -566,8 +562,6 @@ def ingest(path) -> IngestedFamily:
         if label in index:
             raise DataError(f"line {line_no}: duplicate label {label!r}")
         token = parts[1].strip()
-        if not _is_numeral(token):
-            raise DataError(f"line {line_no}: cannot parse conductor from {token!r}")
         conductor = _parse_number(token, line_no, "conductor")
         if not conductor > 0:
             raise DataError(f"line {line_no}: conductor must be positive, got {token}")

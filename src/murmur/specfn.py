@@ -6,7 +6,8 @@ adaptive quadrature.
 <= 1e5) and gathers its values from one numpy kernel, Miller's backward
 recurrence J_{n-1} = (2n/x) J_n - J_{n+1} normalised by
 J_0 + 2 sum_k J_{2k} = 1, run over every argument of a call at once, so
-the trace-formula engine gets a whole weight window from one call.
+the trace-formula engine gets a whole weight window from one call.  The
+same kernel serves a scalar call, as an array of one pair.
 Weight masses are closed forms, so no engine integrates at run time;
 ``quadrature`` imports ``scipy.integrate`` on its first call, and it is
 the only code that loads scipy.
@@ -123,12 +124,12 @@ def shifted_bump(a: float, b: float) -> WeightFunction:
 def bessel_j(order, x):
     """J_order(x) for integer order >= 0 and real x >= 0, broadcast over arrays.
 
-    Supported range: order <= 500, x <= 1e5.  Array values are gathered
+    Supported range: order <= 500, x <= 1e5.  The values are gathered
     from one evaluation of ``_bessel_pairs`` over every (order, x) pair of
-    the broadcast, a scalar call runs its one column in ``_column``;
-    scalar arguments return a float, array arguments an ndarray of the
-    broadcast shape.  A value depends on its own order and argument only,
-    never on the other pairs of the call.
+    the broadcast, a scalar call's one pair included; scalar arguments
+    return a float, array arguments an ndarray of the broadcast shape.  A
+    value depends on its own order and argument only, never on the other
+    pairs of the call.
     """
     order_arr = np.asarray(order)
     x_arr = np.asarray(x, dtype=np.float64)
@@ -138,8 +139,6 @@ def bessel_j(order, x):
         raise DomainError(f"order {np.max(order_arr)} exceeds supported maximum {_BESSEL_MAX_ORDER}")
     if not np.all((x_arr >= 0.0) & (x_arr <= _BESSEL_MAX_X)):
         raise DomainError(f"argument {x} outside supported range [0, {_BESSEL_MAX_X:g}]")
-    if order_arr.ndim == x_arr.ndim == 0 and x_arr >= _TINY_X:
-        return _column(float(x_arr), int(_start_order(order_arr, x_arr)), [int(order_arr)])[0]
     order_b, x_b = np.broadcast_arrays(order_arr.astype(np.int64), x_arr)
     value = _bessel_pairs(order_b.ravel(), x_b.ravel()).reshape(order_b.shape)
     return value if value.ndim else float(value)
@@ -157,26 +156,6 @@ def _start_order(order, x):
     top = np.maximum(np.ldexp(1.0, np.frexp(order)[1]), x)
     start = np.ceil(top).astype(np.int64) + 30 + np.left_shift(8, -(-np.frexp(top)[1] // 3))
     return start + start % 2
-
-
-def _column(x, m, orders):
-    """J_n(x) for each n of ``orders`` from one recurrence column of
-    ``_bessel_pairs`` in Python floats, which cost a scalar call far less
-    than numpy steps: the same operations in the same order, hence the
-    same bits."""
-    want, seen = set(orders), {}
-    a, b, s, e = 0.0, 1.0, 0.0, 0
-    for n in range(m, 0, -1):
-        if n in want:
-            seen[n] = (b, e)
-        if n % 2 == 0:
-            s += b
-        a, b = b, 2.0 * n / x * b - a
-        if abs(b) > _HUGE:
-            a, b, s, e = a * _UNHUGE, b * _UNHUGE, s * _UNHUGE, e + 1
-    seen[0] = (b, e)
-    norm = 2.0 * s + b
-    return [math.ldexp(seen[n][0] / norm, _RESCALE * (seen[n][1] - e)) for n in orders]
 
 
 def _bessel_pairs(order, x):
@@ -202,15 +181,6 @@ def _bessel_pairs(order, x):
     column = np.empty(len(big), dtype=np.int64)
     column[by_start] = np.cumsum(first) - 1
     record, missed = np.empty(len(big)), np.empty(len(big), dtype=np.int64)
-    norm, scalings = _columns(xc, mc, order, column, record, missed)
-    value[big] = np.ldexp(record / norm[column], _RESCALE * (missed - scalings[column]))
-    return value
-
-
-def _columns(xc, mc, order, column, record, missed):
-    """The recurrence of ``_bessel_pairs`` over the columns (``xc``, ``mc``)
-    at once: fills ``record``/``missed`` of every pair from its ``column``
-    and returns, per column, J_0 + 2 sum_k J_{2k} and its scaling count."""
     ncol, top = len(xc), int(mc[0])
     started = np.searchsorted(-mc, -np.arange(top + 1), side="right").tolist()
     by_order = np.argsort(order, kind="stable")
@@ -241,7 +211,8 @@ def _columns(xc, mc, order, column, record, missed):
             b[grown] *= _UNHUGE
             s[grown] *= _UNHUGE
             e[grown] += 1
-    return 2.0 * s + b, e
+    value[big] = np.ldexp(record / (2.0 * s + b)[column], _RESCALE * (missed - e[column]))
+    return value
 
 
 # ---------------------------------------------------------------------------

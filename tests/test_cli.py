@@ -395,11 +395,16 @@ def test_integer_options_below_their_bound_are_usage_errors(tmp_path, argv, caps
         ["density-ils", "--y-min", "0.02", "--y-max", "0.02"],
         ["old-kernel", "--x-max", "-3"],
         ["old-kernel", "--x-max", "0"],
+        # these once exited 4 with "error: no primes with p/X in [0.9, 0.1]", a window error
+        ["dirichlet", "--x", "1000", "--y-min", "0.9", "--y-max", "0.1"],
+        ["petersson", "--k", "40", "--y-min", "0.05", "--y-max", "0.004"],
     ],
     ids=" ".join,
 )
-def test_reversed_sampling_ranges_are_usage_errors(tmp_path, argv):
+def test_reversed_sampling_ranges_are_usage_errors(tmp_path, argv, capsys):
     assert run_cli(argv + ["--svg", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
 
 

@@ -1,16 +1,17 @@
 """Every public module-level function and class of the library has a
 reader outside its own definition: library code, scripts, the benchmark
 harness or the acceptance suite.  A name only the unit tests call is
-test code living in the library."""
+test code living in the library.  Every private module-level function
+and class and every private method has a reader in the library or the
+scripts: a helper nothing calls is dead code."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "murmur").glob("*.py"))
-READERS = LIBRARY + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) + [
-    ROOT / "tests" / "test_acceptance.py"
-]
+PROGRAM = LIBRARY + sorted((ROOT / "scripts").glob("*.py"))
+READERS = PROGRAM + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
 def _references(path):
@@ -36,5 +37,36 @@ def test_every_public_library_name_has_a_reader():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and not readers.get(node.name, set()) - {(path, node.lineno)}
+    ]
+    assert orphans == []
+
+
+def _private_definitions(path):
+    """Each module-level function and class and each method of the file
+    whose name starts with '_' and is not a dunder."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for item in [node, *members]:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.ClassDef))
+                and item.name.startswith("_")
+                and not item.name.endswith("__")
+            ):
+                yield item
+
+
+def test_every_private_helper_has_a_reader_in_the_program():
+    readers = {}
+    for path in PROGRAM:
+        for name, line in _references(path):
+            readers.setdefault(name, set()).add((path, line))
+    orphans = [
+        f"{path.stem}.{node.name}"
+        for path in LIBRARY
+        for node in _private_definitions(path)
+        if not {
+            (where, line) for where, line in readers.get(node.name, ())
+            if where != path or not node.lineno <= line <= node.end_lineno
+        }
     ]
     assert orphans == []

@@ -43,13 +43,11 @@ def test_bessel_large_range_absolute():
 
 
 def test_bessel_recurrence_residual():
+    x = np.linspace(0.5, 200.0, 40)
     for nu in range(1, 61, 7):
-        for x in np.linspace(0.5, 200.0, 40):
-            jm = specfn.bessel_j(nu - 1, float(x))
-            j0 = specfn.bessel_j(nu, float(x))
-            jp = specfn.bessel_j(nu + 1, float(x))
-            resid = abs(jm + jp - (2.0 * nu / x) * j0)
-            assert resid <= 1e-8 * max(1.0, abs(j0))
+        jm, j0, jp = specfn.bessel_j([[nu - 1], [nu], [nu + 1]], x)
+        resid = np.abs(jm + jp - (2.0 * nu / x) * j0)
+        assert np.all(resid <= 1e-8 * np.maximum(1.0, np.abs(j0))), nu
 
 
 def test_bessel_small_argument_log_bound():
