@@ -5,9 +5,10 @@ characters chi_d, for fundamental discriminants d in a conductor window,
 split into sign classes by sign(d) (real characters all have root
 number +1, so sign(d) is the natural bisection).  One pass serves every
 requested class: the discriminants are enumerated once, and one Legendre
-table per prime, built from the half-range squares r^2, r <= (p - 1)/2,
-is gathered for both classes.  The cost is O(sum_p p/2 + |family| pi(X))
-for a grid of primes up to X.
+table per prime, from the squares r^2 mod p, r <= (p - 1)/2, in exact
+int64 arithmetic (no float quotient, no corrections), is tiled over
+[min|d|, max|d|] and gathered once for both classes.  For primes up to X
+the cost is O(sum_p (p/2 + max|d| - min|d|) + |family| pi(X)).
 
 ``ingest`` reads externally computed coefficient tables (elliptic-curve
 style families) in the murmur-family v1 format:
@@ -80,20 +81,26 @@ def fnv1a64(data: bytes) -> int:
     of n bytes maps h to h P^n + sum_i d_i P^(n-i) mod 2^64.  The low
     bytes come bit by bit: P is odd, so with t = s_i XOR b_i, bit j of
     s_(i+1) = t P mod 256 is bit j of t XOR ((t mod 2^j) P), which needs
-    only the lower bits -- one prefix XOR over the block per bit.
+    only the lower bits -- one prefix XOR over the block per bit, taken
+    within 8-byte words by shifts and across them over their top bytes.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     powers = np.multiply.accumulate(np.full(min(len(buf), _FNV_CHUNK), _FNV_PRIME, dtype=np.uint64))
-    p8 = np.uint8(_FNV_PRIME & 0xFF)
     h = _FNV_OFFSET
     for start in range(0, len(buf), _FNV_CHUNK):
         b = buf[start : start + _FNV_CHUNK]
         n = len(b)
+        w = np.zeros(-(-n // 8), dtype="<u8")  # the block's flips in whole words, padded after every byte read
+        flips = w.view(np.uint8)
         s = np.full(n, h & 0xFF, dtype=np.uint8)  # bits >= j are still those of s_0
         for j in range(8):
             low = (s ^ b) & np.uint8((1 << j) - 1)
-            flips = np.bitwise_xor.accumulate((b ^ low * p8) & np.uint8(1 << j))
-            s[1:] ^= flips[:-1]
+            np.bitwise_and(b ^ low * (_FNV_PRIME & 0xFF), np.uint8(1 << j), out=flips[:n])
+            for shift in (8, 16, 32):
+                w ^= w << shift
+            carries = np.bitwise_xor.accumulate(w >> 56)
+            w[1:] ^= carries[:-1] * 0x0101010101010101  # each word's carry in, in every byte
+            s[1:] ^= flips[: n - 1]
         d = (s ^ b).astype(np.uint64) - s  # wraps to d_i mod 2^64
         tail = int(np.sum(d * powers[n - 1 :: -1], dtype=np.uint64))
         h = (h * int(powers[n - 1]) + tail) & _MASK64
@@ -133,43 +140,39 @@ def fundamental_discriminants(X: float, phi: WeightFunction) -> dict[int, np.nda
     return classes
 
 
-def _legendre_tables(primes: list[int], span: int):
-    """For each prime p of the ascending list, an int8 buffer whose first
-    ``span`` entries are (n|p), n < span, and (-1|p); p = 2 uses the mod-8
-    rule.  The buffer, and every work array, is allocated once and reused.
+def _legendre_tables(primes: list[int], lo: int, hi: int):
+    """For each prime p of the ascending list, the int8 array of (n|p),
+    lo <= n <= hi, and (-1|p); p = 2 uses the mod-8 rule.  Every array is
+    allocated once and reused.
 
-    For odd p the quadratic residues are exactly the r*r mod p, r <= (p-1)/2.
-    Each is r*r - p*floor(r*r/p), the quotient taken in float64 (r*r is
-    exact below 2^53) and corrected by +-p, with no integer division.  The
-    table of one period is then tiled over [0, span) by doubling copies.
+    For odd p the quadratic residues are exactly the r*r mod p, r <= (p-1)/2,
+    each r*r - p*floor(r*r/p) in exact int64 arithmetic, with no float
+    quotient and no corrections.  One period of the table, rotated to start
+    at lo, is tiled over [lo, hi] by one broadcast copy.
     """
     half = (primes[-1] - 1) // 2
-    squares = np.arange(1, half + 1, dtype=np.float64) ** 2
-    quotient, index = np.empty(half), np.empty(half, dtype=np.intp)
-    tiled = np.empty(max(span, primes[-1], 8), dtype=np.int8)
+    squares = np.arange(1, half + 1, dtype=np.int64) ** 2
+    residues = np.empty(half, dtype=np.int64)
+    table = np.empty(2 * max(primes[-1], 8), dtype=np.int8)
+    tiled = np.empty(hi - lo + 1, dtype=np.int8)
     for p in primes:
         if p == 2:
             period = 8
-            tiled[:period] = (0, 1, 0, -1, 0, -1, 0, 1)
+            table[:period] = (0, 1, 0, -1, 0, -1, 0, 1)
         else:
             period, h = p, (p - 1) // 2
-            rem = quotient[:h]
-            np.multiply(squares[:h], 1.0 / p, out=rem)
-            np.floor(rem, out=rem)
+            rem = residues[:h]
+            np.floor_divide(squares[:h], p, out=rem)
             rem *= -p
             rem += squares[:h]
-            rem[rem < 0] += p
-            rem[rem >= p] -= p
-            index[:h] = rem
-            tiled[:period] = -1
-            tiled[index[:h]] = 1
-            tiled[0] = 0
-        filled = period
-        while filled < span:
-            step = min(filled, span - filled)
-            tiled[filled : filled + step] = tiled[:step]
-            filled += step
-        yield tiled, int(tiled[period - 1])
+            table[:period] = -1
+            table[rem] = 1
+            table[0] = 0
+        table[period : 2 * period] = table[:period]  # two periods: a rotated period is one slice
+        rotated, rows = table[lo % period :], len(tiled) // period
+        tiled[: rows * period].reshape(rows, period)[:] = rotated[:period]
+        tiled[rows * period :] = rotated[: len(tiled) - rows * period]
+        yield tiled, int(table[period - 1])
 
 
 def quadratic_series(
@@ -183,9 +186,10 @@ def quadratic_series(
 
     Vectorized over the family: for fixed p the character value is the
     Legendre symbol of d mod p (mod 8 for p = 2), so one residue table
-    per prime serves the whole family.  The table, tiled over [0, max|d|],
-    gives (|d| | p) by a gather; (d|p) = (-1|p)(|d| | p) for d < 0, so
-    the class sum is negated after the dot when (-1|p) = -1.
+    per prime serves the whole family.  The table, tiled over the window
+    [min|d|, max|d|], gives (|d| | p) for both classes by one gather,
+    cast once to float64; (d|p) = (-1|p)(|d| | p) for d < 0, so the class
+    sum is negated after the dot when (-1|p) = -1.
     """
     if not classes or any(c not in (1, -1) for c in classes):
         raise DomainError(f"parity classes must be +-1, got {tuple(classes)}")
@@ -197,18 +201,24 @@ def quadratic_series(
         absd = np.abs(discriminants[cls])
         members, weights = window(absd, X, phi)
         family.append((cls, absd[members], weights, float(weights.sum())))
-    span = max(int(absd[-1]) for _, absd, _, _ in family) + 1
+    lo, hi = min(int(f[1][0]) for f in family), max(int(f[1][-1]) for f in family)
+    offsets = np.concatenate([absd - lo for _, absd, _, _ in family])
+    gathered, chars = np.empty(len(offsets), dtype=np.int8), np.empty(len(offsets))
+    class_chars = np.split(chars, np.cumsum([len(absd) for _, absd, _, _ in family])[:-1])  # views
     values = np.empty((len(family), len(grid)), dtype=np.float64)
-    primes = grid.tolist()
-    for i, (p, (residues, minus_one)) in enumerate(zip(primes, _legendre_tables(primes, span))):
-        for j, (cls, absd, weights, den) in enumerate(family):
-            v = float(np.dot(weights, residues[absd]))
-            if cls == -1 and minus_one == -1:
-                v = 0.0 - v  # the dot of the negated characters, +0.0 included
-            v /= den
-            if normalization == "raw_sqrtp":
-                v *= math.sqrt(p)
-            values[j, i] = v
+    negated = np.zeros(len(grid), dtype=bool)  # the primes with (-1|p) = -1
+    for i, (residues, minus_one) in enumerate(_legendre_tables(grid.tolist(), lo, hi)):
+        np.take(residues, offsets, out=gathered, mode="clip")  # every offset is in range; "clip" is unbuffered
+        chars[:] = gathered
+        negated[i] = minus_one == -1
+        for j, ((_, _, weights, _), x) in enumerate(zip(family, class_chars)):
+            values[j, i] = np.dot(weights, x)
+    for j, (cls, _, _, den) in enumerate(family):
+        if cls == -1:
+            values[j, negated] = 0.0 - values[j, negated]  # the dots of the negated characters, +0.0 included
+        values[j] /= den
+    if normalization == "raw_sqrtp":
+        values *= np.sqrt(grid)
     ys = grid / X
     return [
         MurmurationSeries(

@@ -190,20 +190,25 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
     # sums the same elements in the same order as a per-bin mask would
     order = np.argsort(idx, kind="stable")
     occupied, starts = np.unique(idx[order], return_index=True)
+    if not len(occupied):
+        raise WindowError("binning left no occupied bins")
+    sizes = np.diff(starts, append=len(order))
+    samples = in_range[order]
     bound = series.meta.get("tail_bound")
-    ys, vals, cnts, errs, bounds = [], [], [], [], []
-    for b, sel in zip(occupied.tolist(), np.split(in_range[order], starts[1:])):
+    ys = 0.5 * (edge(occupied) + edge(occupied + 1))
+    vals, errs, bounds = np.empty(len(ys)), np.full(len(ys), math.nan), np.empty(len(ys))
+    cnts = np.add.reduceat(series.count[samples], starts)
+    # one (bins x n) block per distinct bin size n: its row sums have the bits of per-bin sums
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        group = np.flatnonzero(sizes == n)
+        sel = samples[starts[group][:, None] + np.arange(n)]
         v = series.value[sel]
         c = series.count[sel].astype(np.float64)
-        ys.append(0.5 * (edge(b) + edge(b + 1)))
-        vals.append(float(np.sum(v * c) / np.sum(c)))
-        cnts.append(int(np.sum(series.count[sel])))
-        errs.append(float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else math.nan)
+        vals[group] = np.sum(v * c, axis=1) / cnts[group]  # the float sum of the counts is exact
+        if n > 1:
+            errs[group] = np.std(v, axis=1, ddof=1) / math.sqrt(n)
         if bound is not None:
-            bounds.append(float(np.sum(bound[sel] * c) / np.sum(c)))
-    if not ys:
-        raise WindowError("binning left no occupied bins")
-    ys = np.array(ys)
+            bounds[group] = np.sum(bound[sel] * c, axis=1) / cnts[group]
     tied = np.flatnonzero(ys[1:] <= ys[:-1])
     if len(tied):
         # occupied bins narrower than the float spacing of y get the same midpoint
@@ -213,14 +218,14 @@ def bin_series(series: MurmurationSeries, bins: int, y_range=None) -> Murmuratio
         )
     meta = dict(series.meta, bins=bins, bin_range=(lo, hi))
     if bound is not None:
-        meta["tail_bound"] = np.array(bounds)
+        meta["tail_bound"] = bounds
     return MurmurationSeries(
         y=ys,
-        value=np.array(vals),
-        count=np.array(cnts),
+        value=vals,
+        count=cnts,
         window_scale=series.window_scale,
         normalization=series.normalization,
-        stderr=np.array(errs),
+        stderr=errs,
         meta=meta,
     )
 

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: trial division, direct divisor
 enumeration, Euler's criterion, complex exponential sums with exact
 modular inverses, arbitrary-precision power series, dense Simpson
-integration, exact integer q-expansions, a byte-at-a-time checksum and a
-line-at-a-time family parser.  None of it shares code with the library
+integration, exact integer q-expansions, a byte-at-a-time checksum, a
+line-at-a-time family parser and bin-at-a-time binning.  None of it shares code with the library
 paths it checks; the parser raises the library's ``DataError``.
 """
 
@@ -174,6 +174,35 @@ def fnv1a64_oracle(data):
         h ^= byte
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def bin_series_oracle(y, value, count, bins, y_range, tail_bound=None):
+    """Equal-width bins of a series, one bin at a time, as ``frame.bin_series``
+    did before it grouped bins by occupancy.
+
+    A sample in [lo, hi] falls in the last bin b < bins whose
+    ``np.linspace`` edge is <= its y; each occupied bin takes its samples
+    by a mask, in series order.  Returns (y, value, count, stderr,
+    tail_bound) arrays of the occupied bins, tail_bound None when none is
+    given.
+    """
+    lo, hi = y_range
+    edges = np.linspace(lo, hi, bins + 1)
+    in_range = np.flatnonzero((y >= lo) & (y <= hi))
+    idx = np.searchsorted(edges[:-1], y[in_range], side="right") - 1
+    ys, vals, cnts, errs, bounds = [], [], [], [], []
+    for b in np.unique(idx).tolist():
+        sel = in_range[idx == b]
+        v = value[sel]
+        c = count[sel].astype(np.float64)
+        ys.append(0.5 * (edges[b] + edges[b + 1]))
+        vals.append(float(np.sum(v * c) / np.sum(c)))
+        cnts.append(int(np.sum(count[sel])))
+        errs.append(float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else math.nan)
+        if tail_bound is not None:
+            bounds.append(float(np.sum(tail_bound[sel] * c) / np.sum(c)))
+    return (np.array(ys), np.array(vals), np.array(cnts, dtype=np.int64), np.array(errs),
+            None if tail_bound is None else np.array(bounds))
 
 
 def window_density_oracle(E, q_max, prefactor):

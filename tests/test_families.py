@@ -80,24 +80,28 @@ def test_parity_classes_and_lambda():
 
 @settings(max_examples=40)
 @given(st.sampled_from([5, 8, -7, -8, 13, -11, 12, -4]), st.sampled_from([5, 8, -7, -8, 13, -11, 12, -4]),
-       st.sampled_from([2, 3, 5, 7, 11, 13]))
-def test_character_multiplicativity(d, e, p):
-    # the family's (d|p) for negative d is (-1|p)(|d| | p): the table must be a character in d
-    (tiled, minus_one), = families._legendre_tables([p], 200)
+       st.sampled_from([2, 3, 5, 7, 11, 13]), st.sampled_from([0, 1, 4]))
+def test_character_multiplicativity(d, e, p, lo):
+    # the family's (d|p) for negative d is (-1|p)(|d| | p): the table must be a character in d;
+    # from lo = 1 or 4 (4 mod 8 for p = 2) the period table is read rotated
+    (tiled, minus_one), = families._legendre_tables([p], lo, 199)
 
     def chi(n):
-        return int(tiled[abs(n)]) * (minus_one if n < 0 else 1)
+        return int(tiled[abs(n) - lo]) * (minus_one if n < 0 else 1)
 
     assert chi(d * e) == chi(d) * chi(e)
     assert chi(d) == oracles.kronecker_oracle(d, p)
 
 
 def test_legendre_table_matches_kronecker():
+    # windows [lo, hi] from 0; from 1237, a prime and 5 mod 8; shorter than the
+    # period 97; and wrapping past the end of the period 97 (1453 = 95 mod 97)
     primes = [2, 3, 5, 7, 11, 13, 97]
-    for p, (tiled, minus_one) in zip(primes, families._legendre_tables(primes, 250)):
-        assert minus_one == oracles.kronecker_oracle(-1, p)
-        for n in range(250):
-            assert tiled[n] == oracles.kronecker_oracle(n, p), (n, p)
+    for lo, hi in [(0, 249), (1237, 1486), (1237, 1287), (1453, 1462)]:
+        for p, (tiled, minus_one) in zip(primes, families._legendre_tables(primes, lo, hi)):
+            assert minus_one == oracles.kronecker_oracle(-1, p)
+            for n in range(lo, hi + 1):
+                assert tiled[n - lo] == oracles.kronecker_oracle(n, p), (n, p, lo)
 
 
 def test_quadratic_murmuration_against_double_loop():
@@ -111,10 +115,7 @@ def test_quadratic_murmuration_against_double_loop():
         assert ser.count[0] == len(ds)
 
 
-@pytest.mark.parametrize("X", [50.0, 1500.0, 20000.0])
-@pytest.mark.parametrize("phi", [specfn.indicator(1.0, 2.0), specfn.bump(1.0, 2.0)], ids=["indicator", "bump"])
-def test_quadratic_series_matches_per_class_oracle(X, phi):
-    primes = arith.sieve(int(X)).primes.tolist()
+def assert_matches_class_oracle(X, phi, primes):
     for normalization in ("analytic", "raw_sqrtp"):
         both = families.quadratic_series(X, phi, (1, -1), primes, normalization=normalization)
         for cls, ser in zip((1, -1), both):
@@ -124,6 +125,24 @@ def test_quadratic_series_matches_per_class_oracle(X, phi):
             assert np.array_equal(one.value, want), (cls, normalization)
             assert np.array_equal(one.count, ser.count)
             assert ser.meta["parity_class"] == cls
+
+
+@pytest.mark.parametrize("X", [50.0, 1500.0, 20000.0])
+@pytest.mark.parametrize("phi", [specfn.indicator(1.0, 2.0), specfn.bump(1.0, 2.0)], ids=["indicator", "bump"])
+def test_quadratic_series_matches_per_class_oracle(X, phi):
+    assert_matches_class_oracle(X, phi, arith.sieve(int(X)).primes.tolist())
+
+
+@pytest.mark.parametrize("kind", ["indicator", "bump"])
+@pytest.mark.parametrize(
+    "X, support, y_max",
+    [(1500.0, (1.0, 2.0), 3.0), (5000.0, (1.37, 2.0), 1.0)],
+    ids=["primes-past-max-d", "window-from-1.37"],
+)
+def test_quadratic_series_matches_per_class_oracle_off_the_window(kind, X, support, y_max):
+    # the tables cover [min|d|, max|d|] only: primes beyond max|d|, whose window is
+    # shorter than one period, and a window from 1.37X, read rotated for most primes
+    assert_matches_class_oracle(X, getattr(specfn, kind)(*support), arith.sieve(int(y_max * X)).primes.tolist())
 
 
 def test_quadratic_murmuration_validates_grid_and_normalization():
@@ -700,7 +719,7 @@ CHUNK = families._FNV_CHUNK
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from((0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 5)),
+    st.sampled_from((0, 1, 2, 7, 8, 9, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 7, 2 * CHUNK, 3 * CHUNK + 5)),
     st.binary(max_size=16),
     st.integers(0, 2**32 - 1),
 )

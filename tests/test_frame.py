@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from murmur import frame, specfn
 from murmur.errors import DataError, DomainError, WindowError
 
+import oracles
+
 
 def make_family(conductors, lam_values):
     """Synthetic family: lam(p) = lam_values[label][p]."""
@@ -142,6 +144,50 @@ def test_bin_series_cost_follows_occupied_bins():
     assert list(binned.value) == [1.0, 2.0, 3.0]
     assert list(binned.meta["tail_bound"]) == [0.1, 0.2, 0.3]
     assert np.allclose(binned.y, [0.1, 0.5, 0.9], atol=1e-6)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=1, max_size=80, unique=True),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.one_of(st.none(), st.tuples(st.floats(-1.0, 9.0), st.floats(0.01, 12.0))),
+    st.booleans(),
+)
+def test_bin_series_matches_per_bin_oracle(ys, seed, bins, y_range, with_bound):
+    # bins grouped by occupancy keep the bits of a per-bin loop: single-sample bins
+    # (stderr NaN), empty bins and the binned tail bound included
+    rng = np.random.default_rng(seed)
+    n = len(ys)
+    meta = {"tail_bound": rng.random(n) * 1e-9} if with_bound else {}
+    ser = frame.MurmurationSeries(
+        y=np.sort(ys), value=rng.normal(size=n) * 10.0 ** rng.integers(-3, 4), count=rng.integers(1, 500, n),
+        window_scale=1.0, meta=meta,
+    )
+    if y_range is not None:
+        y_range = (y_range[0], y_range[0] + y_range[1])
+    lo_hi = y_range if y_range is not None else (ser.y[0], ser.y[-1])
+    if not lo_hi[0] < lo_hi[1]:
+        return
+    y, value, count, stderr, bound = oracles.bin_series_oracle(
+        ser.y, ser.value, ser.count, bins, lo_hi, meta.get("tail_bound"))
+    if len(y) == 0:
+        with pytest.raises(WindowError):
+            frame.bin_series(ser, bins, y_range)
+        return
+    binned = frame.bin_series(ser, bins, y_range)
+    assert np.array_equal(bits(binned.y), bits(y))
+    assert np.array_equal(bits(binned.value), bits(value))
+    assert np.array_equal(binned.count, count)
+    assert np.array_equal(bits(binned.stderr), bits(stderr))  # NaN where a bin holds one sample
+    if with_bound:
+        assert np.array_equal(bits(binned.meta["tail_bound"]), bits(bound))
+    else:
+        assert "tail_bound" not in binned.meta
 
 
 def test_bin_series_unresolvable_width_is_domain_error():
