@@ -16,7 +16,7 @@ import numpy as np
 from murmur import cli, densities
 
 
-def run(args) -> int:
+def run(args) -> None:
     dist, tail = densities.window_murmuration_density((args.e_min, args.e_max), args.q_max, 1.0)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     cli.write(args.out_dir / "atoms", True, "y,value", [()], "atomic density", dist=dist)
@@ -31,7 +31,6 @@ def run(args) -> int:
         if abs(root - round(root)) < 1e-9:
             approx = f"= {int(round(root))}^2"
         print(f"{loc:12.6f}  {mass:12.8f}  {approx}")
-    return 0
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ Y_RANGE = (0.05, 1.0)  # y = p / X
 PHI = specfn.indicator(1.0, 2.0)
 
 
-def run(args) -> int:
+def run(args) -> None:
     binned = {}  # X -> the binned series of the sign classes +1 and -1
     for X in (args.x, 2 * args.x):
         primes = arith.prime_grid(X, *Y_RANGE)
@@ -39,7 +39,6 @@ def run(args) -> int:
                 ("sign + at 2X", bp2.y, bp2.value), ("sign - at 2X", bm2.y, bm2.value)]
     title = f"quadratic characters, X={args.x:g} vs {2 * args.x:g}"
     cli.write(args.out_dir / "overlay", True, "", (), title, overlays)
-    return 0
 
 
 def main(argv=None) -> int:

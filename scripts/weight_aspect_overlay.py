@@ -16,7 +16,7 @@ Y_RANGE = (0.004, 0.055)  # y = p / (K-1)^2
 PHI = specfn.bump(1.0, 2.0)
 
 
-def run(args) -> int:
+def run(args) -> None:
     for K in args.weights:
         primes = arith.prime_grid(petersson.window_scale(K), *Y_RANGE)
         series = petersson.harmonic_series(K, primes, PHI, args.sign)
@@ -31,7 +31,6 @@ def run(args) -> int:
         cli.write(args.out_dir / f"K{int(K)}", True, "y,value,count", [(series.y, series.value, series.count)],
                   f"weight aspect K={K:g}, sign {args.sign:+d}", overlays)
         print(f"K={K:6g}: {len(primes):4d} primes, peak offset {100 * peak_err:5.2f}%, L2 residual {resid:.4f}")
-    return 0
 
 
 def main(argv=None) -> int:

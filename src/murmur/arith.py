@@ -7,7 +7,10 @@ squarefree mask (mu(n)^2), phi, sigma and tau.  Each is a read-only array
 built from the sieve the first time it is read, so a sieve that serves
 only a prime grid builds none of them.
 
-Kloosterman sums S(m, n; c) are evaluated two independent ways:
+Kloosterman sums S(m, n; c) are evaluated two ways that share their unit
+sum, ``_unit_cosine_sum`` over the tables of ``_unit_tables`` (the units
+d of Z/cZ, their inverses from ``_powmod_vec``, and cosine and sine
+tables), and differ only in how they combine it:
 
 * ``kloosterman_direct`` sums cos(2*pi*(m*d + n*d^{-1})/c) over the units
   d of Z/cZ, asserting that the companion sine sum vanishes.
@@ -16,8 +19,9 @@ Kloosterman sums S(m, n; c) are evaluated two independent ways:
   S(m, n; q*r) = S(m*rbar, n*rbar; q) * S(m*qbar, n*qbar; r) for
   coprime q, r.
 
-The two paths must agree to 1e-9 absolute; the test suite enforces this
-on dense grids rather than trusting the combination rule.
+Their agreement to 1e-9 absolute on dense grids checks the CRT
+combination only.  The independent check of the unit sum is the test
+suite's complex-exponential oracle, ``oracles.kloosterman_complex``.
 """
 
 from dataclasses import dataclass

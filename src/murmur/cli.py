@@ -4,11 +4,13 @@ Every command and every script in ``scripts/`` writes its files through
 one writer, ``write``: ``<out>.csv`` (and ``<out>-minus.csv`` for the
 minus sign class) from numpy columns, each value as its shortest
 round-trip repr, and ``<out>.svg`` with --svg.  The scripts share the
-``Parser``, the option types and the exit codes of ``run``: 0 success, 1
+``Parser``, the option types and ``run``, whose exit code is 0 on success
+and otherwise the ``exit_code`` of the error's class in ``errors``: 1
 usage, domain or size (out of memory included; an integer option below
 its bound, such as --bins 0, --grid 1 or --p-max 1, and a reversed
-sampling range are usage errors), 2 data, 3 accuracy, 4 window.  Output
-is deterministic: identical configuration and input files produce
+sampling range are usage errors), 2 data (i/o included), 3 accuracy, 4
+window.  Each subcommand's parser carries its handler.  Output is
+deterministic: identical configuration and input files produce
 byte-identical CSV.
 """
 
@@ -19,16 +21,11 @@ import sys
 import numpy as np
 
 from . import arith, densities, families, frame, petersson, specfn
-from .errors import DataError, MurmurError, SizeError
-
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_ACCURACY = 3
-EXIT_WINDOW = 4
+from .errors import DataError, DomainError, MurmurError, SizeError
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(DomainError):
+    """A bad option value or combination: one "usage error:" line, exit code 1."""
 
 
 class Parser(argparse.ArgumentParser):
@@ -207,13 +204,14 @@ def _y_range(args) -> tuple[float, float]:
     return args.y_min, args.y_max
 
 
-def _parse_sign(text):
+def _sign_classes(text) -> tuple[int, ...]:
+    """The sign classes that --sign names: (1,), (-1,) or, for both, (1, -1)."""
     if text in ("+1", "1", "+"):
-        return 1
+        return (1,)
     if text in ("-1", "-"):
-        return -1
+        return (-1,)
     if text == "both":
-        return "both"
+        return (1, -1)
     raise _UsageError(f"sign must be +1, -1 or both, got {text!r}")
 
 
@@ -222,6 +220,7 @@ def build_parser() -> Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("dirichlet", help="quadratic-character murmuration series")
+    p.set_defaults(handler=_cmd_dirichlet)
     _add_common(p)
     _add_phi(p)
     p.add_argument("--x", type=finite_float, required=True, help="conductor window scale X")
@@ -232,6 +231,7 @@ def build_parser() -> Parser:
     p.add_argument("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
 
     p = subs.add_parser("petersson", help="weight-aspect harmonic murmuration series")
+    p.set_defaults(handler=_cmd_petersson)
     _add_common(p)
     _add_phi(p)
     _add_tail_tol(p)
@@ -242,6 +242,7 @@ def build_parser() -> Parser:
     p.add_argument("--raw", action="store_true", help="skip the density normalization bridge")
 
     p = subs.add_parser("symsq", help="symmetric-square murmuration series")
+    p.set_defaults(handler=_cmd_symsq)
     _add_common(p)
     _add_phi(p)
     _add_tail_tol(p)
@@ -249,6 +250,7 @@ def build_parser() -> Parser:
     p.add_argument("--p-max", type=int_at_least(2), default=97, help="largest prime sampled")
 
     p = subs.add_parser("density-ils", help="closed-form weight-aspect density")
+    p.set_defaults(handler=_cmd_density_ils)
     _add_common(p)
     _add_phi(p)
     p.add_argument("--sign", default="+1")
@@ -257,6 +259,7 @@ def build_parser() -> Parser:
     p.add_argument("--grid", type=int_at_least(2), default=400, help="number of y samples")
 
     p = subs.add_parser("density-nu", help="atomic prime-window density on an interval")
+    p.set_defaults(handler=_cmd_density_nu)
     _add_common(p)
     p.add_argument("--e-min", type=finite_float, required=True)
     p.add_argument("--e-max", type=finite_float, required=True)
@@ -264,6 +267,7 @@ def build_parser() -> Parser:
     p.add_argument("--prefactor", type=finite_float, default=1.0)
 
     p = subs.add_parser("old-kernel", help="one-level-density kernels and transforms")
+    p.set_defaults(handler=_cmd_old_kernel)
     _add_common(p)
     p.add_argument("--parity", choices=("even", "odd"), default="even")
     p.add_argument("--hat", action="store_true", help="emit the Fourier side")
@@ -271,6 +275,7 @@ def build_parser() -> Parser:
     p.add_argument("--grid", type=int_at_least(2), default=601)
 
     p = subs.add_parser("ingest-run", help="murmuration series for an ingested family")
+    p.set_defaults(handler=_cmd_ingest_run)
     _add_common(p)
     _add_phi(p)
     p.add_argument("--file", required=True, help="murmur-family v1 input file")
@@ -322,27 +327,24 @@ def _emit_series(args, name, outputs, title, refs=None) -> None:
         _summarize_series(name if i == 0 else f"{name}-minus", ser, None if ref is None else ref[1])
 
 
-def _cmd_dirichlet(args) -> int:
+def _cmd_dirichlet(args) -> None:
     phi = _parse_phi(args.phi)
-    sign = _parse_sign(args.sign)
+    classes = _sign_classes(args.sign)
     y_range = _y_range(args)
     primes = arith.prime_grid(args.x, *y_range)
-    classes = (1, -1) if sign == "both" else (sign,)
     series = families.quadratic_series(args.x, phi, classes, primes, normalization=args.normalization)
     outputs = [
         (f"sign {cls:+d}", frame.bin_series(ser, args.bins, y_range=y_range))
         for cls, ser in zip(classes, series)
     ]
     _emit_series(args, "dirichlet", outputs, f"quadratic family, X={args.x:g}")
-    return 0
 
 
-def _cmd_petersson(args) -> int:
+def _cmd_petersson(args) -> None:
     phi = _parse_phi(args.phi)
-    sign = _parse_sign(args.sign)
+    signs = _sign_classes(args.sign)
     K = args.k
     primes = arith.prime_grid(petersson.window_scale(K), *_y_range(args))
-    signs = (1, -1) if sign == "both" else (sign,)
     outputs = [
         (f"sign {s:+d}", petersson.harmonic_series(
             K, primes, phi, s, tail_tol=args.tail_tol, density_normalized=not args.raw
@@ -355,41 +357,37 @@ def _cmd_petersson(args) -> int:
         ref = densities.harmonic_murmuration_density(outputs[0][1].y, phi, 1)
         refs = [(f"reference density {s:+d}", s * ref) for s in signs]
     _emit_series(args, "petersson", outputs, f"weight aspect, K={K:g}", refs)
-    return 0
 
 
-def _cmd_symsq(args) -> int:
+def _cmd_symsq(args) -> None:
     phi = _parse_phi(args.phi)
     primes = arith.prime_grid(1.0, 0.0, args.p_max)
     ser = petersson.symsq_series(args.k, primes, phi, tail_tol=args.tail_tol)
     _emit_series(args, "symsq", [("symmetric square", ser)], f"symmetric-square mode, K={args.k:g}")
-    return 0
 
 
-def _cmd_density_ils(args) -> int:
+def _cmd_density_ils(args) -> None:
     phi = _parse_phi(args.phi)
-    sign = _parse_sign(args.sign)
-    if sign == "both":
+    signs = _sign_classes(args.sign)
+    if len(signs) != 1:
         raise _UsageError("density-ils needs a single sign")
     ys = np.linspace(*_y_range(args), args.grid)
-    vals = densities.harmonic_murmuration_density(ys, phi, sign)
+    vals = densities.harmonic_murmuration_density(ys, phi, signs[0])
     write(args.out, args.svg, "y,value", [(ys, vals)], "weight-aspect murmuration density", [("density", ys, vals)])
     i = int(np.argmax(np.abs(vals)))
     print(f"density-ils: peak y={ys[i]:.6g} value={vals[i]:.6g} samples={len(ys)}")
-    return 0
 
 
-def _cmd_density_nu(args) -> int:
+def _cmd_density_nu(args) -> None:
     dist, tail = densities.window_murmuration_density((args.e_min, args.e_max), args.q_max, args.prefactor)
     write(args.out, args.svg, "y,value", [()], "atomic murmuration density", dist=dist)
     total = dist.total_atom_mass()
     print(
         f"density-nu: atoms={len(dist.locations)} total-mass={total:.6g} tail-bound={tail:.3g}"
     )
-    return 0
 
 
-def _cmd_old_kernel(args) -> int:
+def _cmd_old_kernel(args) -> None:
     if args.x_max <= 0:
         raise _UsageError(f"--x-max must be > 0, got {args.x_max:g}")
     if math.isinf(2.0 * args.x_max):
@@ -403,10 +401,9 @@ def _cmd_old_kernel(args) -> int:
     write(args.out, args.svg, "y,value", [(xs, vals)], "one-level-density kernel", [(label, xs, vals)], dist)
     i = int(np.argmax(np.abs(vals)))
     print(f"old-kernel: peak x={xs[i]:.6g} value={vals[i]:.6g} atoms={len(dist.locations)}")
-    return 0
 
 
-def _cmd_ingest_run(args) -> int:
+def _cmd_ingest_run(args) -> None:
     family = families.ingest(args.file)
     if not len(family):
         raise DataError(f"{args.file}: family has no records")
@@ -418,28 +415,18 @@ def _cmd_ingest_run(args) -> int:
     ser = family.murmuration_series(args.x, phi, primes, normalization=args.normalization)
     _emit_series(args, "ingest-run", [("ingested family", ser)], f"ingested family, X={args.x:g}")
     print(f"ingest-run: digest={family.source_digest:016x} records={len(family)}")
-    return 0
 
-
-_COMMANDS = {
-    "dirichlet": _cmd_dirichlet,
-    "petersson": _cmd_petersson,
-    "symsq": _cmd_symsq,
-    "density-ils": _cmd_density_ils,
-    "density-nu": _cmd_density_nu,
-    "old-kernel": _cmd_old_kernel,
-    "ingest-run": _cmd_ingest_run,
-}
 
 
 def run(parser, command, argv=None) -> int:
-    """``command``'s exit code on the options ``argv`` parsed by ``parser``, or
-    one stderr line and the exit code of the usage, library, memory or i/o error."""
+    """Run ``command`` on the options ``argv`` parsed by ``parser``: 0 when it
+    returns, else one stderr line and the exit code of the usage, library,
+    memory or i/o error."""
     try:
-        return command(parser.parse_args(argv))
+        command(parser.parse_args(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
     except MurmurError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -448,11 +435,12 @@ def run(parser, command, argv=None) -> int:
         return SizeError.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return DataError.exit_code
+    return 0
 
 
 def main(argv=None) -> int:
-    return run(build_parser(), lambda args: _COMMANDS[args.command](args), argv)
+    return run(build_parser(), lambda args: args.handler(args), argv)
 
 
 if __name__ == "__main__":

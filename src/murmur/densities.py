@@ -129,12 +129,14 @@ def _moduli_bounds(y, phi: WeightFunction) -> tuple[np.ndarray, np.ndarray]:
 def harmonic_murmuration_density(y, phi: WeightFunction, sign: int, tables: Optional[ArithTables] = None):
     """Closed-form weight-aspect density at y = p / X; exact finite sum.
 
-    ``y`` is a float (returns a float) or an array (returns an array of
-    its shape); each value adds its terms in ascending c.
+    ``y`` is a finite float (returns a float) or an array of them (returns
+    an array of its shape); each value adds its terms in ascending c.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +-1, got {sign}")
     ys = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(ys).all():
+        raise DomainError("the density needs finite y")
     c_lo, c_hi = _moduli_bounds(ys, phi)
     c_max = int(c_hi.max(initial=0))
     tables = covering(tables, c_max)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all murmur modules.
 
-Each category maps to one CLI exit code: usage/domain problems are 1,
-data problems 2, accuracy problems 3, empty averaging windows 4.
+Each category maps to one CLI exit code, its class's ``exit_code``:
+usage/domain problems are 1, data problems 2, accuracy problems 3, empty
+averaging windows 4.  A subclass inherits the code of its category.
 """
 
 
@@ -14,13 +15,9 @@ class MurmurError(Exception):
 class DomainError(MurmurError):
     """Arguments outside the supported domain of an operation."""
 
-    exit_code = 1
-
 
 class SizeError(DomainError):
     """Requested table or sum size exceeds what the platform supports."""
-
-    exit_code = 1
 
 
 class DataError(MurmurError):
@@ -31,8 +28,6 @@ class DataError(MurmurError):
 
 class CoverageError(DataError):
     """A coefficient lookup beyond what the data source provides."""
-
-    exit_code = 2
 
 
 class AccuracyError(MurmurError):

@@ -113,9 +113,11 @@ def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, table
     """(value, tail_bound, cutoff) of ``petersson_delta(k, m, n)`` over the
     grid ``ks`` x ``ns``, as arrays of shape (len(ks), len(ns)).
 
-    Cutoffs come from one masked search (start at max(1, floor(A/(k-1)))
-    with A = 4 pi sqrt(mn), double until the tail bound holds, bisect in
-    [C/2, C]).  Sorted by descending cutoff, the cells with a term at
+    Cutoffs come from one masked search (start at floor(A/(k-1)) with
+    A = 4 pi sqrt(mn), clipped to [1, _CUTOFF_BUDGET]; double, at most to
+    the budget, until the tail bound holds; bisect in [C/2, C]).  A cell
+    whose bound at the budget still exceeds ``tail_tol`` raises
+    AccuracyError.  Sorted by descending cutoff, the cells with a term at
     modulus c are a prefix; ``_blocks`` cuts the (c, cell) pairs into
     blocks of at most ``_BESSEL_BLOCK``, each one ``bessel_j`` call.  The
     loop over c adds the terms in ascending c, from one
@@ -137,13 +139,12 @@ def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, table
     lgamma_k = np.array([math.lgamma(kk) for kk in ks]).reshape(-1, 1)
     A = 4.0 * math.pi * np.sqrt(m * ns)
     g0 = np.gcd(m, ns)
-    C = np.maximum(1, (A / (k - 1)).astype(np.int64))
+    C = np.clip((A / (k - 1)).astype(np.int64), 1, _CUTOFF_BUDGET)
     while True:
         over = _log_tail_bound(k, lgamma_k, A, g0, C) > log_tol
         if not over.any():
             break
-        C = np.where(over, 2 * C, C)
-        blown = np.argwhere(over & (C > _CUTOFF_BUDGET))
+        blown = np.argwhere(over & (C == _CUTOFF_BUDGET))
         if len(blown):
             i, j = blown[0]
             raise AccuracyError(
@@ -151,6 +152,7 @@ def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, table
                 f"{_CUTOFF_BUDGET} for k={ks[i]}, 4*pi*sqrt(mn)={A[j]:.3g}",
                 estimate=math.exp(min(700.0, _log_tail_bound(k, lgamma_k, A, g0, _CUTOFF_BUDGET)[i, j])),
             )
+        C = np.where(over, np.minimum(2 * C, _CUTOFF_BUDGET), C)
     # every hi certifies the tolerance, so settled cells (lo == hi) stay put
     lo, hi = np.maximum(1, C // 2), C
     while np.any(lo < hi):

@@ -53,8 +53,8 @@ class WeightFunction:
     mass: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise DomainError(f"support requires a < b, got [{self.a}, {self.b}]")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise DomainError(f"support requires finite a < b, got [{self.a}, {self.b}]")
 
     @property
     def support(self) -> tuple[float, float]:

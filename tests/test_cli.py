@@ -351,6 +351,12 @@ def test_exit_usage():
     assert run_cli(["nonsense"]) == 1
 
 
+def test_density_ils_both_signs_is_a_usage_error(tmp_path, capsys):
+    assert run_cli(["density-ils", "--sign", "both", "--svg", "--out", str(tmp_path / "ils")]) == 1
+    assert capsys.readouterr() == ("", "usage error: density-ils needs a single sign\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_options_a_command_does_not_read_are_usage_errors(tmp_path):
     out = str(tmp_path / "o")
     assert run_cli(["dirichlet", "--x", "100", "--quad-tol", "1e-3", "--out", out]) == 1

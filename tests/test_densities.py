@@ -23,6 +23,13 @@ def test_density_zero_below_support(tables):
     assert densities.harmonic_murmuration_density(y, BUMP, 1, tables) == 0.0
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, [0.01, math.nan]], ids=str)
+def test_density_needs_finite_y(y):
+    # nan once failed with a bare ValueError and inf with an OverflowError
+    with pytest.raises(DomainError, match="finite y"):
+        densities.harmonic_murmuration_density(y, BUMP, 1)
+
+
 def test_density_single_term_window(tables):
     # y placed so only c = 1 contributes
     y = 1.5 / (16 * PI**2)

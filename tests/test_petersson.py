@@ -70,6 +70,20 @@ def test_small_weight_accuracy_error():
         petersson.petersson_delta(4, 1, 1)
 
 
+def test_cutoff_search_stops_at_its_budget(monkeypatch):
+    # the search once doubled 16 -> 32 past the budget and raised, although 18 certifies the first tolerance
+    monkeypatch.setattr(petersson, "_CUTOFF_BUDGET", 20)
+
+    def bound(C):
+        return math.exp(petersson._log_tail_bound(4.0, math.lgamma(4.0), 4.0 * math.pi, 1, C))
+
+    assert petersson.petersson_delta(4, 1, 1, tail_tol=bound(18)).cutoff == 18
+    tail_tol = 0.99 * bound(20)
+    with pytest.raises(AccuracyError, match="cutoff budget 20") as failure:
+        petersson.petersson_delta(4, 1, 1, tail_tol=tail_tol)
+    assert failure.value.estimate > tail_tol
+
+
 def test_delta_validation():
     with pytest.raises(DomainError):
         petersson.petersson_delta(11, 1, 1)
@@ -291,6 +305,14 @@ def test_series_carry_certified_tail_bound(tables, mode, tol):
     binned = frame.bin_series(default, 3)
     assert len(binned.meta["tail_bound"]) == len(binned)
     assert np.all(np.abs(binned.value - frame.bin_series(tighter, 3).value) <= binned.meta["tail_bound"])
+
+
+def test_series_bound_is_inf_when_the_normalization_is_not_certified():
+    # at tail_tol 10 the bound on the n = 1 window sum exceeds the sum itself, so no ratio is bounded
+    primes = arith.prime_grid(121.0, 0.004, 0.2)
+    series = petersson.harmonic_series(12.0, primes, BUMP, 1, tail_tol=10)
+    assert len(series) == len(primes) > 0
+    assert np.all(np.isinf(series.meta["tail_bound"]))
 
 
 def test_harmonic_series_requires_a_sign_class(tables):

@@ -1,7 +1,8 @@
-"""Every public module-level function and class of the library has a
-reader outside its own definition: library code, scripts, the benchmark
-harness or the acceptance suite.  A name only the unit tests call is
-test code living in the library.  Every private module-level function
+"""Every public module-level function, class and constant of the library
+has a reader outside its own definition: library code, scripts, the
+benchmark harness or the acceptance suite.  A name only the unit tests
+call is test code living in the library, and a constant nothing reads
+is a second owner of a fact.  Every private module-level function
 and class and every private method has a reader in the library or the
 scripts: a helper nothing calls is dead code."""
 
@@ -25,11 +26,17 @@ def _references(path):
             yield node.name, node.lineno
 
 
-def test_every_public_library_name_has_a_reader():
+def _readers(paths):
+    """Each identifier of the files, mapped to the (path, line) pairs where it occurs."""
     readers = {}
-    for path in READERS:
+    for path in paths:
         for name, line in _references(path):
             readers.setdefault(name, set()).add((path, line))
+    return readers
+
+
+def test_every_public_library_name_has_a_reader():
+    readers = _readers(READERS)
     orphans = [
         f"{path.stem}.{node.name}"
         for path in LIBRARY
@@ -37,6 +44,27 @@ def test_every_public_library_name_has_a_reader():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and not readers.get(node.name, set()) - {(path, node.lineno)}
+    ]
+    assert orphans == []
+
+
+def _public_constants(path):
+    """(name, line) of each module-level assignment target of the file whose name does not start with '_'."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, name.lineno
+
+
+def test_every_public_library_constant_has_a_reader():
+    readers = _readers(READERS)
+    orphans = [
+        f"{path.stem}.{name}"
+        for path in LIBRARY
+        for name, line in _public_constants(path)
+        if not readers.get(name, set()) - {(path, line)}
     ]
     assert orphans == []
 
@@ -56,10 +84,7 @@ def _private_definitions(path):
 
 
 def test_every_private_helper_has_a_reader_in_the_program():
-    readers = {}
-    for path in PROGRAM:
-        for name, line in _references(path):
-            readers.setdefault(name, set()).add((path, line))
+    readers = _readers(PROGRAM)
     orphans = [
         f"{path.stem}.{node.name}"
         for path in LIBRARY

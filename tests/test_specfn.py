@@ -174,6 +174,18 @@ def test_bump_domain_error():
         specfn.bump(-1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: specfn.indicator(1.0, math.inf), lambda: specfn.bump(1.0, math.inf),
+     lambda: specfn.WeightFunction(-math.inf, 1.0, lambda x: 0.0 * x, mass=1.0)],
+    ids=["indicator", "bump", "WeightFunction"],
+)
+def test_weight_support_must_be_finite(make):
+    # indicator(1, inf) was once accepted, and quadratic_series then failed with a bare OverflowError
+    with pytest.raises(DomainError, match="finite"):
+        make()
+
+
 def test_indicator_includes_endpoints():
     phi = specfn.indicator(1.0, 2.0)
     assert phi(1.0) == 1.0
