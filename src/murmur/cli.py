@@ -3,7 +3,8 @@
 Every command and every script in ``scripts/`` writes its files through
 one writer, ``write``: ``<out>.csv`` (and ``<out>-minus.csv`` for the
 minus sign class) from numpy columns, each value as its shortest
-round-trip repr, and ``<out>.svg`` with --svg.  The scripts share the
+round-trip repr, formatted a block of columns at a time by ``numtext``,
+and ``<out>.svg`` with --svg.  The scripts share the
 ``Parser``, the option types and ``run``, whose exit code is 0 on success
 and otherwise the ``exit_code`` of the error's class in ``errors``: 1
 usage, domain or size (out of memory included; an integer option below
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import arith, densities, families, frame, petersson, specfn
+from . import arith, densities, families, frame, numtext, petersson, specfn
 from .errors import DataError, DomainError, MurmurError, SizeError
 
 
@@ -64,14 +65,15 @@ def int_at_least(low: int):
 def emit_csv(path, header, columns=(), dist=None) -> None:
     """Write the atoms of ``dist`` (a DistributionValue, if given) as
     `#atom location mass` comment lines, a header, then one row per index
-    of the numpy ``columns``.  Every value is the repr of its ``tolist()``
-    value: the shortest round-trip decimal of a float, the digits of an
-    int.  The atom lines are streamed, one write per block of the columns."""
-    with open(path, "w", newline="\n") as fh:
+    of the numpy ``columns``.  Every value is written by ``numtext`` as the
+    repr of its ``tolist()`` value: the shortest round-trip decimal of a
+    float, the digits of an int.  The atom lines are streamed, one write
+    per block of the columns."""
+    with open(path, "wb") as fh:
         for locs, masses in () if dist is None else dist.atom_blocks():
-            fh.write("".join(f"#atom {loc!r} {mass!r}\n" for loc, mass in zip(locs.tolist(), masses.tolist())))
-        fh.write(header + "\n")
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in zip(*(col.tolist() for col in columns))))
+            fh.writelines(numtext.lines((locs, masses), b" ", b"#atom "))
+        fh.write(header.encode() + b"\n")
+        fh.writelines(numtext.lines(columns))
 
 
 def _pixels(width, height, pad, x_range, y_range):

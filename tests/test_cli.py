@@ -53,6 +53,44 @@ def test_emit_csv_writes_python_reprs_of_numpy_columns(tmp_path):
         "y,value,count\n0.30000000000000004,-0.30000000000000004,7\n"
         "-0.0,0.0,1099511627776\n5e-324,-5e-324,1\n"
     )
+    # one value per layout and special value of the formatter
+    texts = [
+        "nan", "nan", "inf", "-inf", "0.0", "-0.0", "0.0001", "9.999999999999999e-05", "1e-05",
+        "9999999999999998.0", "1e+16", "9007199254740994.0", "1e+23", "1.7976931348623157e+308",
+        "2.2250738585072014e-308", "5e-324",
+    ]
+    finfo = np.finfo(np.float64)
+    values = np.array([
+        np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 0.0001, 9.999999999999999e-05, 1e-05,
+        9999999999999998.0, 1e16, 2.0**53 + 2, 1e23, finfo.max, finfo.tiny, finfo.smallest_subnormal,
+    ])
+    assert np.signbit(values[1]) and texts == [repr(v) for v in values.tolist()]
+    ints = np.array([-(2**63), 2**63 - 1] * 8, dtype=np.int64)
+    cli.emit_csv(path, "value,count", (values, ints))
+    assert path.read_text().splitlines() == ["value,count", *(f"{t},{n}" for t, n in zip(texts, ints.tolist()))]
+
+
+def test_emit_csv_matches_repr_on_random_bit_patterns(tmp_path):
+    # every biased exponent, both signs, subnormals, nan and inf; every power
+    # of two; +-10^k; integers of every length
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2**64, size=200_001, dtype=np.uint64)
+    assert len(np.unique(bits >> 52 & 0x7FF)) == 2048
+    values = np.concatenate([
+        bits.view(np.float64),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        [s * 10.0**k for k in range(-300, 301) for s in (1, -1)],
+    ])
+    columns = np.array_split(values, 3)
+    n = len(columns[-1])
+    counts = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64) >> rng.integers(0, 64, n)
+    columns = [c[:n] for c in columns] + [counts]
+    path = tmp_path / "oracle.csv"
+    cli.emit_csv(path, "a,b,c,count", columns)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "a,b,c,count"
+    expect = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+    assert len(lines) == n + 1 and lines[1:] == expect
 
 
 def test_emit_atoms_streamed_in_blocks(tmp_path, monkeypatch):
