@@ -13,6 +13,13 @@ sampling range are usage errors), 2 data (i/o included), 3 accuracy, 4
 window.  Each subcommand's parser carries its handler.  Output is
 deterministic: identical configuration and input files produce
 byte-identical CSV.
+
+One table, ``_COMMANDS``, holds each subcommand's help, handler and
+options.  ``main`` builds the parser of the subcommand that its first
+argument names, and the parser of every subcommand only when it names
+none (``murmur``, ``murmur --help``, an unknown command), so a command
+pays for its own options alone.  ``murmur --help`` prints this
+docstring up to this paragraph.
 """
 
 import argparse
@@ -168,24 +175,6 @@ def emit_svg(path, overlays, dist=None, title="") -> None:
 # argument plumbing
 
 
-def _add_common(sub):
-    sub.add_argument("--out", required=True, help="output path prefix (writes <out>.csv)")
-    sub.add_argument("--svg", action="store_true", help="also write <out>.svg")
-
-
-def _add_phi(sub):
-    sub.add_argument(
-        "--phi", nargs=3, metavar=("KIND", "A", "B"), default=("indicator", "1", "2"),
-        help="weight function: 'bump A B' or 'indicator A B' (default indicator 1 2)",
-    )
-
-
-def _add_tail_tol(sub):
-    sub.add_argument(
-        "--tail-tol", type=finite_float, default=1e-12, help="trace-formula tail tolerance (> 0)"
-    )
-
-
 def _parse_phi(spec) -> specfn.WeightFunction:
     kind, a, b = spec
     try:
@@ -215,76 +204,6 @@ def _sign_classes(text) -> tuple[int, ...]:
     if text == "both":
         return (1, -1)
     raise _UsageError(f"sign must be +1, -1 or both, got {text!r}")
-
-
-def build_parser() -> Parser:
-    parser = Parser(prog="murmur", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("dirichlet", help="quadratic-character murmuration series")
-    p.set_defaults(handler=_cmd_dirichlet)
-    _add_common(p)
-    _add_phi(p)
-    p.add_argument("--x", type=finite_float, required=True, help="conductor window scale X")
-    p.add_argument("--sign", default="+1", help="discriminant sign class: +1, -1 or both")
-    p.add_argument("--bins", type=int_at_least(1), default=200, help="y-bins for the series (>=1)")
-    p.add_argument("--y-min", type=finite_float, default=0.05)
-    p.add_argument("--y-max", type=finite_float, default=1.0)
-    p.add_argument("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
-
-    p = subs.add_parser("petersson", help="weight-aspect harmonic murmuration series")
-    p.set_defaults(handler=_cmd_petersson)
-    _add_common(p)
-    _add_phi(p)
-    _add_tail_tol(p)
-    p.add_argument("--k", type=finite_float, required=True, help="central weight K (scale X = (K-1)^2)")
-    p.add_argument("--sign", default="+1")
-    p.add_argument("--y-min", type=finite_float, default=0.004)
-    p.add_argument("--y-max", type=finite_float, default=0.055)
-    p.add_argument("--raw", action="store_true", help="skip the density normalization bridge")
-
-    p = subs.add_parser("symsq", help="symmetric-square murmuration series")
-    p.set_defaults(handler=_cmd_symsq)
-    _add_common(p)
-    _add_phi(p)
-    _add_tail_tol(p)
-    p.add_argument("--k", type=finite_float, required=True)
-    p.add_argument("--p-max", type=int_at_least(2), default=97, help="largest prime sampled")
-
-    p = subs.add_parser("density-ils", help="closed-form weight-aspect density")
-    p.set_defaults(handler=_cmd_density_ils)
-    _add_common(p)
-    _add_phi(p)
-    p.add_argument("--sign", default="+1")
-    p.add_argument("--y-min", type=finite_float, default=0.004)
-    p.add_argument("--y-max", type=finite_float, default=0.055)
-    p.add_argument("--grid", type=int_at_least(2), default=400, help="number of y samples")
-
-    p = subs.add_parser("density-nu", help="atomic prime-window density on an interval")
-    p.set_defaults(handler=_cmd_density_nu)
-    _add_common(p)
-    p.add_argument("--e-min", type=finite_float, required=True)
-    p.add_argument("--e-max", type=finite_float, required=True)
-    p.add_argument("--q-max", type=int_at_least(1), default=500)
-    p.add_argument("--prefactor", type=finite_float, default=1.0)
-
-    p = subs.add_parser("old-kernel", help="one-level-density kernels and transforms")
-    p.set_defaults(handler=_cmd_old_kernel)
-    _add_common(p)
-    p.add_argument("--parity", choices=("even", "odd"), default="even")
-    p.add_argument("--hat", action="store_true", help="emit the Fourier side")
-    p.add_argument("--x-max", type=finite_float, default=3.0)
-    p.add_argument("--grid", type=int_at_least(2), default=601)
-
-    p = subs.add_parser("ingest-run", help="murmuration series for an ingested family")
-    p.set_defaults(handler=_cmd_ingest_run)
-    _add_common(p)
-    _add_phi(p)
-    p.add_argument("--file", required=True, help="murmur-family v1 input file")
-    p.add_argument("--x", type=finite_float, required=True)
-    p.add_argument("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
-    p.add_argument("--p-max", type=int_at_least(2), default=None, help="largest prime sampled (default: coverage)")
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +334,93 @@ def _cmd_ingest_run(args) -> None:
     print(f"ingest-run: digest={family.source_digest:016x} records={len(family)}")
 
 
+# ---------------------------------------------------------------------------
+# the command table
+
+
+def _option(*flags, **settings):
+    """The arguments of one ``add_argument`` call."""
+    return flags, settings
+
+
+_COMMON = (
+    _option("--out", required=True, help="output path prefix (writes <out>.csv)"),
+    _option("--svg", action="store_true", help="also write <out>.svg"),
+)
+_PHI = _option(
+    "--phi", nargs=3, metavar=("KIND", "A", "B"), default=("indicator", "1", "2"),
+    help="weight function: 'bump A B' or 'indicator A B' (default indicator 1 2)",
+)
+_TAIL_TOL = _option("--tail-tol", type=finite_float, default=1e-12, help="trace-formula tail tolerance (> 0)")
+_NORMALIZATION = _option("--normalization", choices=frame.NORMALIZATIONS, default="raw_sqrtp")
+
+# name: (help, handler, options in their --help order)
+_COMMANDS = {
+    "dirichlet": ("quadratic-character murmuration series", _cmd_dirichlet, (
+        *_COMMON, _PHI,
+        _option("--x", type=finite_float, required=True, help="conductor window scale X"),
+        _option("--sign", default="+1", help="discriminant sign class: +1, -1 or both"),
+        _option("--bins", type=int_at_least(1), default=200, help="y-bins for the series (>=1)"),
+        _option("--y-min", type=finite_float, default=0.05),
+        _option("--y-max", type=finite_float, default=1.0),
+        _NORMALIZATION,
+    )),
+    "petersson": ("weight-aspect harmonic murmuration series", _cmd_petersson, (
+        *_COMMON, _PHI, _TAIL_TOL,
+        _option("--k", type=finite_float, required=True, help="central weight K (scale X = (K-1)^2)"),
+        _option("--sign", default="+1"),
+        _option("--y-min", type=finite_float, default=0.004),
+        _option("--y-max", type=finite_float, default=0.055),
+        _option("--raw", action="store_true", help="skip the density normalization bridge"),
+    )),
+    "symsq": ("symmetric-square murmuration series", _cmd_symsq, (
+        *_COMMON, _PHI, _TAIL_TOL,
+        _option("--k", type=finite_float, required=True),
+        _option("--p-max", type=int_at_least(2), default=97, help="largest prime sampled"),
+    )),
+    "density-ils": ("closed-form weight-aspect density", _cmd_density_ils, (
+        *_COMMON, _PHI,
+        _option("--sign", default="+1"),
+        _option("--y-min", type=finite_float, default=0.004),
+        _option("--y-max", type=finite_float, default=0.055),
+        _option("--grid", type=int_at_least(2), default=400, help="number of y samples"),
+    )),
+    "density-nu": ("atomic prime-window density on an interval", _cmd_density_nu, (
+        *_COMMON,
+        _option("--e-min", type=finite_float, required=True),
+        _option("--e-max", type=finite_float, required=True),
+        _option("--q-max", type=int_at_least(1), default=500),
+        _option("--prefactor", type=finite_float, default=1.0),
+    )),
+    "old-kernel": ("one-level-density kernels and transforms", _cmd_old_kernel, (
+        *_COMMON,
+        _option("--parity", choices=("even", "odd"), default="even"),
+        _option("--hat", action="store_true", help="emit the Fourier side"),
+        _option("--x-max", type=finite_float, default=3.0),
+        _option("--grid", type=int_at_least(2), default=601),
+    )),
+    "ingest-run": ("murmuration series for an ingested family", _cmd_ingest_run, (
+        *_COMMON, _PHI,
+        _option("--file", required=True, help="murmur-family v1 input file"),
+        _option("--x", type=finite_float, required=True),
+        _NORMALIZATION,
+        _option("--p-max", type=int_at_least(2), default=None, help="largest prime sampled (default: coverage)"),
+    )),
+}
+
+
+def build_parser(command=None) -> Parser:
+    """The ``murmur`` parser with every subcommand, or with ``command``'s alone."""
+    parser = Parser(prog="murmur", description=__doc__.rpartition("\n\n")[0])
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        summary, handler, options = _COMMANDS[name]
+        sub = subs.add_parser(name, help=summary)
+        sub.set_defaults(handler=handler)
+        for flags, settings in options:
+            sub.add_argument(*flags, **settings)
+    return parser
+
 
 def run(parser, command, argv=None) -> int:
     """Run ``command`` on the options ``argv`` parsed by ``parser``: 0 when it
@@ -438,7 +444,11 @@ def run(parser, command, argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    return run(build_parser(), lambda args: args.handler(args), argv)
+    """Run ``murmur`` on ``argv`` (default ``sys.argv[1:]``) with the parser of
+    the command that ``argv[0]`` names, or of every command when it names none."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    return run(build_parser(command), lambda args: args.handler(args), argv)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,11 @@ point would fall more than 16 digits after the first digit, otherwise
 as ``0.00015``, ``12.5`` or ``1500.0``; ``nan`` for every NaN, ``inf``,
 ``-inf``, ``0.0``, ``-0.0``.  An integer column becomes its plain
 digits.  ``lines`` turns columns into rows of bytes, one buffer per
-block of rows.  The tables are built on first use, so importing this
-module costs nothing.
+block of rows.  A call of fewer than ``_SHORT`` rows writes each value by
+``repr`` itself, the definition of the text, which costs less there than
+the column pipeline.  The pipeline's tables are built by the first call
+that runs it, and each layout's gather the first time a value takes it,
+so importing this module, or writing only short columns, builds none.
 """
 
 import functools
@@ -19,6 +22,10 @@ from types import SimpleNamespace
 import numpy as np
 
 _BLOCK = 1 << 12  # rows per buffer: bounds the temporaries, about 150 bytes a value
+# rows below which a call writes by repr: the pipeline's fixed cost beats
+# repr's per-value cost from about 500 rows once the tables exist, and from
+# about 1000-1500 rows on a process's first call, which builds them
+_SHORT = 1000
 _WIDTH = 24  # the longest text, "-1.2345678901234567e-308"
 _M32 = 0xFFFFFFFF
 
@@ -58,6 +65,17 @@ def _layout(code):
     return [*digits, *[_ZERO] * (decpt - ndigits), _DOT, _ZERO]
 
 
+@functools.cache
+def _gather(key):
+    """The source columns of the text of layout ``key`` (a negative value's
+    code plus _CODES), padded to _WIDTH: made the first time a key is used."""
+    negative, code = divmod(key, _CODES)
+    text = ([_MINUS] if negative and code != _NAN else []) + _layout(code)
+    columns = np.array(text + [_PAD] * (_WIDTH - len(text)), dtype=np.intp)
+    columns.flags.writeable = False
+    return columns
+
+
 def _multipliers():
     """d2s's 126-bit multipliers as (4, 668) 32-bit limbs: floor(2^(124 + bitlen
     5^q) / 5^q) + 1 for q < 342, then 5^i scaled to 125 bits for i < 326."""
@@ -70,11 +88,6 @@ def _multipliers():
     return words.reshape(-1, 4).T.astype(np.uint64)
 
 
-def _ascii(values, places):
-    """The decimal digits of the non-negative ints ``values``, ``places`` ASCII bytes each."""
-    return np.stack([values // 10**k % 10 for k in reversed(range(places))], axis=1).astype(np.uint8) + ord("0")
-
-
 @functools.cache
 def _tables():
     """The read-only tables.  Per biased IEEE exponent: d2s's multiplier as
@@ -82,8 +95,8 @@ def _tables():
     bounds, q, whether the exponent takes d2s's rarer trailing-zero rules,
     and a mask whose zero AND with mv says the digits dropped from vr are
     all zeros (e2 < 0 and q < 63; 0 where q <= 1, all ones elsewhere).
-    Then 5^q for q <= 21, 10^k for k <= 19, the 4-digit groups 0000-9999
-    and the exponent texts as little-endian uint32, and the layouts."""
+    Then 5^q for q <= 21, 10^k for k <= 19, and the 4-digit groups
+    0000-9999 and the exponent texts as little-endian uint32."""
     e2 = np.maximum(np.arange(2048), 1) - 1077  # 1023 + 52, less 2 for the bounds' two extra bits
     up = e2 >= 0
     q = np.where(up, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (e2 < -1))
@@ -91,11 +104,10 @@ def _tables():
     pow5bits = (np.where(up, q, i) * 1217359 >> 19) + 1
     zero_mask = np.where(q <= 1, 0, np.where(q < 63, (1 << np.minimum(q, 62)) - 1, -1))
     zero_mask[up] = -1
-    texts = [_layout(code) for code in range(_CODES)]
-    texts += [text if code == _NAN else [_MINUS, *text] for code, text in enumerate(texts)]
-    texts = [bytes(text).ljust(_WIDTH, bytes([_PAD])) for text in texts]
+    digits = np.arange(ord("0"), ord("9") + 1, dtype="<u4")
     exponents = np.arange(-400, 400)
-    signs = np.where(exponents < 0, ord("-"), ord("+")).astype(np.uint8)[:, None]
+    exponent_texts = np.abs(exponents)[:, None] // [100, 10, 1] % 10 + ord("0")
+    exponent_texts = np.concatenate([exponent_texts, np.where(exponents < 0, ord("-"), ord("+"))[:, None]], axis=1)
     tables = SimpleNamespace(
         limbs=_multipliers()[:, np.where(up, q, 342 + i)],
         shift=np.where(up, q - e2 + pow5bits + 124, q - pow5bits + 125),  # in [118, 125]
@@ -105,9 +117,8 @@ def _tables():
         zero_mask=zero_mask.astype(np.int64).view(np.uint64),
         pow5=np.array([5**k for k in range(22)], dtype=np.uint64),
         pow10=np.array([10**k for k in range(20)], dtype=np.uint64),
-        groups=_ascii(np.arange(10000), 4).view("<u4").ravel(),
-        exponents=np.concatenate([_ascii(np.abs(exponents), 3), signs], axis=1).view("<u4").ravel(),
-        layouts=np.frombuffer(b"".join(texts), dtype=np.uint8).reshape(-1, _WIDTH),
+        groups=(digits[:, None, None, None] | digits[:, None, None] << 8 | digits[:, None] << 16 | digits << 24).ravel(),
+        exponents=exponent_texts.astype(np.uint8).view("<u4").ravel(),
     )
     for table in vars(tables).values():
         table.flags.writeable = False
@@ -214,10 +225,18 @@ def _shortest(bits):
     return kept, t.e10.take(biased) + k
 
 
+def _check(column):
+    """Raise TypeError unless ``column`` holds floats of at most 64 bits or integers."""
+    kind = column.dtype.kind
+    if not (kind in "iu" or kind == "f" and column.dtype.itemsize <= 8):
+        raise TypeError(f"cannot write a column of dtype {column.dtype} as CSV text")
+
+
 def _source(column):
     """(source rows, layout keys) of the values of a float or integer column."""
+    _check(column)
     t = _tables()
-    if column.dtype.kind == "f" and column.dtype.itemsize <= 8:
+    if column.dtype.kind == "f":
         bits = column.astype(np.float64).view(np.uint64)
         negative = bits >> 63 == 1
         bits &= (1 << 63) - 1
@@ -239,15 +258,13 @@ def _source(column):
         if special.any():
             code[special] = np.where(np.isnan(column[special]), _NAN, _INF)
         exponent = decpt - 1
-    elif column.dtype.kind in "iu":
+    else:
         values = column.astype(np.int64 if column.dtype.kind == "i" else np.uint64)
         negative = values < 0
         magnitude = values.view(np.uint64)
         magnitude = np.where(negative, ~magnitude + 1, magnitude)  # |-2^63| = 2^63 in uint64
         code = _INT + np.searchsorted(t.pow10[1:], magnitude, side="right")
         exponent = np.zeros(len(values), dtype=np.int64)
-    else:
-        raise TypeError(f"cannot write a column of dtype {column.dtype} as CSV text")
     source = np.empty((len(code), 8), dtype="<u4")
     upper = magnitude // 10**8
     lower = (magnitude - upper * 10**8).view(np.int64)
@@ -267,19 +284,34 @@ def _texts(column, out):
     """Write the texts of a column's values into the rows of ``out``, _WIDTH
     bytes each, padded with 0 bytes: the values of each layout are gathered
     from their source rows at once."""
-    layouts = _tables().layouts
     source, key = _source(np.asarray(column))
     order = np.argsort(key.astype(np.uint16), kind="stable")
     ordered = key[order]
     for rows in np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1):
-        out[rows] = source.take(rows, axis=0).take(layouts[key[rows[0]]], axis=1)
+        out[rows] = source.take(rows, axis=0).take(_gather(int(key[rows[0]])), axis=1)
+
+
+def _short_lines(columns, n, sep, prefix):
+    """The first ``n`` rows of ``columns`` as one byte buffer, each value by
+    ``repr`` of its ``tolist()`` value: the text the column pipeline writes."""
+    texts = []
+    for column in map(np.asarray, columns):
+        _check(column)
+        texts.append(map(repr, column[:n].tolist()))
+    prefix, sep = prefix.decode(), sep.decode()
+    return "".join([prefix + sep.join(row) + "\n" for row in zip(*texts)]).encode()
 
 
 def lines(columns, sep=b",", prefix=b""):
     """The rows of ``columns`` (float or integer numpy arrays of one length)
     as byte buffers, one per block of at most _BLOCK rows: each row is
-    ``prefix``, the values' ``repr`` texts joined by ``sep``, and a newline."""
+    ``prefix``, the values' ``repr`` texts joined by ``sep``, and a newline.
+    Fewer than _SHORT rows are written by ``repr`` itself, which costs less
+    there than the column pipeline and its tables."""
     n = min((len(c) for c in columns), default=0)
+    if 0 < n < _SHORT:
+        yield _short_lines(columns, n, sep, prefix)
+        return
     width = len(prefix) + len(columns) * (_WIDTH + len(sep)) - len(sep) + 1
     for start in range(0, n, _BLOCK):
         block = [c[start : min(start + _BLOCK, n)] for c in columns]

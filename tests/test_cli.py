@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 from pathlib import Path
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from murmur import arith, cli, densities, frame, petersson, specfn
+from murmur import arith, cli, densities, frame, numtext, petersson, specfn
 
 import numpy as np
 
@@ -68,6 +69,13 @@ def test_emit_csv_writes_python_reprs_of_numpy_columns(tmp_path):
     ints = np.array([-(2**63), 2**63 - 1] * 8, dtype=np.int64)
     cli.emit_csv(path, "value,count", (values, ints))
     assert path.read_text().splitlines() == ["value,count", *(f"{t},{n}" for t, n in zip(texts, ints.tolist()))]
+    # 16 rows are written by repr; the same values in a column past the
+    # threshold go through the column pipeline
+    copies = -(-numtext._SHORT // len(values))
+    cli.emit_csv(path, "value,count", (np.tile(values, copies), np.tile(ints, copies)))
+    lines = path.read_text().splitlines()
+    assert len(lines) - 1 == copies * len(values) >= numtext._SHORT
+    assert lines[1:] == [f"{t},{n}" for t, n in zip(texts, ints.tolist())] * copies
 
 
 def test_emit_csv_matches_repr_on_random_bit_patterns(tmp_path):
@@ -91,6 +99,25 @@ def test_emit_csv_matches_repr_on_random_bit_patterns(tmp_path):
     assert lines[0] == "a,b,c,count"
     expect = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     assert len(lines) == n + 1 and lines[1:] == expect
+    # a slice short enough for repr: the same text
+    start = n // 2
+    cli.emit_csv(path, "a,b,c,count", [c[start : start + numtext._SHORT - 1] for c in columns])
+    assert path.read_text().splitlines() == ["a,b,c,count", *expect[start : start + numtext._SHORT - 1]]
+
+
+REJECTED_DTYPES = [np.bool_, np.complex128] + ([np.longdouble] if np.dtype(np.longdouble).itemsize > 8 else [])
+
+
+@pytest.mark.parametrize("dtype", REJECTED_DTYPES, ids=lambda d: np.dtype(d).name)
+def test_lines_reject_the_same_dtypes_on_both_paths(dtype):
+    message = f"cannot write a column of dtype {np.dtype(dtype)} as CSV text"
+    for n in (1, numtext._SHORT - 1, numtext._SHORT, numtext._BLOCK + 1):
+        good, bad = np.arange(n, dtype=np.float64), np.ones(n, dtype=dtype)
+        for columns in ([bad], [good, bad]):
+            with pytest.raises(TypeError) as info:
+                list(numtext.lines(columns))
+            assert str(info.value) == message, n
+    assert list(numtext.lines([np.ones(0, dtype=dtype)])) == []
 
 
 def test_emit_atoms_streamed_in_blocks(tmp_path, monkeypatch):
@@ -469,7 +496,66 @@ def test_benchmark_argv_still_parses():
     for ops in workloads.WORKLOADS.values():
         for _, argv in ops:
             if argv is not None:
-                parser.parse_args([a.format(out="o", family="f") for a in argv])
+                argv = [a.format(out="o", family="f") for a in argv]
+                assert parser.parse_args(argv) == cli.build_parser(argv[0]).parse_args(argv)
+
+
+def _outcome(call, capsys):
+    """(exit code, stdout, stderr) of ``call``, with argparse's exits as codes."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _bad_argvs(command):
+    return [
+        [command],
+        [command, "--bogus"],
+        [command, "--out"],
+        [command, "--out", "o", "extra"],
+        [command, "--out", "o", "--phi", "bump"],
+        [command, "--out", "o", "--grid", "1", "--bins", "0", "--p-max", "1", "--q-max", "0"],
+        [command, "--out", "o", "--x", "nan", "--k", "inf", "--e-min", "x", "--tail-tol", "-"],
+        [command, "--out", "o", "--normalization", "none", "--parity", "none"],
+    ]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_command_parser_prints_what_the_full_parser_prints(command, capsys, monkeypatch):
+    # help, usage errors and exit codes do not depend on the sibling subcommands
+    monkeypatch.setenv("COLUMNS", "100")
+    full = cli.build_parser()
+    for argv in [[command, "--help"], [command, "-h", "--bogus"], *_bad_argvs(command)]:
+        expect = _outcome(lambda: cli.run(full, lambda args: args.handler(args), argv), capsys)
+        code, out, err = expect
+        assert (code, bool(out), bool(err)) in ((0, True, False), (1, False, True))
+        assert _outcome(lambda: cli.main(argv), capsys) == expect, argv
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["bogus", "--out", "o"], ["--out", "o", "symsq"]])
+def test_murmur_without_a_command_builds_every_subcommand(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    expect = _outcome(lambda: cli.run(cli.build_parser(), lambda args: args.handler(args), argv), capsys)
+    assert _outcome(lambda: cli.main(argv), capsys) == expect
+    if argv == ["--help"]:
+        assert all(summary in expect[1] for summary, _, _ in cli._COMMANDS.values())
+        assert "byte-identical CSV.\n" in expect[1] and "_COMMANDS" not in expect[1]
+    else:
+        assert expect[0] == 1 and expect[2].startswith("usage error: ")
+
+
+def test_a_command_builds_only_its_own_subparser(tmp_path, monkeypatch):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction, "add_parser", lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw)
+    )
+    assert cli.main(["symsq", "--k", "24", "--p-max", "13", "--out", str(tmp_path / "s")]) == 0
+    assert added == ["symsq"]
+    cli.build_parser()
+    assert added[1:] == list(cli._COMMANDS) and len(added) == 8
 
 
 @pytest.mark.parametrize("command", ["petersson", "symsq"])
@@ -549,14 +635,11 @@ def test_density_ils_sieve_covers_y_max(tmp_path):
     assert last == densities.harmonic_murmuration_density(1e6, phi, 1, arith.sieve(20000))
 
 
-def test_commands_leave_scipy_integrate_unimported(tmp_path):
-    # the perfbench commands at small sizes: none loads scipy (the import of
-    # scipy.special once cost every process about 0.3 s for one Bessel call)
-    # or numpy.ma (which scipy imported); only the one-level pairing loads
-    # scipy.integrate
+def _small_benchmark_argvs(tmp_path):
+    """The perfbench commands at small sizes."""
     (tmp_path / "fam.txt").write_text(GOOD_FAMILY)
     out = str(tmp_path / "o")
-    argvs = [
+    return [
         ["petersson", "--k", "40", "--phi", "bump", "1", "2", "--sign", "both", "--svg", "--out", out],
         ["symsq", "--k", "24", "--p-max", "13", "--phi", "bump", "1", "2", "--out", out],
         ["density-nu", "--e-min", "0.5", "--e-max", "5", "--q-max", "20", "--out", out],
@@ -565,6 +648,13 @@ def test_commands_leave_scipy_integrate_unimported(tmp_path):
         ["ingest-run", "--file", str(tmp_path / "fam.txt"), "--x", "10", "--phi", "indicator", "1", "2",
          "--out", out],
     ]
+
+
+def test_commands_leave_scipy_integrate_unimported(tmp_path):
+    # none loads scipy (the import of scipy.special once cost every process
+    # about 0.3 s for one Bessel call) or numpy.ma (which scipy imported);
+    # only the one-level pairing loads scipy.integrate
+    argvs = _small_benchmark_argvs(tmp_path)
     code = f"""
 import sys
 import murmur.cli
@@ -579,6 +669,28 @@ assert "scipy.integrate" in sys.modules
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_short_outputs_leave_the_formatter_tables_unbuilt(tmp_path):
+    # building numtext's tables once cost every command about 4 ms, more than
+    # repr takes for its short CSVs; the atoms of the benchmark's density-nu
+    # (43,166 in blocks of 4096) build them once
+    argvs = _small_benchmark_argvs(tmp_path)
+    short = [argv for argv in argvs if argv[0] != "density-nu"]
+    nu = ["density-nu", "--e-min", "0.5", "--e-max", "50", "--q-max", "400", "--out", str(tmp_path / "nu")]
+    code = f"""
+import murmur.cli
+from murmur import numtext
+for argv in {short!r}:
+    assert murmur.cli.main(argv) == 0, argv
+assert numtext._tables.cache_info().misses == numtext._gather.cache_info().misses == 0
+assert murmur.cli.main({nu!r}) == 0
+tables = numtext._tables.cache_info()
+assert tables.misses == 1 and tables.hits > 10, tables
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert len(short) == 4 and (tmp_path / "nu.csv").read_text().count("#atom ") == 43166
 
 
 def test_exit_data(tmp_path):
