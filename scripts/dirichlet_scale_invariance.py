@@ -23,7 +23,7 @@ def run(args) -> None:
     binned = {}  # X -> the binned series of the sign classes +1 and -1
     for X in (args.x, 2 * args.x):
         primes = arith.prime_grid(X, *Y_RANGE)
-        both = families.quadratic_series(X, PHI, (1, -1), primes, normalization="raw_sqrtp")
+        both = families.quadratic_murmuration(X, PHI, (1, -1), primes, normalization="raw_sqrtp")
         binned[X] = [frame.bin_series(series, args.bins, y_range=Y_RANGE) for series in both]
         tables = [(b.y, b.value, b.count) for b in binned[X]]
         args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,25 +5,24 @@ the sieve tables a reader needs, and ``is_prime`` the one prime test.
 ``ArithTables`` owns the multiplicative facts over [0, limit]: the
 squarefree mask (mu(n)^2), phi, sigma and tau.  Each is a read-only array
 built from the sieve the first time it is read, so a sieve that serves
-only a prime grid builds none of them.
+only a prime grid builds none of them.  ``_blocks`` cuts every ragged
+batch (the trace-formula kernel's (modulus, cell) pairs and the atomic
+density's (q, a) candidates) into blocks of bounded size.
 
-Kloosterman sums S(m, n; c) are evaluated two ways that share their unit
-sum, ``_unit_cosine_sum`` over the tables of ``_unit_tables`` (the units
-d of Z/cZ, their inverses from ``_powmod_vec``, and cosine and sine
-tables), and differ only in how they combine it:
+Kloosterman sums S(m, n; c) have one CRT implementation and one
+independent check.  Both read the unit sum ``_unit_cosine_sum`` over the
+tables of ``_unit_tables`` (the units d of Z/cZ, their inverses from
+``_powmod_vec``, and cosine and sine tables):
 
+* ``kloosterman_many`` takes arrays of (n, c) pairs with any moduli, the
+  batch form the trace-formula kernel calls.  It factors each c into
+  prime powers q, evaluates one unit sum per q over every pair whose
+  modulus q divides exactly, each row twisted by its own cofactor, and
+  combines the local sums by the twisted multiplicativity
+  S(m, n; q*r) = S(m*rbar, n*rbar; q) * S(m*qbar, n*qbar; r) for
+  coprime q, r.  ``kloosterman_fast`` is its call over one modulus.
 * ``kloosterman_direct`` sums cos(2*pi*(m*d + n*d^{-1})/c) over the units
   d of Z/cZ, asserting that the companion sine sum vanishes.
-* ``kloosterman_fast`` factors c into prime powers, evaluates each local
-  sum directly, and combines them with the twisted multiplicativity
-  S(m, n; q*r) = S(m*rbar, n*rbar; q) * S(m*qbar, n*qbar; r) for
-  coprime q, r.
-
-``kloosterman_many`` is the fast path over arrays of (n, c) pairs with
-any moduli, the batch form the trace-formula kernel calls: one unit sum
-per prime power q over every pair whose modulus it divides exactly, each
-row twisted by its own cofactor.  Every value has the bits of the scalar
-``kloosterman_fast`` call, which stays the entry point for one pair.
 
 Their agreement to 1e-9 absolute on dense grids checks the CRT
 combination only.  The independent check of the unit sum is the test
@@ -180,21 +179,6 @@ def _check_range(n: int, tables: ArithTables) -> None:
         raise DomainError(f"n={n} outside table range [1, {tables.limit}]")
 
 
-def factorize(n: int, tables: ArithTables) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] of n via the spf table."""
-    _check_range(n, tables)
-    spf = tables.smallest_prime_factor
-    out = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def is_squarefree(n: int, tables: ArithTables) -> bool:
     _check_range(n, tables)
     return bool(tables.squarefree[n])
@@ -247,6 +231,23 @@ def _runs(values: np.ndarray) -> list[tuple[int, int]]:
     """The (start, stop) of every run of equal consecutive entries of a 1-D array."""
     cuts = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
     return list(zip([0, *cuts], [*cuts, len(values)])) if len(values) else []
+
+
+def _blocks(counts, cap: int):
+    """The blocks of at most ``cap`` consecutive elements of a group-major
+    layout, where group g holds ``counts[g]`` elements: per block, the
+    int64 arrays (group, rank) of its elements, rank counting from 0 within
+    each group.  A group with more elements than fit is split across
+    blocks."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    starts, total = ends - counts, int(counts.sum())
+    for lo in range(0, total, cap):
+        hi = min(lo + cap, total)
+        g0, g1 = np.searchsorted(ends, [lo, hi - 1], side="right").tolist()
+        span = np.arange(g0, g1 + 1)
+        group = np.repeat(span, np.minimum(ends[span], hi) - np.maximum(starts[span], lo))
+        yield group, np.arange(lo, hi) - starts[group]
 
 
 def _unit_cosine_sum(m, n: np.ndarray, unit_tables: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -305,22 +306,14 @@ def kloosterman_direct(m: int, n, c: int):
 
 
 def kloosterman_fast(m: int, n, c: int, tables: ArithTables):
-    """S(m, n; c) via prime-power factorization of c, for an int n (a float)
-    or an int array n (an array of the same shape).
+    """S(m, n; c) for an int n (a float) or an int array n (an array of the
+    same shape): one ``kloosterman_many`` call over the one modulus c.
 
-    Each local factor is a direct unit sum mod p^e; factors combine by
-    twisted multiplicativity, twisting (m, n) by the inverse of the
-    cofactor c/p^e modulo p^e.
+    Raises DomainError for c outside [1, tables.limit].
     """
-    if c < 1:
-        raise DomainError(f"modulus c must be >= 1, got {c}")
     _check_range(c, tables)
     n = np.asarray(n, dtype=np.int64)
-    value = np.ones(n.shape)
-    for p, e in factorize(c, tables):
-        q = p**e
-        rbar = pow(c // q, -1, q)
-        value *= _unit_cosine_sum(m * rbar, n % q * rbar, _unit_tables(q))
+    value = kloosterman_many(m, n, np.full(n.shape, c), tables)
     return value if value.ndim else float(value)
 
 
@@ -352,15 +345,14 @@ def _prime_powers(c: np.ndarray, tables: ArithTables) -> tuple[np.ndarray, np.nd
 
 def kloosterman_many(m: int, n, c, tables: ArithTables) -> np.ndarray:
     """S(m, n_i; c_i) over int arrays n and c of one shape, an array of that
-    shape whose every entry has the bits of ``kloosterman_fast(m, n_i, c_i,
-    tables)``.
+    shape; the bits of each entry depend on its own pair only, never on the
+    other pairs of the call.  DomainError for a c outside [1, tables.limit].
 
     ``_prime_powers`` factors the moduli.  The local factors of each prime
     power q, over every pair whose modulus q divides exactly, are one
     ``_unit_cosine_sum`` mod q, with (m, n) twisted by the inverse of the
     cofactor c/q, read from q's unit tables; its rows are sorted by the
-    twisted m.  Each pair multiplies its factors in ascending p, as
-    ``kloosterman_fast`` does.
+    twisted m.  Each pair multiplies its factors in ascending p.
     """
     n, c = np.asarray(n, dtype=np.int64), np.asarray(c, dtype=np.int64)
     if n.shape != c.shape:
@@ -370,7 +362,7 @@ def kloosterman_many(m: int, n, c, tables: ArithTables) -> np.ndarray:
         raise DomainError(f"modulus c={bad} outside table range [1, {tables.limit}]")
     shape, n, c = c.shape, n.reshape(-1), c.reshape(-1)
     pair, power = _prime_powers(c, tables)
-    # prime powers by ascending prime: each pair multiplies its factors in the order of kloosterman_fast
+    # prime powers by ascending prime: each pair multiplies its factors in ascending p
     groups = sorted(_runs(power), key=lambda g: (int(tables.smallest_prime_factor[power[g[0]]]), g[0]))
     value = np.ones(len(c))
     for start, stop in groups:

@@ -253,7 +253,7 @@ def _cmd_dirichlet(args) -> None:
     classes = _sign_classes(args.sign)
     y_range = _y_range(args)
     primes = arith.prime_grid(args.x, *y_range)
-    series = families.quadratic_series(args.x, phi, classes, primes, normalization=args.normalization)
+    series = families.quadratic_murmuration(args.x, phi, classes, primes, normalization=args.normalization)
     outputs = [
         (f"sign {cls:+d}", frame.bin_series(ser, args.bins, y_range=y_range))
         for cls, ser in zip(classes, series)

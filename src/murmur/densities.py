@@ -44,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import _MAX_MODULUS, ArithTables, covering
+from .arith import _MAX_MODULUS, ArithTables, _blocks, covering
 from .errors import DataError, DomainError, SizeError
 from .specfn import WeightFunction, quadrature
 
@@ -162,9 +162,9 @@ def window_murmuration_density(
 
     Enumerates coprime pairs (a, q) with q <= q_max squarefree and
     (q/a)^2 in E, one numpy pass over each block of at most
-    _CANDIDATE_BLOCK consecutive candidates in q-major order, a block
-    spanning several q; more candidates in all than the sieve's
-    supported size raise SizeError before the first block.
+    _CANDIDATE_BLOCK consecutive candidates in q-major order, cut by
+    ``arith._blocks``, a block spanning several q; more candidates in all
+    than the sieve's supported size raise SizeError before the first block.
     An atom sits at an endpoint e of E when the correctly rounded
     quotient q^2/a^2 lies within _ENDPOINT_SNAP * max(1, |e|) of e; its
     mass is halved.  The atoms are returned as columns, and building
@@ -203,20 +203,14 @@ def window_murmuration_density(
         )
     first = first.astype(np.int64)
     count = last.astype(np.int64) + 2 - first
-    ends = np.cumsum(count)
-    starts, total = ends - count, int(ends[-1])  # q = 1 is always a candidate
     # in Python ints: phi(q)^2 sigma(q) passes 2^63 for prime q above about 2.1e6
     base = prefactor * 1.0 / np.array([
         float(t * t * s) for t, s in zip(tables.euler_phi[q].tolist(), tables.divisor_sigma[q].tolist())
     ])
     locs, masses = [], []
     # blocks of consecutive candidates, q-major and a ascending, each spanning one or more q
-    for g0 in range(0, total, _CANDIDATE_BLOCK):
-        g1 = min(g0 + _CANDIDATE_BLOCK, total)
-        i0, i1 = np.searchsorted(ends, [g0, g1 - 1], side="right").tolist()
-        span = np.arange(i0, i1 + 1)
-        which = np.repeat(span, np.minimum(ends[span], g1) - np.maximum(starts[span], g0))
-        a = first[which] + (np.arange(g0, g1) - starts[which])
+    for which, rank in _blocks(count, _CANDIDATE_BLOCK):
+        a = first[which] + rank
         coprime = np.gcd(a, q[which]) == 1
         a, which = a[coprime], which[coprime]
         qa = q[which]

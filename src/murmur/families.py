@@ -1,6 +1,6 @@
 """Concrete family producers.
 
-``quadratic_series`` averages the family of primitive real quadratic
+``quadratic_murmuration`` averages the family of primitive real quadratic
 characters chi_d, for fundamental discriminants d in a conductor window,
 split into sign classes by sign(d) (real characters all have root
 number +1, so sign(d) is the natural bisection).  One pass serves every
@@ -175,14 +175,17 @@ def _legendre_tables(primes: list[int], lo: int, hi: int):
         yield tiled, int(table[period - 1])
 
 
-def quadratic_series(
+def quadratic_murmuration(
     X: float,
     phi: WeightFunction,
-    classes: Sequence[int],
+    parity_class,
     primes: Sequence[int],
     normalization: str = "analytic",
-) -> list[MurmurationSeries]:
-    """Murmuration series E[chi_d(p)], one per requested sign class of d.
+):
+    """Murmuration series E[chi_d(p)] of the discriminants d of one sign
+    class: ``parity_class`` is +1 or -1 for one series, or a tuple of
+    classes for a list of series, one per class, from one pass over the
+    family; a class's series has the same bits either way.
 
     Vectorized over the family: for fixed p the character value is the
     Legendre symbol of d mod p (mod 8 for p = 2), so one residue table
@@ -191,8 +194,9 @@ def quadratic_series(
     cast once to float64; (d|p) = (-1|p)(|d| | p) for d < 0, so the class
     sum is negated after the dot when (-1|p) = -1.
     """
+    classes = parity_class if isinstance(parity_class, tuple) else (parity_class,)
     if not classes or any(c not in (1, -1) for c in classes):
-        raise DomainError(f"parity classes must be +-1, got {tuple(classes)}")
+        raise DomainError(f"parity class must be +-1 or a tuple of them, got {parity_class}")
     check_normalization(normalization)
     grid = check_prime_grid(primes)
     discriminants = fundamental_discriminants(X, phi)
@@ -220,7 +224,7 @@ def quadratic_series(
     if normalization == "raw_sqrtp":
         values *= np.sqrt(grid)
     ys = grid / X
-    return [
+    series = [
         MurmurationSeries(
             y=ys,
             value=values[j],
@@ -231,17 +235,7 @@ def quadratic_series(
         )
         for j, (cls, absd, _, _) in enumerate(family)
     ]
-
-
-def quadratic_murmuration(
-    X: float,
-    phi: WeightFunction,
-    parity_class: int,
-    primes: Sequence[int],
-    normalization: str = "analytic",
-) -> MurmurationSeries:
-    """Murmuration series E[chi_d(p)] for one sign class of discriminants."""
-    return quadratic_series(X, phi, (parity_class,), primes, normalization)[0]
+    return series if isinstance(parity_class, tuple) else series[0]
 
 
 # ---------------------------------------------------------------------------

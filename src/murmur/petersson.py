@@ -9,13 +9,14 @@ with i^k = +1 for k = 0 mod 4 and -1 for k = 2 mod 4 (k odd never
 occurs), truncating the c-sum where a rigorous tail bound built from
 |J_nu(x)| <= (x/2)^nu/nu! * exp(x^2/(4(nu+1))) and the Weil bound
 certifies the remainder.  One kernel evaluates it over a whole
-(weight x n) grid.  It cuts the (modulus c, cell) pairs of the grid into
-blocks of consecutive c of at most 2^16 pairs.  Each block takes its
-Bessel factors from one ``bessel_j`` call and its Kloosterman sums from
-one ``kloosterman_many`` call, over the block's distinct (c, n mod c);
-neither depends on the weight k or on the root-number class, so both
-classes of ``harmonic_series`` come from one kernel call over the union
-of their weights.  Memory is O(weights x n) plus one block.
+(weight x n) grid.  ``arith._blocks`` cuts the (modulus c, cell) pairs
+of the grid, in ascending c, into blocks of at most 2^16 consecutive
+pairs.  Each block takes its Bessel factors from one ``bessel_j`` call
+and its Kloosterman sums from one ``kloosterman_many`` call, over the
+block's distinct (c, n mod c); neither depends on the weight k or on the
+root-number class, so both classes of ``harmonic_series`` come from one
+kernel call over the union of their weights.  Memory is O(weights x n)
+plus one block.
 
 Weight-aspect murmuration averages aggregate these values over a
 window of weights.  Inside this engine the conductor scale of a
@@ -53,7 +54,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .arith import ArithTables, check_prime_grid, covering, kloosterman_many
+from .arith import ArithTables, _blocks, check_prime_grid, covering, kloosterman_many
 from .errors import AccuracyError, DomainError, WindowError
 from .frame import MurmurationSeries, window
 from .specfn import _BESSEL_MAX_ORDER, WeightFunction, bessel_j
@@ -117,7 +118,7 @@ def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, table
     grid ``ks`` x ``ns``, as arrays of shape (len(ks), len(ns)).
 
     Cutoffs come from ``_cutoffs``.  Sorted by descending cutoff, the
-    cells with a term at modulus c are a prefix; ``_blocks`` cuts the
+    cells with a term at modulus c are a prefix; ``arith._blocks`` cuts the
     (modulus, cell) pairs into blocks of at most ``_BESSEL_BLOCK``, in
     ascending c.  Each block is one ``bessel_j`` call and one
     ``kloosterman_many`` call over its distinct (c, n mod c) pairs, whose
@@ -147,10 +148,8 @@ def _deltas(ks: Sequence[int], m: int, ns: Sequence[int], tail_tol: float, table
     rows, cols = (i.astype(np.int32) for i in np.unravel_index(np.argsort(-lo, axis=None, kind="stable"), lo.shape))
     alive = np.searchsorted(-lo[rows, cols], -np.arange(1, c_max + 1), side="right")
     total = np.zeros(len(rows))
-    for block in _blocks(alive.tolist(), _BESSEL_BLOCK):
-        cell = np.concatenate([np.arange(start, end, dtype=np.int32) for _, start, end in block])
-        moduli = np.array([modulus for modulus, _, _ in block], dtype=np.int32)
-        c = np.repeat(moduli, [end - start for _, start, end in block])
+    for group, cell in _blocks(alive, _BESSEL_BLOCK):
+        c = group + 1
         terms = bessel_j(k[rows[cell], 0] - 1.0, A[cols[cell]] / c)
         terms *= _kloosterman_terms(m, ns[cols[cell]], c, tables)
         np.add.at(total, cell, terms)
@@ -197,26 +196,6 @@ def _kloosterman_terms(m, n, c, tables):
     key, which = np.unique(c * span + n % c, return_inverse=True)
     moduli, residues = np.divmod(key, span)
     return (kloosterman_many(m, residues, moduli, tables) / moduli)[which]
-
-
-def _blocks(alive, cap):
-    """The (c, start, end) pieces of the (modulus, cell) pairs, cells
-    start..end-1 of the ``alive[c-1]`` alive at modulus c, in ascending c,
-    grouped into blocks of at most ``cap`` pairs; a modulus with more
-    pairs than fit is split across blocks."""
-    block, room = [], cap
-    for c, count in enumerate(alive, 1):
-        start = 0
-        while start < count:
-            end = min(count, start + room)
-            block.append((c, start, end))
-            room -= end - start
-            start = end
-            if not room:
-                yield block
-                block, room = [], cap
-    if block:
-        yield block
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,21 @@ def simpson(f, a, b, n=4001):
 
 
 def tau_qexp(n_max):
-    """Ramanujan tau(n) for n <= n_max from q * prod (1 - q^j)^24, exact ints."""
-    size = n_max  # coefficients of prod on q^0 .. q^{n_max - 1}
+    """Ramanujan tau(n) for n <= n_max: the weight-12 case of ``cusp_form_qexp``."""
+    return cusp_form_qexp(12, n_max)
+
+
+def cusp_form_qexp(k, n_max):
+    """Coefficients a(n), n <= n_max, of Delta * E4^a * E6^b, exact ints, for
+    the even weight k = 12 + 4a + 6b with b in {0, 1}.  At the weights with
+    dim S_k = 1 (k = 12, 16, 18, 20, 22, 26) this is the normalised Hecke
+    eigenform.  Delta = q * prod (1 - q^j)^24, E4 = 1 + 240 sum sigma_3(n) q^n
+    and E6 = 1 - 504 sum sigma_5(n) q^n, multiplied as truncated power series."""
+    b = (k - 12) % 4 // 2
+    a = (k - 12 - 6 * b) // 4
+    if k % 2 or a < 0:
+        raise ValueError(f"no Delta * E4^a * E6^b has weight {k}")
+    size = n_max  # coefficients of Delta / q, E4 and E6 on q^0 .. q^{n_max - 1}
     poly = [0] * size
     poly[0] = 1
     for j in range(1, size):
@@ -145,11 +158,15 @@ def tau_qexp(n_max):
         for i, aa in enumerate(poly):
             if aa == 0:
                 continue
-            for k in range(0, (size - i - 1) // j + 1):
-                bb = factor[j * k] if j * k < size else 0
+            for t in range(0, (size - i - 1) // j + 1):
+                bb = factor[j * t]
                 if bb:
-                    new[i + j * k] += aa * bb
+                    new[i + j * t] += aa * bb
         poly = new
+    e4 = [1] + [240 * sum(d**3 for d in divisors(n)) for n in range(1, size)]
+    e6 = [1] + [-504 * sum(d**5 for d in divisors(n)) for n in range(1, size)]
+    for series in [e4] * a + [e6] * b:
+        poly = [sum(poly[i] * series[n - i] for i in range(n + 1)) for n in range(size)]
     return {n: poly[n - 1] for n in range(1, n_max + 1)}
 
 

@@ -184,13 +184,33 @@ def _kloosterman_pairs(rng):
     return n, c
 
 
+def _kloosterman_crt_loop(m, n, c, tables):
+    """S(m, n; c) by the scalar CRT loop: factor c with the smallest-prime-factor
+    table and multiply, in ascending p, the unit sums mod each prime power q with
+    (m, n) twisted by the inverse of c/q mod q.  A bitwise reference for the
+    batched combination.  It reads the library's unit sum by design, so it
+    lives here and not in ``oracles``, whose helpers share no library code;
+    the unit sum's independent check is ``oracles.kloosterman_complex``."""
+    n = np.asarray(n, dtype=np.int64)
+    value, rest = np.ones(n.shape), c
+    while rest > 1:
+        p, q = int(tables.smallest_prime_factor[rest]), 1
+        while rest % p == 0:
+            rest, q = rest // p, q * p
+        rbar = pow(c // q, -1, q)
+        value *= arith._unit_cosine_sum(m * rbar, n % q * rbar, arith._unit_tables(q))
+    return value if value.ndim else float(value)
+
+
 @pytest.mark.parametrize("m", [1, 2, -12, 91, 10**20 + 3])
 def test_kloosterman_many_equals_kloosterman_fast(tables, m):
-    # every pair keeps the bits of the scalar call, whatever the other pairs of the call
+    # every pair keeps the bits of the scalar CRT loop, whatever the other pairs of the call
     n, c = _kloosterman_pairs(np.random.default_rng(abs(m) % 2**32))
     many = arith.kloosterman_many(m, n, c, tables)
     assert many.shape == n.shape
-    assert np.array_equal(many, [arith.kloosterman_fast(m, a, b, tables) for a, b in zip(n.tolist(), c.tolist())])
+    pairs = list(zip(n.tolist(), c.tolist()))
+    assert np.array_equal(many, [_kloosterman_crt_loop(m, a, b, tables) for a, b in pairs])
+    assert np.array_equal(many, [arith.kloosterman_fast(m, a, b, tables) for a, b in pairs])
     assert np.array_equal(arith.kloosterman_many(m, n[::-1], c[::-1], tables), many[::-1])
     assert np.array_equal(arith.kloosterman_many(m, n.reshape(-1, 1), c.reshape(-1, 1), tables), many.reshape(-1, 1))
     assert arith.kloosterman_many(m, [], [], tables).shape == (0,)
@@ -204,8 +224,20 @@ def test_kloosterman_many_checks_its_moduli(tables):
         arith.kloosterman_many(1, [1, 2], [3], tables)
 
 
+@pytest.mark.parametrize("counts, cap", [
+    ([], 4), ([0, 0], 3), ([10], 3), ([3, 0, 5, 1, 0, 0, 7], 1), ([3, 0, 5, 1, 0, 0, 7], 4), ([3, 0, 5, 1, 0, 0, 7], 16),
+])
+def test_blocks_cut_the_group_major_layout(counts, cap):
+    # joined, the blocks are the layout element by element, and every block but the last holds cap elements
+    blocks = list(arith._blocks(counts, cap))
+    layout = [(g, r) for g, count in enumerate(counts) for r in range(count)]
+    assert [len(group) for group, _ in blocks] == [min(cap, len(layout) - lo) for lo in range(0, len(layout), cap)]
+    assert [(g, r) for group, rank in blocks for g, r in zip(group.tolist(), rank.tolist())] == layout
+    assert all(group.dtype == rank.dtype == np.int64 for group, rank in blocks)
+
+
 def test_kloosterman_many_names_the_prime_power_whose_sum_fails(tables, monkeypatch):
-    # a broken inverse table mod 7 leaves an imaginary part: both paths name q = 7, not c = 21
+    # a broken inverse table mod 7 leaves an imaginary part: one pair and a batch both name q = 7, not c = 21
     broken = arith._build_unit_tables(7)
     broken = (broken[0], np.roll(broken[1], 1), *broken[2:])
     real = arith._unit_tables
@@ -252,5 +284,6 @@ def test_reality_sweep_sample():
 def test_kloosterman_domain_errors(tables):
     with pytest.raises(DomainError):
         arith.kloosterman_direct(1, 1, 0)
-    with pytest.raises(DomainError):
-        arith.kloosterman_fast(1, 1, tables.limit + 1, tables)
+    for c in (0, -1, tables.limit + 1, 2**64):
+        with pytest.raises(DomainError):
+            arith.kloosterman_fast(1, 1, c, tables)

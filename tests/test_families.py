@@ -117,7 +117,7 @@ def test_quadratic_murmuration_against_double_loop():
 
 def assert_matches_class_oracle(X, phi, primes):
     for normalization in ("analytic", "raw_sqrtp"):
-        both = families.quadratic_series(X, phi, (1, -1), primes, normalization=normalization)
+        both = families.quadratic_murmuration(X, phi, (1, -1), primes, normalization=normalization)
         for cls, ser in zip((1, -1), both):
             want = oracles.quadratic_class_oracle(X, phi, cls, primes, normalization)
             assert np.array_equal(ser.value, want), (cls, normalization)
@@ -154,9 +154,9 @@ def test_quadratic_murmuration_validates_grid_and_normalization():
         with pytest.raises(DomainError, match="normalization"):
             families.quadratic_murmuration(30.0, PHI, 1, grid, normalization="bogus")
     with pytest.raises(DomainError):
-        families.quadratic_series(30.0, PHI, (), [3])
+        families.quadratic_murmuration(30.0, PHI, (), [3])
     with pytest.raises(DomainError):
-        families.quadratic_series(30.0, PHI, (1, 0), [3])
+        families.quadratic_murmuration(30.0, PHI, (1, 0), [3])
 
 
 def test_quadratic_murmuration_zero_when_p_divides_all():
@@ -686,14 +686,14 @@ def test_bad_normalization_is_one_error_on_both_series_paths(tmp_path):
 @pytest.mark.parametrize("producer", ["expectation", "frame_series", "ingested_series", "quadratic_series",
                                       "fundamental_discriminants"])
 def test_window_producers_reject_a_bad_scale(tmp_path, producer, X):
-    # nan once escaped quadratic_series and fundamental_discriminants as a bare ValueError and inf as an
+    # nan once escaped the quadratic series and fundamental_discriminants as a bare ValueError and inf as an
     # OverflowError; inf was a WindowError of expectation and IngestedFamily.murmuration_series
     fam = families.ingest(write(tmp_path, GOOD))
     calls = {
         "expectation": lambda: frame.expectation(fam.records, lambda r: 1.0, X, PHI),
         "frame_series": lambda: frame.murmuration_series(fam.records, X, PHI, [2, 3]),
         "ingested_series": lambda: fam.murmuration_series(X, PHI, [2, 3]),
-        "quadratic_series": lambda: families.quadratic_series(X, PHI, (1, -1), [2, 3]),
+        "quadratic_series": lambda: families.quadratic_murmuration(X, PHI, (1, -1), [2, 3]),
         "fundamental_discriminants": lambda: families.fundamental_discriminants(X, PHI),
     }
     with pytest.raises(DomainError):

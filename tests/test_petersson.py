@@ -39,10 +39,15 @@ def test_diagonal_dominance_range():
 
 
 def test_hecke_ratio_dimension_one(tables):
-    base = petersson.petersson_delta(12, 1, 1, tables=tables)
-    for p in [2, 3, 5, 7, 11, 13]:
-        ratio = petersson.petersson_delta(12, 1, p, tables=tables).value / base.value
-        assert abs(ratio - TAU[p] / p**5.5) < 1e-6, p
+    # at every weight with dim S_k = 1 the ratios Delta_k(1, p)/Delta_k(1, 1) are the
+    # eigenvalues lambda(p) = a(p)/p^((k-1)/2) of the exact q-expansion, for every p <= 300
+    ks = [12, 16, 18, 20, 22, 26]
+    primes = oracles.naive_primes(300)
+    value, _, _ = petersson._deltas(ks, 1, [1, *primes], 1e-12, tables)
+    for k, row in zip(ks, value):
+        a = oracles.cusp_form_qexp(k, 300)
+        expect = np.array([a[p] / p ** ((k - 1) / 2) for p in primes])
+        assert np.max(np.abs(row[1:] / row[0] - expect)) < 1e-12, k
 
 
 def test_hecke_ratio_symmetric_square(tables):
@@ -300,6 +305,18 @@ def test_harmonic_series_bridge_and_meta(tables_big):
     assert bridged.meta["bridge"] == "mass(Phi)/(4*pi*y)"
     assert bridged.meta["phi_mass"] == mass
     assert "omitted_constants" in bridged.meta
+
+
+def test_harmonic_series_has_the_scale_of_its_density(tables):
+    # shape_residual is scale-free, so a wrong 4 pi or mass bridge would pass it: the
+    # least-squares scale <v, d>/<d, d> of the series v against the density d tends to 1
+    misses = []
+    for K in (80.0, 160.0, 320.0):
+        primes = arith.prime_grid(petersson.window_scale(K), 0.004, 0.055)
+        series = petersson.harmonic_series(K, primes, BUMP, 1, tables=tables)
+        ref = densities.harmonic_murmuration_density(series.y, BUMP, 1, tables)
+        misses.append(abs(1.0 - np.dot(series.value, ref) / np.dot(ref, ref)))
+    assert misses[0] > misses[1] > misses[2] and misses[2] < 1e-3, misses
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])

@@ -181,7 +181,7 @@ def test_bump_domain_error():
     ids=["indicator", "bump", "WeightFunction"],
 )
 def test_weight_support_must_be_finite(make):
-    # indicator(1, inf) was once accepted, and quadratic_series then failed with a bare OverflowError
+    # indicator(1, inf) was once accepted, and the quadratic series then failed with a bare OverflowError
     with pytest.raises(DomainError, match="finite"):
         make()
 
