@@ -3,26 +3,28 @@ functions, and Kloosterman sums.  ``covering`` is the one rule that sizes
 the sieve tables a reader needs, and ``is_prime`` the one prime test.
 
 ``ArithTables`` owns the multiplicative facts over [0, limit]: the
-squarefree mask (mu(n)^2), phi, sigma and tau.  Each is a read-only array
-built from the sieve the first time it is read, so a sieve that serves
-only a prime grid builds none of them.  ``_blocks`` cuts every ragged
-batch (the trace-formula kernel's (modulus, cell) pairs and the atomic
-density's (q, a) candidates) into blocks of bounded size.
+squarefree mask (mu(n)^2), phi, sigma, tau, and the power of each n's
+smallest prime that divides it exactly.  Each is a read-only array built
+from the sieve the first time it is read, so a sieve that serves only a
+prime grid builds none of them.  ``_blocks`` cuts every ragged batch (the
+trace-formula kernel's (modulus, cell) pairs and the atomic density's
+(q, a) candidates) into blocks of bounded size.
 
-Kloosterman sums S(m, n; c) have one CRT implementation and one
-independent check.  Both read the unit sum ``_unit_cosine_sum`` over the
-tables of ``_unit_tables`` (the units d of Z/cZ, their inverses from
-``_powmod_vec``, and cosine and sine tables):
+Kloosterman sums S(m, n; c) have one CRT implementation and one direct
+sum.  Both read the unit sum ``_unit_cosine_sum``, which sums the cosines
+of (m*d + n*dbar) * 2*pi/c over the tables of ``_unit_tables`` (the units
+d of Z/cZ, their inverses from ``_powmod_vec``, and cosine and sine
+tables), one row per (m, n):
 
 * ``kloosterman_many`` takes arrays of (n, c) pairs with any moduli, the
-  batch form the trace-formula kernel calls.  It factors each c into
-  prime powers q, evaluates one unit sum per q over every pair whose
-  modulus q divides exactly, each row twisted by its own cofactor, and
-  combines the local sums by the twisted multiplicativity
-  S(m, n; q*r) = S(m*rbar, n*rbar; q) * S(m*qbar, n*qbar; r) for
-  coprime q, r.  ``kloosterman_fast`` is its call over one modulus.
-* ``kloosterman_direct`` sums cos(2*pi*(m*d + n*d^{-1})/c) over the units
-  d of Z/cZ, asserting that the companion sine sum vanishes.
+  batch form the trace-formula kernel calls.  ``_prime_powers`` factors
+  each c into prime powers q; one unit sum per q runs over every pair
+  whose modulus q divides exactly, each row twisted by the inverse of its
+  own cofactor, and the local sums combine by the twisted
+  multiplicativity S(m, n; q*r) = S(m*rbar, n*rbar; q) * S(m*qbar, n*qbar; r)
+  for coprime q, r.  ``kloosterman_fast`` is its call over one modulus.
+* ``kloosterman_direct`` is one unit sum mod c, asserting that the
+  companion sine sum vanishes.
 
 Their agreement to 1e-9 absolute on dense grids checks the CRT
 combination only.  The independent check of the unit sum is the test
@@ -85,6 +87,13 @@ class ArithTables:
     def divisor_count(self) -> np.ndarray:
         """Number of divisors tau(n), int64."""
         return self._by_smallest_factor(lambda f, p, m: 2 * f[m] - np.where(m % p == 0, f[m // p], 0))
+
+    @cached_property
+    def smallest_prime_power(self) -> np.ndarray:
+        """The power of the smallest prime p of n that divides n exactly,
+        int64: n's p-part, 1 at n = 1 and 0 at n = 0."""
+        spf = self.smallest_prime_factor
+        return self._by_smallest_factor(lambda f, p, m: np.where(spf[m] == p, p * f[m], p))
 
     def _by_smallest_factor(self, rule) -> np.ndarray:
         """The int64 table f with f(0) = 0, f(1) = 1 and, for n >= 2,
@@ -227,12 +236,6 @@ def _unit_tables(modulus: int) -> tuple[np.ndarray, ...]:
     return _build_unit_tables(modulus)
 
 
-def _runs(values: np.ndarray) -> list[tuple[int, int]]:
-    """The (start, stop) of every run of equal consecutive entries of a 1-D array."""
-    cuts = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
-    return list(zip([0, *cuts], [*cuts, len(values)])) if len(values) else []
-
-
 def _blocks(counts, cap: int):
     """The blocks of at most ``cap`` consecutive elements of a group-major
     layout, where group g holds ``counts[g]`` elements: per block, the
@@ -254,9 +257,9 @@ def _unit_cosine_sum(m, n: np.ndarray, unit_tables: tuple[np.ndarray, ...]) -> n
     """Sums of exp(2*pi*i*(m*d + n*dbar)/c) over the units d of Z/cZ, as
     reals, one per entry of the int64 array n, where ``unit_tables`` are the
     tables of ``_unit_tables(c)``.  ``m`` is an int shared by every entry,
-    or an int64 array of n's shape, one m per entry; m*d is formed once per
-    run of equal consecutive m, so callers sort the entries by m.  Rows are
-    taken in blocks of at most _UNIT_BLOCK terms.
+    or an int64 array of n's shape, one m per entry; either way each row
+    is m*d + n*dbar mod c, formed by broadcasting.  Rows are taken in
+    blocks of at most _UNIT_BLOCK terms.
 
     Raises AccuracyError if an imaginary part fails to cancel below 1e-9,
     which would indicate a broken inverse table.
@@ -266,20 +269,15 @@ def _unit_cosine_sum(m, n: np.ndarray, unit_tables: tuple[np.ndarray, ...]) -> n
     if modulus == 1:
         return np.ones(n.shape)
     rows = n.reshape(-1, 1) % modulus
-    if isinstance(m, np.ndarray):
-        m = m.reshape(-1) % modulus
-        runs = [(int(m[start]), start, stop) for start, stop in _runs(m)]
-    else:
-        runs = [(m % modulus, 0, len(rows))]
+    twist = np.full(n.shape, m % modulus).reshape(-1, 1)
     real, imag = np.empty(len(rows)), np.empty(len(rows))
     step = max(1, _UNIT_BLOCK // len(units))
-    for m_run, start, stop in runs:
-        mu = m_run * units
-        for lo in range(start, stop, step):
-            num = mu + rows[lo : min(lo + step, stop)] * inv
-            num %= modulus
-            real[lo : lo + len(num)] = cos[num].sum(axis=1)
-            imag[lo : lo + len(num)] = sin[num].sum(axis=1)
+    for lo in range(0, len(rows), step):
+        num = twist[lo : lo + step] * units
+        num += rows[lo : lo + step] * inv
+        num %= modulus
+        real[lo : lo + len(num)] = cos[num].sum(axis=1)
+        imag[lo : lo + len(num)] = sin[num].sum(axis=1)
     worst = float(np.abs(imag).max(initial=0.0))
     if worst > _IMAG_TOL:
         raise AccuracyError(
@@ -318,29 +316,24 @@ def kloosterman_fast(m: int, n, c: int, tables: ArithTables):
 
 
 def _prime_powers(c: np.ndarray, tables: ArithTables) -> tuple[np.ndarray, np.ndarray]:
-    """(pair, power): the prime-power factors q of the moduli c, each with
-    the index of its modulus, sorted by q.  The moduli are factored with
-    the smallest-prime-factor table, one rank (smallest prime first) per
-    pass."""
-    pair, power, rest = [], [], c.copy()
-    live = np.flatnonzero(rest > 1)
+    """(pair, power): the prime-power factors q = p^e of the moduli c, each
+    with the index of its modulus, sorted by (p, q); a modulus 1 has none.
+    Each pass divides every modulus still above 1 by its factor at its
+    smallest prime, read from ``tables.smallest_prime_power``."""
+    pair, power = [], []
+    live = np.flatnonzero(c > 1)
+    rest = c[live]
     while len(live):
-        r = rest[live]
-        p = tables.smallest_prime_factor[r].astype(np.int64)
-        q, r = p.copy(), r // p
-        more = np.flatnonzero(r % p == 0)
-        while len(more):
-            q[more] *= p[more]
-            r[more] //= p[more]
-            more = more[r[more] % p[more] == 0]
-        rest[live] = r
+        q = tables.smallest_prime_power[rest]
         pair.append(live)
         power.append(q)
-        live = live[r > 1]
+        rest //= q
+        more = rest > 1
+        live, rest = live[more], rest[more]
     # live is empty here: it keeps the concatenation valid when every modulus is 1
     pair, power = np.concatenate([*pair, live]), np.concatenate([*power, live])
-    by_power = np.argsort(power, kind="stable")
-    return pair[by_power], power[by_power]
+    order = np.lexsort((power, tables.smallest_prime_factor[power]))
+    return pair[order], power[order]
 
 
 def kloosterman_many(m: int, n, c, tables: ArithTables) -> np.ndarray:
@@ -351,8 +344,8 @@ def kloosterman_many(m: int, n, c, tables: ArithTables) -> np.ndarray:
     ``_prime_powers`` factors the moduli.  The local factors of each prime
     power q, over every pair whose modulus q divides exactly, are one
     ``_unit_cosine_sum`` mod q, with (m, n) twisted by the inverse of the
-    cofactor c/q, read from q's unit tables; its rows are sorted by the
-    twisted m.  Each pair multiplies its factors in ascending p.
+    cofactor c/q, read from q's unit tables.  The prime powers come in
+    ascending p, so each pair multiplies its factors in ascending p.
     """
     n, c = np.asarray(n, dtype=np.int64), np.asarray(c, dtype=np.int64)
     if n.shape != c.shape:
@@ -362,18 +355,16 @@ def kloosterman_many(m: int, n, c, tables: ArithTables) -> np.ndarray:
         raise DomainError(f"modulus c={bad} outside table range [1, {tables.limit}]")
     shape, n, c = c.shape, n.reshape(-1), c.reshape(-1)
     pair, power = _prime_powers(c, tables)
-    # prime powers by ascending prime: each pair multiplies its factors in ascending p
-    groups = sorted(_runs(power), key=lambda g: (int(tables.smallest_prime_factor[power[g[0]]]), g[0]))
+    # a group starts where q changes: np.diff(power, prepend=0) without its set-up cost
+    starts = np.flatnonzero(power != np.concatenate(([0], power[:-1]))).tolist()
     value = np.ones(len(c))
-    for start, stop in groups:
+    for start, stop in zip(starts, [*starts[1:], len(power)]):
         q = int(power[start])
         unit_tables = _unit_tables(q)
         units, inv = unit_tables[:2]
         at = pair[start:stop]
         rbar = inv[np.searchsorted(units, c[at] // q % q)]
-        mq, nq = m % q * rbar % q, n[at] % q * rbar % q
-        by_m = np.argsort(mq, kind="stable")
-        value[at[by_m]] *= _unit_cosine_sum(mq[by_m], nq[by_m], unit_tables)
+        value[at] *= _unit_cosine_sum(m % q * rbar % q, n[at] % q * rbar % q, unit_tables)
     return value.reshape(shape)
 
 

@@ -77,8 +77,8 @@ def emit_csv(path, header, columns=(), dist=None) -> None:
     float, the digits of an int.  The atom lines are streamed, one write
     per block of the columns."""
     with open(path, "wb") as fh:
-        for locs, masses in () if dist is None else dist.atom_blocks():
-            fh.writelines(numtext.lines((locs, masses), b" ", b"#atom "))
+        if dist is not None:
+            fh.writelines(numtext.lines((dist.locations, dist.masses), b" ", b"#atom "))
         fh.write(header.encode() + b"\n")
         fh.writelines(numtext.lines(columns))
 

@@ -62,9 +62,10 @@ class DistributionValue:
     bytes per atom: ``locations``, strictly increasing, and ``masses``,
     finite (both checked with numpy).  The continuous part must stay
     finite at atom locations (atoms are never folded into the function).
-    Readers that need Python floats, such as ``total_atom_mass`` and the
-    CLI's ``#atom`` lines, take them from ``atom_blocks``, at most
-    _ATOM_BLOCK atoms at a time; ``atom_at`` bisects the locations.
+    Readers that need Python floats, ``total_atom_mass`` and the CLI's
+    SVG spikes, take them from ``atom_blocks``, at most _ATOM_BLOCK atoms
+    at a time; the CLI's ``#atom`` lines are formatted from the columns
+    by ``numtext``; ``atom_at`` bisects the locations.
     ``atoms`` builds the whole (location, mass) tuple on each access, for
     small consumers only.  ``window_murmuration_density`` fills the
     columns from blocks of candidates, after a size guard on their count.

@@ -300,11 +300,7 @@ class IngestedFamily:
         i = self._index.get(label)
         if i is None or not (0 <= p < _P_LIMIT and p == int(p)):
             raise CoverageError(f"no coefficient for record {label!r} at prime {p}")
-        key = (i << _P_BITS) | int(p)
-        row = int(np.searchsorted(self._keys, key))
-        if row == len(self._keys) or self._keys[row] != key:
-            raise CoverageError(f"no coefficient for record {label!r} at prime {int(p)}")
-        return float(self.ap[row])
+        return float(self._gather(np.array([i]), np.array([int(p)]))[0, 0])
 
     def murmuration_series(
         self, X: float, phi: WeightFunction, primes: Sequence[int], normalization: str = "analytic"

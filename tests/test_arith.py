@@ -99,6 +99,39 @@ def test_phi_sigma_against_divisor_enumeration(small_tables):
         assert (phi[n], sigma[n], tau[n]) == (oracles.phi_naive(n), sum(divisors), len(divisors)), n
 
 
+def _p_part(n):
+    """The power of n's smallest prime that divides n exactly, by trial division."""
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    q = p
+    while n % (q * p) == 0:
+        q *= p
+    return q
+
+
+def test_smallest_prime_power_is_the_p_part(tables):
+    power = tables.smallest_prime_power
+    assert power.dtype == np.int64 and len(power) == tables.limit + 1 and not power.flags.writeable
+    assert (power[0], power[1]) == (0, 1)
+    assert [n for n in range(2, tables.limit + 1) if power[n] != _p_part(n)] == []
+
+
+def test_prime_powers_multiply_to_each_modulus(tables):
+    # per modulus: prime powers in ascending p whose product is c, none for c = 1;
+    # over the call: sorted by (p, q), so equal q are consecutive
+    c = np.concatenate([[1, 1, 2, 9973, 2**3 * 3 * 5 * 7 * 11, 2**13, 1], np.arange(1, tables.limit + 1)])
+    pair, power = arith._prime_powers(c, tables)
+    primes = tables.smallest_prime_factor[power]
+    assert [(int(p), int(q)) for p, q in zip(primes, power)] == sorted(zip(primes.tolist(), power.tolist()))
+    factors = [[] for _ in c]
+    for i, q in zip(pair.tolist(), power.tolist()):
+        factors[i].append(q)
+    for modulus, qs in zip(c.tolist(), factors):
+        ps = [int(tables.smallest_prime_factor[q]) for q in qs]
+        assert math.prod(qs) == modulus and ps == sorted(set(ps)), modulus
+        assert all(_p_part(q) == q for q in qs), modulus
+    assert arith._prime_powers(np.ones(3, dtype=np.int64), tables)[0].shape == (0,)
+
+
 def test_is_squarefree(small_tables):
     assert not arith.is_squarefree(18, small_tables)
     assert arith.is_squarefree(30, small_tables)

@@ -2,9 +2,10 @@
 has a reader outside its own definition: library code, scripts, the
 benchmark harness or the acceptance suite.  A name only the unit tests
 call is test code living in the library, and a constant nothing reads
-is a second owner of a fact.  Every private module-level function
-and class and every private method has a reader in the library or the
-scripts: a helper nothing calls is dead code."""
+is a second owner of a fact.  Every private module-level function,
+class and constant and every private method has a reader in the library
+or the scripts: a helper nothing calls is dead code, and so is a constant
+left behind by the code that read it."""
 
 import ast
 from pathlib import Path
@@ -48,13 +49,13 @@ def test_every_public_library_name_has_a_reader():
     assert orphans == []
 
 
-def _public_constants(path):
-    """(name, line) of each module-level assignment target of the file whose name does not start with '_'."""
+def _constants(path):
+    """(name, line) of each module-level assignment target of the file."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for name in ast.walk(target):
-                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                    if isinstance(name, ast.Name):
                         yield name.id, name.lineno
 
 
@@ -63,8 +64,19 @@ def test_every_public_library_constant_has_a_reader():
     orphans = [
         f"{path.stem}.{name}"
         for path in LIBRARY
-        for name, line in _public_constants(path)
-        if not readers.get(name, set()) - {(path, line)}
+        for name, line in _constants(path)
+        if not name.startswith("_") and not readers.get(name, set()) - {(path, line)}
+    ]
+    assert orphans == []
+
+
+def test_every_private_library_constant_has_a_reader_in_the_program():
+    readers = _readers(PROGRAM)
+    orphans = [
+        f"{path.stem}.{name}"
+        for path in LIBRARY
+        for name, line in _constants(path)
+        if name.startswith("_") and not name.endswith("__") and not readers.get(name, set()) - {(path, line)}
     ]
     assert orphans == []
 
