@@ -6,9 +6,13 @@ split into sign classes by sign(d) (real characters all have root
 number +1, so sign(d) is the natural bisection).  One pass serves every
 requested class: the discriminants are enumerated once, and one Legendre
 table per prime, from the squares r^2 mod p, r <= (p - 1)/2, in exact
-int64 arithmetic (no float quotient, no corrections), is tiled over
-[min|d|, max|d|] and gathered once for both classes.  For primes up to X
-the cost is O(sum_p (p/2 + max|d| - min|d|) + |family| pi(X)).
+integer arithmetic (no float quotient, no corrections), is tiled over
+[min|d|, max|d|].  Under the sharp window (every weight exactly 1) a
+class sum is a count, and one float32 product of the classes' 0/1
+membership masks with the tiled table gives every class's; other weights
+gather the table once for both classes and take each class's dot.  For
+primes up to X the sharp window costs O(sum_p (p/2 + max|d| - min|d|)),
+and other weights add O(|family| pi(X)).
 
 ``ingest`` reads externally computed coefficient tables (elliptic-curve
 style families) in the murmur-family v1 format:
@@ -66,6 +70,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # ingest keeps 2 <= p < 2^31, so (record << 31) | p orders rows by (record, p)
 _P_BITS = 31
 _P_LIMIT = 1 << _P_BITS
+_F32_EXACT = 1 << 24  # float32 holds every integer up to it
 # ingest's columns, one entry per coefficient row in file order
 _ROW = np.dtype([("record", np.int32), ("p", np.int32), ("ap", np.float64), ("line", np.int32)])
 _BLOCK_CHARS = 1 << 16  # text per line block of ingest: bounds the tokeniser's temporaries
@@ -146,13 +151,18 @@ def _legendre_tables(primes: list[int], lo: int, hi: int):
     allocated once and reused.
 
     For odd p the quadratic residues are exactly the r*r mod p, r <= (p-1)/2,
-    each r*r - p*floor(r*r/p) in exact int64 arithmetic, with no float
-    quotient and no corrections.  One period of the table, rotated to start
-    at lo, is tiled over [lo, hi] by one broadcast copy.
+    each r*r - p*floor(r*r/p) in exact integer arithmetic, with no float
+    quotient and no corrections.  The quotient is taken in int32 while every
+    r*r is below 2^31, where numpy divides by a scalar in SIMD, else in
+    int64; the residue is int64, the scatter's index type.  One period of
+    the table, rotated to start at lo, is tiled over [lo, hi] by one
+    broadcast copy.
     """
     half = (primes[-1] - 1) // 2
-    squares = np.arange(1, half + 1, dtype=np.int64) ** 2
+    narrow = half * half <= np.iinfo(np.int32).max
+    squares = np.arange(1, half + 1, dtype=np.int32 if narrow else np.int64) ** 2
     residues = np.empty(half, dtype=np.int64)
+    quotients = np.empty(half, dtype=np.int32) if narrow else residues  # an int64 quotient becomes the residue in place
     table = np.empty(2 * max(primes[-1], 8), dtype=np.int8)
     tiled = np.empty(hi - lo + 1, dtype=np.int8)
     for p in primes:
@@ -161,10 +171,10 @@ def _legendre_tables(primes: list[int], lo: int, hi: int):
             table[:period] = (0, 1, 0, -1, 0, -1, 0, 1)
         else:
             period, h = p, (p - 1) // 2
-            rem = residues[:h]
-            np.floor_divide(squares[:h], p, out=rem)
-            rem *= -p
-            rem += squares[:h]
+            quotient, rem = quotients[:h], residues[:h]
+            np.floor_divide(squares[:h], p, out=quotient)
+            quotient *= -p
+            np.add(quotient, squares[:h], out=rem)
             table[:period] = -1
             table[rem] = 1
             table[0] = 0
@@ -189,10 +199,15 @@ def quadratic_murmuration(
 
     Vectorized over the family: for fixed p the character value is the
     Legendre symbol of d mod p (mod 8 for p = 2), so one residue table
-    per prime serves the whole family.  The table, tiled over the window
-    [min|d|, max|d|], gives (|d| | p) for both classes by one gather,
-    cast once to float64; (d|p) = (-1|p)(|d| | p) for d < 0, so the class
-    sum is negated after the dot when (-1|p) = -1.
+    per prime serves the whole family, tiled over the window
+    [min|d|, max|d|].  When every weight is exactly 1 and the window is
+    shorter than 2^24, the class sums are counts: the table, cast to
+    float32, times a 0/1 mask per class gives them all in one product,
+    and since every partial sum is an integer float32 holds exactly, they
+    have the bits of the weighted dots.  Otherwise the table gives
+    (|d| | p) for both classes by one gather, cast once to float64, and
+    each class takes its dot with its weights.  (d|p) = (-1|p)(|d| | p)
+    for d < 0, so the class sum is negated when (-1|p) = -1.
     """
     classes = parity_class if isinstance(parity_class, tuple) else (parity_class,)
     if not classes or any(c not in (1, -1) for c in classes):
@@ -206,17 +221,29 @@ def quadratic_murmuration(
         members, weights = window(absd, X, phi)
         family.append((cls, absd[members], weights, float(weights.sum())))
     lo, hi = min(int(f[1][0]) for f in family), max(int(f[1][-1]) for f in family)
-    offsets = np.concatenate([absd - lo for _, absd, _, _ in family])
-    gathered, chars = np.empty(len(offsets), dtype=np.int8), np.empty(len(offsets))
-    class_chars = np.split(chars, np.cumsum([len(absd) for _, absd, _, _ in family])[:-1])  # views
     values = np.empty((len(family), len(grid)), dtype=np.float64)
     negated = np.zeros(len(grid), dtype=bool)  # the primes with (-1|p) = -1
-    for i, (residues, minus_one) in enumerate(_legendre_tables(grid.tolist(), lo, hi)):
-        np.take(residues, offsets, out=gathered, mode="clip")  # every offset is in range; "clip" is unbuffered
-        chars[:] = gathered
-        negated[i] = minus_one == -1
-        for j, ((_, _, weights, _), x) in enumerate(zip(family, class_chars)):
-            values[j, i] = np.dot(weights, x)
+    tables = enumerate(_legendre_tables(grid.tolist(), lo, hi))
+    if hi - lo < _F32_EXACT and all(np.all(weights == 1.0) for _, _, weights, _ in family):
+        # every partial sum of a count is an integer of at most 2^24: exact in float32, in any order
+        masks = np.zeros((len(family), hi - lo + 1), dtype=np.float32)
+        for j, (_, absd, _, _) in enumerate(family):
+            masks[j, absd - lo] = 1.0
+        symbols = np.empty(hi - lo + 1, dtype=np.float32)
+        for i, (residues, minus_one) in tables:
+            symbols[:] = residues
+            values[:, i] = masks @ symbols
+            negated[i] = minus_one == -1
+    else:
+        offsets = np.concatenate([absd - lo for _, absd, _, _ in family])
+        gathered, chars = np.empty(len(offsets), dtype=np.int8), np.empty(len(offsets))
+        class_chars = np.split(chars, np.cumsum([len(absd) for _, absd, _, _ in family])[:-1])  # views
+        for i, (residues, minus_one) in tables:
+            np.take(residues, offsets, out=gathered, mode="clip")  # every offset is in range; "clip" is unbuffered
+            chars[:] = gathered
+            negated[i] = minus_one == -1
+            for j, ((_, _, weights, _), x) in enumerate(zip(family, class_chars)):
+                values[j, i] = np.dot(weights, x)
     for j, (cls, _, _, den) in enumerate(family):
         if cls == -1:
             values[j, negated] = 0.0 - values[j, negated]  # the dots of the negated characters, +0.0 included

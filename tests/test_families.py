@@ -145,6 +145,26 @@ def test_quadratic_series_matches_per_class_oracle_off_the_window(kind, X, suppo
     assert_matches_class_oracle(X, getattr(specfn, kind)(*support), arith.sieve(int(y_max * X)).primes.tolist())
 
 
+@pytest.mark.parametrize("grid", [[92671, 92681], [92681, 92683]], ids=["int32-quotient", "int64-quotient"])
+def test_quadratic_series_matches_per_class_oracle_across_the_quotient_width(grid):
+    # the tables divide r*r, r <= (max p - 1)/2, in int32 up to 46340^2 < 2^31 and in int64 from
+    # 46341^2; a window of one whole period also reads the residues that X = 1500 does not
+    for p, (tiled, _) in zip(grid, families._legendre_tables(grid, 0, grid[-1])):
+        want = np.full(p, -1, dtype=np.int8)
+        want[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+        want[0] = 0
+        assert np.array_equal(tiled[:p], want), p
+    for phi in (specfn.indicator(1.0, 2.0), specfn.bump(1.0, 2.0)):
+        assert_matches_class_oracle(1500.0, phi, grid)
+
+
+def test_sharp_window_past_the_float32_bound_matches_per_class_oracle(monkeypatch):
+    # a sharp window of 2^24 or more |d| counts past float32's exact integers: with the bound
+    # lowered below every window, the indicator takes the weighted gather and dot
+    monkeypatch.setattr(families, "_F32_EXACT", 1)
+    assert_matches_class_oracle(1500.0, PHI, arith.sieve(1500).primes.tolist())
+
+
 def test_quadratic_murmuration_validates_grid_and_normalization():
     # [9] once returned a silent -0.556: the class mean of kronecker(d, 9) is 0.667
     for grid in ([], [5, 3], [3, 3], [9], [2, 3, 25], [1, 2], [0, 2]):
